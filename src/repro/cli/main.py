@@ -78,15 +78,6 @@ def _make_trace(args: argparse.Namespace):
     return http_get_trace(args.host, response_body=b"x" * args.size)
 
 
-def _add_event_core_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--event-core",
-        action="store_true",
-        help="run the netsim on the event-scheduler core (byte-identical "
-        "verdicts/traces; the differential suite pins the equivalence)",
-    )
-
-
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="video.example.com", help="hostname in the workload")
     parser.add_argument("--video", action="store_true", help="use a video-stream workload")
@@ -466,7 +457,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_congest(args: argparse.Namespace) -> int:
-    """Run the event-core interleaved-flow congestion workload."""
+    """Run the scheduled interleaved-flow congestion workload."""
     import json
 
     from repro.experiments.congestion import (
@@ -928,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(run)
     _add_fault_args(run)
     _add_obs_args(run, workload_trace=True)
-    _add_event_core_arg(run)
     run.set_defaults(func=cmd_run)
 
     serve = sub.add_parser(
@@ -1015,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     congest = sub.add_parser(
-        "congest", help="event-core congestion workload: interleaved flows on one path"
+        "congest", help="congestion workload: scheduled flows interleaved on one path"
     )
     congest.add_argument("--env", default="tmobile")
     congest.add_argument("--flows", type=int, default=200, help="concurrent flows")
@@ -1085,7 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(t3)
     _add_obs_args(t3)
-    _add_event_core_arg(t3)
     t3.set_defaults(func=cmd_table3)
     f4 = sub.add_parser("figure4", help="regenerate Figure 4")
     f4.add_argument("--trials", type=int, default=6)
@@ -1098,7 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(f4)
     _add_obs_args(f4)
-    _add_event_core_arg(f4)
     f4.set_defaults(func=cmd_figure4)
     sub.add_parser("efficiency", help="regenerate §6 efficiency numbers").set_defaults(
         func=cmd_efficiency
@@ -1113,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "countermeasures", help="run the §4.3 normalizer countermeasure study"
     ).set_defaults(func=cmd_countermeasures)
     scale = sub.add_parser(
-        "scale", help="bounded flow-state churn workload (LRU, timer wheel, shedding)"
+        "scale", help="bounded flow-state churn workload (LRU, timer heap, shedding)"
     )
     scale.add_argument("--flows", type=int, default=100_000, help="distinct flows to churn")
     scale.add_argument(
@@ -1294,11 +1282,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _setup_obs(args)
     try:
-        if getattr(args, "event_core", False):
-            from repro.netsim.scheduler import use_event_core
-
-            with use_event_core():
-                return args.func(args)
         return args.func(args)
     finally:
         _finish_obs(args)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.netsim.path import Path
-from repro.netsim.timerwheel import TimerWheel
 from repro.packets.icmp import ICMP_TIME_EXCEEDED
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
@@ -450,23 +449,18 @@ class RawTCPClient:
             return 0
         resent_total = 0
         target = max(seq + len(payload) for seq, payload in self._tracked)
-        # Retry rounds run on the same timer-wheel machinery as the engine's
-        # flow expiry: every tracked segment is armed one RTO out, a round
-        # advances the wheel, and whatever fires still-unacked is resent and
-        # re-armed.  Same-deadline timers fire in schedule order, so the
-        # emitted packet sequence is exactly the tracked order each round.
-        rto = 1.0
-        wheel = TimerWheel(tick=rto, slots=8, levels=1)
-        for entry in self._tracked:
-            wheel.schedule(wheel.now + rto, entry)
+        # One RTO per round: every still-unacked segment is resent in
+        # tracked order, and a segment the server's cumulative ACK covers
+        # drops out for good.
+        unacked = list(self._tracked)
         for _ in range(self.max_retries):
             acked = self.collector.max_server_ack(self.dst, self.dport, self.sport) or 0
             if acked >= target:
                 break
-            resent = 0
-            for seq, payload in wheel.advance(wheel.now + rto):
-                if seq + len(payload) <= acked:
-                    continue  # fully delivered: the timer is simply dropped
+            unacked = [(seq, payload) for seq, payload in unacked if seq + len(payload) > acked]
+            if not unacked:
+                break
+            for seq, payload in unacked:
                 segment = TCPSegment(
                     sport=self.sport,
                     dport=self.dport,
@@ -478,12 +472,8 @@ class RawTCPClient:
                 self.path.send_from_client(
                     IPPacket(src=self.src, dst=self.dst, transport=segment, ttl=self.ttl)
                 )
-                wheel.schedule(wheel.now + rto, (seq, payload))
-                resent += 1
-            if not resent:
-                break
-            self.retransmissions += resent
-            resent_total += resent
+            self.retransmissions += len(unacked)
+            resent_total += len(unacked)
         return resent_total
 
     def repair_server_stream(self, expected_len: int) -> int:

@@ -13,7 +13,7 @@ and the drain delivers them in global ``(deadline, seq)`` order.
 The headline metric is the *interleaving ratio*: the fraction of adjacent
 server-side deliveries that belong to different flows.  The per-packet
 driver is structurally stuck at ~0 (one flow fully delivered, then the
-next); an event-core run with overlapping schedules approaches 1.  The
+next); a scheduled run with overlapping schedules approaches 1.  The
 report also carries per-flow completion spread and the scheduler's own
 counters, so regressions in drain fairness are visible.
 """
@@ -140,9 +140,7 @@ def run_congestion(config: CongestionConfig | None = None) -> CongestionResult:
 
     config = config or CongestionConfig()
     env = ENVIRONMENT_FACTORIES[config.env_name]()
-    scheduler = env.path.bind_scheduler(
-        EventScheduler(env.clock, arm_timeouts=True)
-    )
+    scheduler = env.path.bind_scheduler(EventScheduler(env.clock))
     journal = _FlowJournal(scheduler)
     env.path.server_endpoint = journal
 

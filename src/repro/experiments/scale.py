@@ -8,7 +8,7 @@ flow table can hold, so every bounded-state mechanism runs hot —
 
 * slab/LRU capacity eviction (``max_flows``),
 * byte-budget shedding (``flow_byte_budget``),
-* timer-wheel batch expiry (idle flows aged past their flush timeout),
+* timer-heap batch expiry (idle flows aged past their flush timeout),
 * admission load-shedding (an :class:`OverloadPolicy`, when enabled).
 
 Everything is deterministic: flow endpoints derive from the flow index,
@@ -77,11 +77,11 @@ class ScaleConfig:
         shed: enable the engine's :class:`OverloadPolicy` admission shedding.
         shed_seed: deterministic coin seed for the shedder.
         pre_match_timeout / post_match_timeout: engine flush timeouts; both
-            constant, so expiry runs on the timer wheel.
+            constant, so expiry runs on the timer heap.
         packet_interval: virtual seconds between packets.
         idle_every / idle_seconds: every *idle_every* flows the clock jumps
             *idle_seconds* forward, batch-expiring everything idle past its
-            timeout (the timer wheel's busy/quiet rhythm).
+            timeout (the timer heap's busy/quiet rhythm).
     """
 
     flows: int = 100_000

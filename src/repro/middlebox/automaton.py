@@ -41,7 +41,6 @@ import re
 import time
 from typing import Iterable, Sequence
 
-from repro.middlebox import rulecache
 from repro.obs import coverage as obs_coverage
 from repro.obs import metrics as obs_metrics
 
@@ -333,24 +332,16 @@ class StreamScan:
 # ----------------------------------------------------------------------
 # interning
 # ----------------------------------------------------------------------
-#: Compiled automata by pattern tuple — the O(1) lookup memo for the compile
-#: path.  Lifetime is governed by the process-wide dependency cache
-#: (:data:`repro.middlebox.rulecache.RULE_CACHE`): every build registers an
-#: ``("automaton", patterns)`` entry whose invalidation pops the memo and
-#: cascades to every compiled view built over the automaton, so
-#: hypothesis-style churn (thousands of tiny throwaway rule sets) stays
-#: bounded without stranding dependents.
+#: Bound on each compile-path intern memo (automata here, compiled rule
+#: sets in :mod:`repro.middlebox.ruleindex`): at the bound the oldest entry
+#: is dropped.  Generous enough that the full Table 3 matrix never drops
+#: one, while hypothesis-style churn (thousands of throwaway rule sets)
+#: stays bounded.
+INTERN_LIMIT = 4096
+
+#: Compiled automata by pattern tuple.  Dropping an entry strands nothing:
+#: every view holds its own automaton.
 _INTERNED: dict[tuple[bytes, ...], PatternAutomaton] = {}
-
-
-def automaton_cache_key(patterns: tuple[bytes, ...]) -> tuple[str, tuple[bytes, ...]]:
-    """The dependency-cache key under which *patterns*' automaton lives."""
-    return ("automaton", patterns)
-
-
-def _automaton_invalidated(key: object, automaton: object, reason: str) -> None:
-    """Dependency-cache eviction/expiry: drop the lookup memo entry too."""
-    _INTERNED.pop(key[1], None)  # type: ignore[index]
 
 
 def automaton_for(patterns: Iterable[bytes]) -> PatternAutomaton:
@@ -364,12 +355,9 @@ def automaton_for(patterns: Iterable[bytes]) -> PatternAutomaton:
     key = tuple(patterns)
     automaton = _INTERNED.get(key)
     if automaton is None:
+        if len(_INTERNED) >= INTERN_LIMIT:
+            del _INTERNED[next(iter(_INTERNED))]
         automaton = _INTERNED[key] = PatternAutomaton(key)
-        rulecache.RULE_CACHE.put(
-            automaton_cache_key(key), automaton, on_invalidate=_automaton_invalidated
-        )
-    else:
-        rulecache.RULE_CACHE.touch(automaton_cache_key(key))
     return automaton
 
 

@@ -21,11 +21,12 @@ reverse-engineered, through configuration:
 from __future__ import annotations
 
 import enum
+import heapq
 import time
 from collections import deque
 from typing import Callable
 
-from repro.middlebox.flowtable import FlowTable
+from repro.middlebox.flowtable import FlowTable, Handle
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.middlebox.policy import PolicyAction
 from repro.middlebox.ruleindex import CompiledRuleSet, CompiledView, StreamScan
@@ -34,7 +35,6 @@ from repro.middlebox.state import UNCLASSIFIED_FINAL, FlowState
 from repro.middlebox.validation import MiddleboxValidation
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.shaper import PolicyState
-from repro.netsim.timerwheel import TimerWheel
 from repro.obs import coverage as obs_coverage
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
@@ -215,11 +215,15 @@ class DPIMiddlebox(NetworkElement):
         #: timeout source exists at all.
         self._any_timeout_override = False
         #: Callable timeouts (GFC time-of-day flushing) can shrink between
-        #: packets, so fixed-deadline wheel scheduling would fire late; those
+        #: packets, so fixed-deadline timers would fire late; those
         #: configurations keep the per-packet scan.  Constant timeouts (and
-        #: RST overrides, which are always constants) use the timer wheel.
+        #: RST overrides, which are always constants) use the timer heap.
         self._scan_timeouts = callable(pre_match_timeout) or callable(post_match_timeout)
-        self._wheel: TimerWheel | None = None
+        #: Expiry timers as a min-heap of ``(deadline, timer_id, handle)``.
+        #: An entry whose id no longer equals its flow's ``timer_id`` (the
+        #: timer was replaced, or the flow is gone) is stale and skipped.
+        self._timers: list[tuple[float, int, Handle]] = []
+        self._next_timer_id = 0
         self._shedder = LoadShedder(overload) if overload is not None else None
         prefer_victim = None
         victim_scan_limit = 1
@@ -343,7 +347,7 @@ class DPIMiddlebox(NetworkElement):
     def reset(self) -> None:
         """Forget every flow, fragment buffer, block counter and log entry."""
         self._any_timeout_override = False
-        self._wheel = None
+        self._timers.clear()
         if self.overload is not None:
             self._shedder = LoadShedder(self.overload)
         self._flows.clear()
@@ -480,7 +484,7 @@ class DPIMiddlebox(NetworkElement):
         return self._resolve_timeout(self.post_match_timeout, now)
 
     def _arm_timer(self, normalized: FiveTuple, state: FlowState, now: float) -> None:
-        """Schedule (or tighten) the flow's expiry timer on the wheel.
+        """Schedule (or tighten) the flow's expiry timer.
 
         Called when a timeout *source* changes — flow creation, a verdict,
         an RST override — never per packet: activity pushes the true
@@ -488,7 +492,7 @@ class DPIMiddlebox(NetworkElement):
         re-checking the idle condition and rescheduling when it fires.
         Only a deadline **earlier** than the pending one forces a
         replacement (firing late would miss a flush the per-packet scan
-        would have caught).
+        would have caught); the replaced entry goes stale in the heap.
         """
         if self._scan_timeouts:
             return  # callable timeouts keep the exact per-packet scan
@@ -498,15 +502,13 @@ class DPIMiddlebox(NetworkElement):
         deadline = state.last_packet_time + timeout
         if state.timer_deadline is not None and deadline >= state.timer_deadline:
             return
-        wheel = self._wheel
-        if wheel is None:
-            wheel = self._wheel = TimerWheel()
-        if state.timer_id is not None:
-            wheel.cancel(state.timer_id)
         handle = self._flows.handle_of(normalized)
         if handle is None:
             return
-        state.timer_id = wheel.schedule(deadline, handle)
+        timer_id = self._next_timer_id
+        self._next_timer_id += 1
+        heapq.heappush(self._timers, (deadline, timer_id, handle))
+        state.timer_id = timer_id
         state.timer_deadline = deadline
 
     def _expire(self, now: float) -> None:
@@ -523,7 +525,7 @@ class DPIMiddlebox(NetworkElement):
         if self._scan_timeouts:
             self._expire_scan(now)
         else:
-            self._expire_wheel(now)
+            self._expire_timers(now)
         if len(self._endpoint_block_until):
             expired_endpoints = [
                 endpoint
@@ -545,26 +547,30 @@ class DPIMiddlebox(NetworkElement):
         for normalized in stale:
             self._forget_flow(normalized, reason="timeout")
 
-    def _expire_wheel(self, now: float) -> None:
-        """Batch expiry off the timer wheel: O(timers due), not O(flows).
+    def _expire_timers(self, now: float) -> None:
+        """Batch expiry off the timer heap: O(timers due), not O(flows).
 
         Due timers re-check the exact idle condition the scan used (the
         flow may have been touched since the timer was armed) and
         reschedule when not yet stale.  Stale flows flush in flow-table
         insertion order, matching the scan's dict-iteration order.
         """
-        wheel = self._wheel
-        if wheel is None or not len(wheel):
+        timers = self._timers
+        if not timers or timers[0][0] > now:
             return
-        due = wheel.advance(now)
-        if not due:
-            return
+        # Pop the whole due set before re-arming: a re-armed deadline can
+        # equal *now*, and it must wait for the next packet's sweep.
+        due = []
+        while timers and timers[0][0] <= now:
+            due.append(heapq.heappop(timers))
         stale: list[tuple[int, FiveTuple]] = []
-        for handle in due:
+        for _deadline, timer_id, handle in due:
             entry = self._flows.entry_by_handle(handle)
             if entry is None:
                 continue  # flow already flushed/evicted; stale handle
             normalized, state = entry
+            if state.timer_id != timer_id:
+                continue  # superseded by a later arm or a teardown
             state.timer_id = None
             state.timer_deadline = None
             timeout = self._timeout_for(state, now)
@@ -587,10 +593,8 @@ class DPIMiddlebox(NetworkElement):
 
     def _flow_dropped(self, normalized: FiveTuple, state: FlowState, reason: str) -> None:
         """Shared teardown for flushed *and* table-evicted flows."""
-        if state.timer_id is not None and self._wheel is not None:
-            self._wheel.cancel(state.timer_id)
-            state.timer_id = None
-            state.timer_deadline = None
+        state.timer_id = None  # any heap entry for the flow is now stale
+        state.timer_deadline = None
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
         if obs_trace.TRACER is not None:

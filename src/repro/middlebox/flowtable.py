@@ -15,7 +15,7 @@ slab allocator threaded by an intrusive doubly-linked LRU list:
   scan, no per-entry wrapper objects.
 * **generation-stamped handles** — a :class:`Handle` is ``(slot,
   generation)``; recycling a slot bumps its generation, so a stale handle
-  held by a timer wheel or shed queue dereferences to ``None`` instead of
+  held by a timer heap or shed queue dereferences to ``None`` instead of
   aliasing whichever flow now occupies the slot.  Never a ``KeyError``.
 * **bounds** — a ``capacity`` entry bound (LRU-evict on insert) and an
   optional ``byte_budget`` enforced through a caller-supplied ``cost_of``

@@ -31,11 +31,10 @@ its views and automata) via :meth:`CompiledRuleSet.shared`.
 
 from __future__ import annotations
 
-from repro.middlebox import rulecache
 from repro.middlebox.automaton import (
+    INTERN_LIMIT,
     PatternAutomaton,
     StreamScan,
-    automaton_cache_key,
     automaton_for,
     mask_to_ids,
 )
@@ -243,30 +242,21 @@ class CompiledView:
             coverage.rule_hit(self.scope, rule.name)
 
 
-def _ruleset_invalidated(key: object, compiled: object, reason: str) -> None:
-    """Dependency-cache eviction/expiry: drop the shared-intern memo entry."""
-    CompiledRuleSet._shared.pop(key[1], None)  # type: ignore[index]
-
-
 class CompiledRuleSet:
     """Lazy per-(protocol, port, direction) views over one rule list.
 
-    Lifetime of compiled artifacts is governed by the process-wide
-    dependency cache (:data:`repro.middlebox.rulecache.RULE_CACHE`): each
-    set registers a ``("ruleset", ids)`` entry, and each view a
-    ``("view", ids, context)`` entry depending on both its rule set and its
-    automaton.  Evicting or expiring any layer cascades deterministically —
-    dropping a rule set drops its views; dropping an automaton drops every
-    view compiled over it — while the per-instance ``_views`` memo keeps the
-    per-packet path a single dict lookup.
+    Views live and die with their rule set and each holds its automaton,
+    so dropping a set from the :meth:`shared` memo (or an automaton from
+    its intern memo) never strands a dependent; the per-instance ``_views``
+    memo keeps the per-packet path a single dict lookup.
     """
 
-    __slots__ = ("rules", "scope", "_views", "cache_key")
+    __slots__ = ("rules", "scope", "_views")
 
     #: Interned rule sets keyed by the identity of their rule objects.  The
     #: cached set holds strong references to those rules, so a key's ids can
-    #: never be reused by new objects while the entry lives.  Bounded via the
-    #: dependency cache (invalidation pops this memo).
+    #: never be reused by new objects while the entry lives.  Bounded at
+    #: :data:`~repro.middlebox.automaton.INTERN_LIMIT`, oldest dropped first.
     _shared: dict[tuple[int, ...], "CompiledRuleSet"] = {}
 
     def __init__(self, rules: list[MatchRule]) -> None:
@@ -275,8 +265,6 @@ class CompiledRuleSet:
         #: view hits sum into one per-catalog universe.
         self.scope = obs_coverage.ruleset_scope(rule.name for rule in self.rules)
         self._views: dict[tuple[str, int, str], CompiledView] = {}
-        self.cache_key = ("ruleset", tuple(map(id, self.rules)))
-        rulecache.RULE_CACHE.put(self.cache_key, self, on_invalidate=_ruleset_invalidated)
 
     def register_coverage(self, recorder: "obs_coverage.CoverageRecorder") -> None:
         """Declare the full rule universe to *recorder*.
@@ -300,9 +288,9 @@ class CompiledRuleSet:
         key = tuple(map(id, rules))
         compiled = cls._shared.get(key)
         if compiled is None:
+            if len(cls._shared) >= INTERN_LIMIT:
+                del cls._shared[next(iter(cls._shared))]
             compiled = cls._shared[key] = cls(rules)
-        else:
-            rulecache.RULE_CACHE.touch(compiled.cache_key)
         return compiled
 
     def view(self, protocol: str, server_port: int, direction: str) -> CompiledView:
@@ -314,20 +302,5 @@ class CompiledRuleSet:
                 for order, rule in enumerate(self.rules)
                 if rule.applies_to(protocol, server_port, direction)
             ]
-            view = CompiledView(applicable, scope=self.scope)
-            # Register before memoizing: a replace-invalidation of a stale
-            # cache entry pops the memo slot, which must not be the fresh
-            # view.  Memo hits stay cache-free (this is the per-packet
-            # path); only builds register, so eviction order is build order.
-            rulecache.RULE_CACHE.put(
-                ("view", self.cache_key[1], key),
-                view,
-                deps=(self.cache_key, automaton_cache_key(view.automaton.patterns)),
-                on_invalidate=self._view_invalidated,
-            )
-            self._views[key] = view
+            view = self._views[key] = CompiledView(applicable, scope=self.scope)
         return view
-
-    def _view_invalidated(self, key: object, view: object, reason: str) -> None:
-        """Dependency-cache cascade: forget the view so it recompiles."""
-        self._views.pop(key[2], None)  # type: ignore[index]

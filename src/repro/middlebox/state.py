@@ -36,8 +36,9 @@ class FlowState:
         client_scan / server_scan: incremental multi-pattern scan state over
             the corresponding buffer (stream reassembly modes only).
         timer_id / timer_deadline: the flow's pending expiry timer on the
-            engine's timer wheel (lazy-rescheduled; None when no constant
-            timeout applies to the flow's current category).
+            engine's timer heap (lazy-rescheduled; None when no constant
+            timeout applies to the flow's current category).  Heap entries
+            carrying any other id are stale.
     """
 
     client_tuple: FiveTuple

@@ -15,7 +15,7 @@ from repro.netsim.hop import RouterHop
 from repro.netsim.latency import LatencyElement
 from repro.netsim.path import Path
 from repro.netsim.reassembler import FragmentReassembler
-from repro.netsim.scheduler import EventScheduler, event_core_enabled, use_event_core
+from repro.netsim.scheduler import EventScheduler
 from repro.netsim.shaper import PolicyState, TokenBucket, TokenBucketShaper
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "NetworkElement",
     "TransitContext",
     "EventScheduler",
-    "event_core_enabled",
-    "use_event_core",
     "FilterPolicy",
     "MalformedPacketFilter",
     "TCPChecksumNormalizer",

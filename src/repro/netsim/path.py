@@ -3,26 +3,26 @@
 Packet propagation is event-driven: every unit of work — "this packet is at
 element *i*" — is an explicit agenda item that the frame loop consumes in
 depth-first order, byte-identical to the historical nested-call driver (the
-scheduler differential suite pins this).  An element may inject packets back
+golden traces pin this).  An element may inject packets back
 toward the sender (ICMP Time Exceeded, censor RSTs) or forward toward the
 destination; injected packets traverse the remaining elements exactly as
 real ones would.
 
-When a :class:`~repro.netsim.scheduler.EventScheduler` is bound (explicitly
-or via the process-wide event-core switch), sends become scheduler events:
-the synchronous API posts a frame and drains it immediately (the thin
-driver), while :meth:`schedule_from_client` defers frames to future virtual
-times so thousands of flows interleave in ``(deadline, seq)`` order —
-congestion scenarios the nested driver cannot express.
+The synchronous API (:meth:`Path.send_from_client`) runs a frame to
+completion on the spot.  :meth:`Path.schedule_from_client` instead defers a
+frame to a future virtual time on the path's
+:class:`~repro.netsim.scheduler.EventScheduler`, so thousands of flows
+interleave in ``(deadline, seq)`` order — congestion scenarios a synchronous
+send cannot express.  While a scheduler is bound, elements arm their timers
+(fragment-reassembly expiry) on it.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
-from repro.netsim import scheduler as _schedmod
 from repro.netsim.clock import VirtualClock
-from repro.netsim.element import NetworkElement, TransitContext
+from repro.netsim.element import NetworkElement
 from repro.netsim.hop import RouterHop
 from repro.netsim.scheduler import EventScheduler
 from repro.obs import metrics as obs_metrics
@@ -69,11 +69,9 @@ class Path:
         clock: shared virtual clock.
         elements: processing stages, client side first.
         max_depth: recursion guard against response loops.
-        scheduler: an event scheduler to route sends through.  ``None``
-            binds a fresh one automatically when the process-wide
-            event-core switch (:func:`repro.netsim.scheduler.use_event_core`
-            / ``REPRO_EVENT_CORE``) is active, and otherwise leaves the
-            path in direct-call mode.
+        scheduler: an event scheduler for deferred frames and element
+            timers.  ``None`` until :meth:`bind_scheduler` or the first
+            :meth:`schedule_from_client` call.
     """
 
     def __init__(
@@ -88,41 +86,22 @@ class Path:
         self.client_endpoint: Endpoint = _SinkEndpoint()
         self.server_endpoint: Endpoint = _SinkEndpoint()
         self.max_depth = max_depth
-        if scheduler is None and _schedmod.event_core_enabled():
-            scheduler = EventScheduler(clock)
         self.scheduler = scheduler
 
     # ------------------------------------------------------------------
-    # public API — synchronous driver
+    # public API — synchronous sends
     # ------------------------------------------------------------------
     def bind_scheduler(self, scheduler: EventScheduler) -> EventScheduler:
-        """Attach *scheduler*; subsequent sends route through its queue."""
+        """Attach *scheduler* for deferred frames and element timers."""
         self.scheduler = scheduler
         return scheduler
 
     def send_from_client(self, packet: IPPacket) -> None:
-        """Inject *packet* at the client edge, traveling toward the server.
-
-        With a scheduler bound this is the thin driver: the frame is posted
-        as a zero-delay event and the due queue is drained before
-        returning, so the call is byte-identical to the direct walk.
-        """
-        sched = self.scheduler
-        if sched is not None:
-            sched.post(self._propagate, packet, Direction.CLIENT_TO_SERVER, 0, 0)
-            sched.run(until=sched.now)
-            return
+        """Inject *packet* at the client edge, traveling toward the server."""
         self._propagate(packet, Direction.CLIENT_TO_SERVER, index=0, depth=0)
 
     def send_from_server(self, packet: IPPacket) -> None:
         """Inject *packet* at the server edge, traveling toward the client."""
-        sched = self.scheduler
-        if sched is not None:
-            sched.post(
-                self._propagate, packet, Direction.SERVER_TO_CLIENT, len(self.elements) - 1, 0
-            )
-            sched.run(until=sched.now)
-            return
         self._propagate(
             packet, Direction.SERVER_TO_CLIENT, index=len(self.elements) - 1, depth=0
         )
@@ -143,7 +122,7 @@ class Path:
             self.send_from_client(packet)
 
     # ------------------------------------------------------------------
-    # public API — deferred (event-native) driver
+    # public API — deferred (scheduled) sends
     # ------------------------------------------------------------------
     def schedule_from_client(
         self, packet: IPPacket, delay: float = 0.0, at: float | None = None
@@ -357,27 +336,6 @@ class Path:
             start = 0
         for response in reversed(responses):
             agenda.append((response, back, start, depth + 1, True))
-
-    def _context_for(self, element_index: int, direction: Direction, depth: int) -> TransitContext:
-        """A standalone :class:`TransitContext` for one element position.
-
-        Kept for callers that hand-drive a single element; the propagation
-        loop itself uses the cheaper reusable :class:`_FrameContext`.
-        """
-        step = 1 if direction is Direction.CLIENT_TO_SERVER else -1
-
-        def inject_back(injected: IPPacket) -> None:
-            self._propagate(injected, direction.reversed, element_index - step, depth + 1)
-
-        def inject_forward(injected: IPPacket) -> None:
-            self._propagate(injected, direction, element_index + step, depth + 1)
-
-        return TransitContext(
-            clock=self.clock,
-            inject_back=inject_back,
-            inject_forward=inject_forward,
-            scheduler=self.scheduler,
-        )
 
 
 class _FrameContext:

@@ -36,7 +36,7 @@ class FragmentReassembler(NetworkElement):
         self._pending: dict[ReassemblyKey, list[IPPacket]] = {}
         self._first_seen: dict[ReassemblyKey, float] = {}
         #: key -> (scheduler, event_id) for natively armed expiry timers
-        #: (only populated when the path's scheduler has ``arm_timeouts``).
+        #: (only populated while the path has a scheduler bound).
         self._timers: dict[ReassemblyKey, tuple[object, int]] = {}
         self.reassembled_count = 0
         self.expired_count = 0
@@ -116,19 +116,18 @@ class FragmentReassembler(NetworkElement):
             obs_metrics.METRICS.inc("netsim.frags.expired")
 
     # ------------------------------------------------------------------
-    # native (scheduler-armed) expiry — event-core deferred mode only
+    # native (scheduler-armed) expiry — only while a scheduler is bound
     # ------------------------------------------------------------------
     def _arm_expiry(self, key: ReassemblyKey, ctx: TransitContext) -> None:
         """Arm a scheduler timer for *key*'s expiry deadline.
 
-        Only when the bound scheduler opts in via ``arm_timeouts`` — in
-        thin-driver (synchronous) mode the per-packet scan is authoritative
-        and arming would change the trace stream.  The callback re-checks
-        the pending state: the scan may have expired (strictly-late) or a
+        Only when the path has a scheduler bound; without one the
+        per-packet scan is the sole expiry.  The callback re-checks the
+        pending state: the scan may have expired (strictly-late) or a
         completing fragment may have consumed the datagram first.
         """
         scheduler = getattr(ctx, "scheduler", None)
-        if self.timeout is None or scheduler is None or not getattr(scheduler, "arm_timeouts", False):
+        if self.timeout is None or scheduler is None:
             return
         deadline = self._first_seen[key] + self.timeout
         event_id = scheduler.at(deadline, self._on_expiry_timer, key, deadline)

@@ -10,11 +10,12 @@ congestion scenarios where flow B's packets land *between* flow A's.
 :class:`EventScheduler` is the replacement substrate: a priority queue of
 ``(deadline, seq)``-keyed events over the existing
 :class:`~repro.netsim.clock.VirtualClock`.  Work is *posted* as events and
-*consumed* in virtual-time order; the per-packet synchronous API survives as
-a thin driver that posts a frame event and drains it immediately, which the
-differential suite holds byte-identical to the legacy nested-call driver.
+*consumed* in virtual-time order.  The per-packet synchronous API stays a
+direct walk of the element chain; the scheduler carries deferred frames
+(:meth:`~repro.netsim.path.Path.schedule_from_client`) and element timers
+(fragment-reassembly expiry) armed while one is bound.
 
-Determinism contract (the differential and property suites pin all of it):
+Determinism contract (the property suite and the congestion pin hold it):
 
 * Events fire in ``(deadline, seq)`` order — wall-deadline order with FIFO
   tie-breaking on the schedule sequence, independent of heap internals.
@@ -27,8 +28,8 @@ Determinism contract (the differential and property suites pin all of it):
   advance.  This mirrors the fix for ``VirtualClock.advance(0)``: a zero
   advance still drains everything due *now* instead of treating it as
   overdue-next-tick.
-* Cancellation is O(log n) lazy: the heap entry is tombstoned and skipped
-  when popped, the same idiom the timer wheel uses.
+* Cancellation is O(1) lazy: the heap entry is tombstoned and skipped
+  when popped.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ import heapq
 from typing import Any, Callable
 
 from repro.netsim.clock import VirtualClock
-from repro.obs import trace as obs_trace
 
-__all__ = ["EventScheduler", "use_event_core", "event_core_enabled"]
+__all__ = ["EventScheduler"]
 
 
 class EventScheduler:
@@ -48,16 +48,10 @@ class EventScheduler:
     Args:
         clock: the shared virtual clock; firing an event advances it to the
             event's deadline (monotonically).
-        trace_events: when True, every *deferred* firing (deadline strictly
-            after the post time) emits a ``scheduler.fire`` trace event.
-            Off by default so the synchronous driver stays byte-identical
-            to the legacy nested-call driver.
     """
 
     __slots__ = (
         "clock",
-        "trace_events",
-        "arm_timeouts",
         "_heap",
         "_live",
         "_next_id",
@@ -69,24 +63,13 @@ class EventScheduler:
         "_draining",
     )
 
-    def __init__(
-        self,
-        clock: VirtualClock,
-        trace_events: bool = False,
-        arm_timeouts: bool = False,
-    ) -> None:
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.trace_events = trace_events
-        #: When True, stateful elements (fragment reassembly) arm native
-        #: expiry timers on this scheduler instead of relying solely on
-        #: their per-packet scans.  Off in thin-driver mode so the trace
-        #: stream stays byte-identical to the nested-call driver.
-        self.arm_timeouts = arm_timeouts
         #: heap entries: (deadline, seq, event_id)
         self._heap: list[tuple[float, int, int]] = []
-        #: event_id -> (fn, args, deadline, posted_at); cancelled ids are
-        #: removed here and lazily skipped when popped from the heap.
-        self._live: dict[int, tuple[Callable[..., Any], tuple, float, float]] = {}
+        #: event_id -> (fn, args); cancelled ids are removed here and lazily
+        #: skipped when popped from the heap.
+        self._live: dict[int, tuple[Callable[..., Any], tuple]] = {}
         self._next_id = 0
         self._next_seq = 0
         self.scheduled = 0
@@ -132,7 +115,7 @@ class EventScheduler:
         self._next_id += 1
         seq = self._next_seq
         self._next_seq += 1
-        self._live[event_id] = (fn, args, deadline, self.clock.now)
+        self._live[event_id] = (fn, args)
         heapq.heappush(self._heap, (deadline, seq, event_id))
         self.scheduled += 1
         if len(self._live) > self.max_pending:
@@ -159,7 +142,7 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # draining
     # ------------------------------------------------------------------
-    def _pop_due(self, horizon: float | None) -> tuple[float, Callable[..., Any], tuple, float] | None:
+    def _pop_due(self, horizon: float | None) -> tuple[float, Callable[..., Any], tuple] | None:
         """The earliest live event due by *horizon* (None = no bound)."""
         while self._heap:
             deadline, _seq, event_id = self._heap[0]
@@ -169,25 +152,17 @@ class EventScheduler:
             if horizon is not None and deadline > horizon:
                 return None
             heapq.heappop(self._heap)
-            fn, args, _deadline, posted_at = self._live.pop(event_id)
-            return deadline, fn, args, posted_at
+            fn, args = self._live.pop(event_id)
+            return deadline, fn, args
         return None
 
-    def _fire(self, deadline: float, fn: Callable[..., Any], args: tuple, posted_at: float) -> None:
+    def _fire(self, deadline: float, fn: Callable[..., Any], args: tuple) -> None:
         clock = self.clock
         if deadline > clock.now:
             # Land exactly on the deadline: `now += deadline - now` can
             # overshoot by one ulp, and exactness is part of the contract.
             clock.now = deadline
         self.fired += 1
-        if self.trace_events and deadline > posted_at and obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
-                "scheduler.fire",
-                clock.now,
-                element="scheduler",
-                deadline=round(deadline, 6),
-                pending=len(self._live),
-            )
         fn(*args)
 
     def step(self) -> bool:
@@ -257,67 +232,3 @@ class EventScheduler:
             f"EventScheduler(now={self.clock.now:.3f}, pending={len(self._live)}, "
             f"fired={self.fired})"
         )
-
-
-# ----------------------------------------------------------------------
-# process-wide event-core switch
-# ----------------------------------------------------------------------
-#: When True, every newly constructed :class:`~repro.netsim.path.Path`
-#: binds its own :class:`EventScheduler` and routes sends through it (the
-#: synchronous API becomes a thin post-and-drain driver).  Controlled by
-#: :func:`use_event_core` and the ``REPRO_EVENT_CORE`` environment variable
-#: so worker-pool subprocesses inherit the mode.
-_EVENT_CORE = False
-
-
-def _env_flag() -> bool:
-    import os
-
-    return os.environ.get("REPRO_EVENT_CORE", "") not in ("", "0", "false", "no")
-
-
-_EVENT_CORE = _env_flag()
-
-
-def event_core_enabled() -> bool:
-    """True when new paths should run on the event scheduler."""
-    return _EVENT_CORE
-
-
-class use_event_core:
-    """Context manager (or plain on/off switch) for event-core mode.
-
-    Sets both the module flag and ``REPRO_EVENT_CORE`` in the environment,
-    so worker processes spawned while the mode is active inherit it — the
-    differential suite leans on this to compare serial, thread and process
-    runs of the same matrix.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._saved_flag: bool | None = None
-        self._saved_env: str | None = None
-
-    def __enter__(self) -> "use_event_core":
-        import os
-
-        global _EVENT_CORE
-        self._saved_flag = _EVENT_CORE
-        self._saved_env = os.environ.get("REPRO_EVENT_CORE")
-        _EVENT_CORE = self.enabled
-        if self.enabled:
-            os.environ["REPRO_EVENT_CORE"] = "1"
-        else:
-            os.environ.pop("REPRO_EVENT_CORE", None)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        import os
-
-        global _EVENT_CORE
-        assert self._saved_flag is not None
-        _EVENT_CORE = self._saved_flag
-        if self._saved_env is None:
-            os.environ.pop("REPRO_EVENT_CORE", None)
-        else:
-            os.environ["REPRO_EVENT_CORE"] = self._saved_env

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -154,13 +155,19 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Thread-pool workers record into this same registry, and counter
+        #: and histogram updates are read-modify-write: a thread switch
+        #: between the read and the write would drop every update the other
+        #: thread made meanwhile.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # recording (called only behind an ``is not None`` guard)
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1) -> None:
         """Increment counter *name* by *amount*."""
-        self._counters[name] = self._counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge *name* to *value* (last write wins)."""
@@ -168,10 +175,11 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         """Record *value* into histogram *name* (created on first use)."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds)
-        histogram.observe(value)
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = Histogram(bounds)
+            histogram.observe(value)
 
     # ------------------------------------------------------------------
     # readout

@@ -47,28 +47,16 @@ CELLS: dict[str, tuple[str, str]] = {
     "testbed_throttle_cell.jsonl": ("testbed", "tcp-invalid-data-offset"),
 }
 
-#: Cells re-recorded on the event-scheduler core during ``--check`` and
-#: compared against the SAME committed artifacts: the event core's contract
-#: is byte-identical traces, so it gets no golden files of its own — drift
-#: from the legacy driver's artifact IS the failure.
-EVENT_CORE_CELLS = ("testbed_throttle_cell.jsonl",)
-
-
-def record_cell(
-    env_name: str, technique_name: str, event_core: bool = False
-) -> obs_trace.FlowTracer:
+def record_cell(env_name: str, technique_name: str) -> obs_trace.FlowTracer:
     """Run one Table 3 cell under a fresh tracer and return the tracer."""
-    from repro.netsim.scheduler import use_event_core
-
     technique = next(t for t in ALL_TECHNIQUES if t.name == technique_name)
-    with use_event_core(enabled=event_core):
-        with obs_trace.tracing() as tracer:
-            run_table3(
-                env_names=(env_name,),
-                techniques=(technique,),
-                include_os_matrix=False,
-                characterize=False,
-            )
+    with obs_trace.tracing() as tracer:
+        run_table3(
+            env_names=(env_name,),
+            techniques=(technique,),
+            include_os_matrix=False,
+            characterize=False,
+        )
     return tracer
 
 
@@ -96,26 +84,18 @@ def check(out_dir: Path | None = None, golden_dir: Path = GOLDEN_DIR) -> list[st
         target = out_dir or Path(scratch)
         target.mkdir(parents=True, exist_ok=True)
         regenerate(target)
-        for filename in sorted(EVENT_CORE_CELLS):
-            env_name, technique_name = CELLS[filename]
-            tracer = record_cell(env_name, technique_name, event_core=True)
-            tracer.export_jsonl(str(target / f"event_core__{filename}"))
         for filename in sorted(CELLS):
             committed = golden_dir / filename
             if not committed.exists():
                 drift.append(f"{filename}: committed artifact missing")
                 continue
-            candidates = [filename]
-            if filename in EVENT_CORE_CELLS:
-                candidates.append(f"event_core__{filename}")
-            for candidate in candidates:
-                diff = diff_traces(
-                    obs_trace.load_jsonl(str(committed)),
-                    obs_trace.load_jsonl(str(target / candidate)),
-                )
-                if not diff.identical:
-                    assert diff.first_divergence is not None
-                    drift.append(f"{candidate}: {diff.first_divergence.describe()}")
+            diff = diff_traces(
+                obs_trace.load_jsonl(str(committed)),
+                obs_trace.load_jsonl(str(target / filename)),
+            )
+            if not diff.identical:
+                assert diff.first_divergence is not None
+                drift.append(f"{filename}: {diff.first_divergence.describe()}")
     return drift
 
 
@@ -135,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.check:
-        # Also re-records EVENT_CORE_CELLS on the event-scheduler core and
-        # holds them to the same committed artifacts (byte-identity bar).
         drift = check(out_dir=args.out)
         if drift:
             print("golden traces drifted from the committed artifacts:", file=sys.stderr)

@@ -118,7 +118,5 @@ def test_regen_check_mode(tmp_path):
         lines[1] = lines[1].replace('"kind":"', '"kind":"drifted.', 1)
         (drifted_dir / filename).write_text("\n".join(lines) + "\n")
     drift = regen.check(golden_dir=drifted_dir)
-    # Event-core cells are held to the same committed artifact, so a
-    # drifted golden is reported once per comparison it fails.
-    assert len(drift) == len(regen.CELLS) + len(regen.EVENT_CORE_CELLS)
+    assert len(drift) == len(regen.CELLS)
     assert all("drifted." in line for line in drift)

@@ -118,15 +118,12 @@ def _seeded_run(backend: str) -> tuple[dict, str, dict]:
 def _portable(snapshot: dict) -> dict:
     """The snapshot minus process-local series.
 
-    ``mbx.automaton.*`` counts lookups and memoized builds, and
-    ``mbx.rulecache.*`` counts compile-cache hits/misses/invalidations —
-    how many of each a process performs depends on worker scheduling and
-    intern-cache state, not on the experiment, so those series are excluded
-    from the cross-backend identity contract (see
-    ``automaton._record_build`` and ``rulecache.DependencyCache``).
+    ``mbx.automaton.*`` counts lookups and memoized builds — how many of
+    each a process performs depends on worker scheduling and intern-memo
+    state, not on the experiment, so those series are excluded from the
+    cross-backend identity contract (see ``automaton._record_build``).
     """
-    excluded = ("mbx.automaton.", "mbx.rulecache.")
-    return {k: v for k, v in snapshot.items() if not k.startswith(excluded)}
+    return {k: v for k, v in snapshot.items() if not k.startswith("mbx.automaton.")}
 
 
 @pytest.mark.slow

@@ -12,6 +12,8 @@ nested patterns actually occur.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.middlebox import automaton as mbx_automaton
+from repro.middlebox.automaton import INTERN_LIMIT, automaton_for
 from repro.middlebox.ruleindex import CompiledRuleSet, MultiPatternScanner, StreamScan
 from repro.middlebox.rules import MatchRule, skype_stun_rule
 from repro.middlebox.policy import RulePolicy
@@ -186,3 +188,40 @@ class TestCompiledViewDifferential:
         assert view.match(buffer, b"ab", 0, scan) is None
         buffer.extend(b"cd")
         assert view.match(buffer, b"cd", 1, scan) is rule
+
+
+class TestInterning:
+    """The compile-path intern memos share work and stay bounded."""
+
+    def test_view_memo_hits_do_not_rebuild(self):
+        rules = [
+            MatchRule(name="video", keywords=[b"video.example.com"]),
+            MatchRule(name="news", keywords=[b"news.example.org"]),
+        ]
+        compiled = CompiledRuleSet.shared(rules)
+        assert CompiledRuleSet.shared(rules) is compiled
+        view = compiled.view("tcp", 80, "client_to_server")
+        assert compiled.view("tcp", 80, "client_to_server") is view
+        assert automaton_for(view.automaton.patterns) is view.automaton
+
+    def test_churned_rulesets_stay_bounded(self):
+        """Thousands of throwaway rule sets cannot grow the memo without
+        bound: past the limit the oldest set is dropped first."""
+        churned = [
+            [MatchRule(name=f"r{index}", keywords=[b"x%d" % index])]
+            for index in range(INTERN_LIMIT + 8)
+        ]
+        for rules in churned:
+            CompiledRuleSet.shared(rules)
+        shared = CompiledRuleSet._shared
+        assert len(shared) == INTERN_LIMIT
+        assert tuple(map(id, churned[0])) not in shared
+        assert tuple(map(id, churned[-1])) in shared
+
+    def test_interned_automata_stay_bounded(self):
+        for index in range(INTERN_LIMIT + 8):
+            automaton_for((b"churn-%d" % index,))
+        interned = mbx_automaton._INTERNED
+        assert len(interned) == INTERN_LIMIT
+        assert (b"churn-0",) not in interned
+        assert (b"churn-%d" % (INTERN_LIMIT + 7),) in interned

@@ -238,10 +238,10 @@ class TestChurnUnderFaults:
         assert runs["process"] == runs["serial"]
 
 
-class TestWheelMatchesScan:
-    """Timer-wheel expiry is a drop-in for the per-packet timeout scan.
+class TestHeapMatchesScan:
+    """Timer-heap expiry is a drop-in for the per-packet timeout scan.
 
-    Constant timeouts route expiry through the wheel; wrapping the same
+    Constant timeouts route expiry through the timer heap; wrapping the same
     constants in callables forces the legacy per-packet scan.  Driving an
     identical churn (with idle gaps that batch-expire) through both must
     leave identical flow sets and counters.
@@ -279,14 +279,14 @@ class TestWheelMatchesScan:
             "matches": len(engine.match_log),
         }
 
-    def test_wheel_and_scan_agree_under_churn(self):
-        wheel_engine, _ = build_engine(ScaleConfig(max_flows=128, pre_match_timeout=30.0))
-        assert not wheel_engine._scan_timeouts
+    def test_heap_and_scan_agree_under_churn(self):
+        heap_engine, _ = build_engine(ScaleConfig(max_flows=128, pre_match_timeout=30.0))
+        assert not heap_engine._scan_timeouts
         scan_engine, _ = build_engine(ScaleConfig(max_flows=128))
         scan_engine.pre_match_timeout = lambda now: 30.0
         scan_engine.post_match_timeout = lambda now: 60.0
         scan_engine._scan_timeouts = True
-        assert self.churn(wheel_engine) == self.churn(scan_engine)
+        assert self.churn(heap_engine) == self.churn(scan_engine)
 
 
 @pytest.mark.slow
@@ -295,7 +295,7 @@ class TestMemoryFlatness:
 
     Each configuration runs in its own interpreter because ``ru_maxrss``
     is process-lifetime-monotonic.  The baseline sits at 100k flows — the
-    structures (slab, wheel, caches) are fully warm there; below that the
+    structures (slab, timer heap, caches) are fully warm there; below that the
     allocator is still filling its arenas and ratios mean nothing.
     """
 

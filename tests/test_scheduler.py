@@ -3,12 +3,11 @@
 The scheduler's contract is "fire exactly what a brute-force scan over
 pending events would, in (deadline, seq) order, never moving the clock
 backwards".  The property tests drive random schedule/cancel/advance
-sequences through the scheduler and a sorted-list reference (the same
-pattern as ``tests/test_timerwheel.py``); the edge tests pin the
-zero-delay guarantee — a zero-delay event fires in the drain already in
-progress, and ``advance(0)`` drains everything due *now* instead of
-parking it for the next tick (the regression the timer wheel is also held
-to below).
+sequences through the scheduler and a sorted-list reference; the edge
+tests pin the zero-delay guarantee — a zero-delay event fires in the drain
+already in progress, and ``advance(0)`` drains everything due *now*
+instead of parking it for the next tick.  The deferred-driver tests run
+scheduled frames and element timers through a real :class:`Path`.
 """
 
 import pytest
@@ -16,8 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.clock import VirtualClock
-from repro.netsim.scheduler import EventScheduler, event_core_enabled, use_event_core
-from repro.netsim.timerwheel import TimerWheel
+from repro.netsim.element import PacketTap
+from repro.netsim.path import Path
+from repro.netsim.reassembler import FragmentReassembler
+from repro.netsim.scheduler import EventScheduler
+from repro.packets.fragment import fragment_packet
+from repro.packets.ip import IPPacket
+from repro.packets.tcp import TCPSegment
 
 settings_kwargs = dict(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -146,21 +150,6 @@ class TestZeroDelay:
         scheduler.advance(0)
         assert fired == ["a", "b"]  # FIFO at the same deadline
 
-    def test_timerwheel_zero_delay_timer_fires_in_the_same_drain(self):
-        # Regression: a timer armed exactly at the wheel's current time must
-        # fire on a zero advance, not wait overdue for the next tick.
-        wheel = TimerWheel(tick=0.5, slots=4, levels=1, start=10.0)
-        wheel.schedule(10.0, "due-now")
-        assert wheel.advance(10.0) == ["due-now"]
-
-    def test_timerwheel_zero_advance_after_schedule_mixed_deadlines(self):
-        wheel = TimerWheel(tick=0.5, slots=4, levels=1, start=3.0)
-        wheel.schedule(3.0, "now")
-        wheel.schedule(3.5, "later")
-        assert wheel.advance(3.0) == ["now"]
-        assert wheel.pending == 1
-        assert wheel.advance(3.5) == ["later"]
-
     def test_virtualclock_accepts_zero_advance(self):
         clock = VirtualClock(start=2.0)
         clock.advance(0)
@@ -262,26 +251,83 @@ class TestEdgeSemantics:
         assert scheduler.max_pending == 2
 
 
-class TestEventCoreSwitch:
-    def test_context_manager_sets_and_restores(self):
-        import os
+class _RecordingServer:
+    def __init__(self):
+        self.received: list[bytes] = []
 
-        baseline = event_core_enabled()
-        with use_event_core():
-            assert event_core_enabled() is True
-            assert os.environ.get("REPRO_EVENT_CORE") == "1"
-        assert event_core_enabled() is baseline
+    def receive(self, packet: IPPacket) -> list[IPPacket]:
+        self.received.append(packet.payload_bytes)
+        return []
 
-    def test_disable_inside_enable(self):
-        with use_event_core():
-            with use_event_core(enabled=False):
-                assert event_core_enabled() is False
-            assert event_core_enabled() is True
 
-    def test_paths_bind_a_scheduler_under_the_switch(self):
-        from repro.netsim.path import Path
+def _packet(seq: int, size: int, sport: int = 4000) -> IPPacket:
+    body = bytes((seq + i) % 251 for i in range(size))
+    return IPPacket(
+        src="10.0.0.1",
+        dst="10.0.0.2",
+        transport=TCPSegment(sport=sport, dport=80, payload=body),
+        identification=0x3000 + seq,
+    )
 
-        with use_event_core():
-            path = Path(VirtualClock(), [])
-            assert path.scheduler is not None
-        assert Path(VirtualClock(), []).scheduler is None
+
+class TestDeferredDriver:
+    def test_scheduled_frames_interleave_in_deadline_order(self):
+        class _Journal:
+            def __init__(self):
+                self.flows = []
+
+            def receive(self, pkt):
+                self.flows.append((pkt.tcp.sport, pkt.tcp.payload[0]))
+                return []
+
+        clock = VirtualClock()
+        path = Path(clock, [PacketTap()], scheduler=EventScheduler(clock))
+        journal = _Journal()
+        path.server_endpoint = journal
+        # Flow A at t=0.00/0.02, flow B at t=0.01/0.03: strict alternation.
+        path.schedule_from_client(_packet(0, 10, sport=1111), at=0.00)
+        path.schedule_from_client(_packet(1, 10, sport=1111), at=0.02)
+        path.schedule_from_client(_packet(2, 10, sport=2222), at=0.01)
+        path.schedule_from_client(_packet(3, 10, sport=2222), at=0.03)
+        assert path.run() == 4
+        assert journal.flows == [(1111, 0), (2222, 2), (1111, 1), (2222, 3)]
+        assert clock.now == 0.03
+
+    def test_scheduled_frame_can_be_cancelled(self):
+        clock = VirtualClock()
+        path = Path(clock, [], scheduler=EventScheduler(clock))
+        server = _RecordingServer()
+        path.server_endpoint = server
+        keep = path.schedule_from_client(_packet(0, 4), delay=0.1)
+        drop = path.schedule_from_client(_packet(1, 4), delay=0.2)
+        assert path.scheduler.cancel(drop)
+        path.run()
+        assert len(server.received) == 1
+
+    def test_reassembler_native_timer_expires_without_a_probe_packet(self):
+        # In deferred mode nothing may ever poke the reassembler again; the
+        # scheduler-armed timer must expire the partial datagram on its own.
+        clock = VirtualClock()
+        reassembler = FragmentReassembler(timeout=0.5)
+        path = Path(clock, [reassembler], scheduler=EventScheduler(clock))
+        server = _RecordingServer()
+        path.server_endpoint = server
+        first, *_rest = fragment_packet(_packet(0, 120), 32)
+        path.send_from_client(first)  # incomplete: held
+        assert reassembler.expired_count == 0
+        path.scheduler.advance(1.0)
+        assert reassembler.expired_count == 1
+        assert server.received == []
+
+    def test_reassembler_native_timer_cancelled_on_completion(self):
+        clock = VirtualClock()
+        reassembler = FragmentReassembler(timeout=0.5)
+        path = Path(clock, [reassembler], scheduler=EventScheduler(clock))
+        server = _RecordingServer()
+        path.server_endpoint = server
+        for fragment in fragment_packet(_packet(0, 120), 32):
+            path.send_from_client(fragment)
+        assert len(server.received) == 1  # reassembled and delivered
+        path.scheduler.advance(2.0)
+        assert reassembler.expired_count == 0  # timer was disarmed
+        assert path.scheduler.pending == 0
