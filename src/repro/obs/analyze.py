@@ -15,7 +15,7 @@ and indexes it three ways (event kind, flow, rule id), then serves:
 
 Everything here is read-only over plain event dicts (the output of
 :func:`repro.obs.trace.load_jsonl`), so it works equally on a live
-tracer's events, a golden artifact, or a merged parallel shard trace.
+tracer's events, a golden artifact, or a trace merged from pool workers.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ registry, the bus is **off by default**: the module-level :data:`BUS` is
 ``None`` and every instrumented site guards with a single ``is not None``
 check, so the PR 1 fast paths are untouched when telemetry is disabled.
 
-Process safety follows the trace sharder's playbook
-(:mod:`repro.obs.trace`): a worker-pool task buffers its events locally
-(per-thread on the thread backend, per-process on the process backend) and
-the pool ships each task's buffer back with its result, merging buffers into
-the parent log in **task-index order** — the order a serial run would have
-appended them in.  The multiprocessing stream queue is display-only;
-dropping a streamed event can blur the progress view but can never corrupt
-the log.
+Process safety follows the flow tracer's (:mod:`repro.obs.trace`): a
+worker-pool task records into a task-local bus (routed per thread on the
+thread backend, the worker's :data:`BUS` on the process backend), the pool
+ships its :meth:`TelemetryBus.dump` back with the result, and the parent
+folds the dumps into its log with :meth:`TelemetryBus.merge_dump` in
+**task-index order** — the order a serial run would have appended them in.
+The multiprocessing stream queue is display-only; dropping a streamed event
+can blur the progress view but can never corrupt the log.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator
 
 #: Bumped whenever an event kind or field is renamed or removed (additions
 #: are backward-compatible and do not bump it).
@@ -79,10 +79,10 @@ class TelemetryBus:
     """An append-only telemetry log plus live fan-out to subscribers.
 
     Emissions from the driver process append directly (and notify
-    subscribers immediately); emissions inside a worker-pool task are
-    buffered per task (:meth:`begin_task` / :meth:`end_task`) and appended
-    later by :meth:`absorb`, in task-index order, when the pool merges the
-    shipped buffers — so the log is identical whatever backend ran the map.
+    subscribers immediately); emissions inside a worker-pool task land in a
+    task-local bus (:meth:`route`) and are appended later by
+    :meth:`merge_dump`, in task-index order, when the pool merges the
+    shipped dumps — so the log is identical whatever backend ran the map.
     """
 
     def __init__(self) -> None:
@@ -98,18 +98,12 @@ class TelemetryBus:
     # recording (called only behind an ``is not None`` guard)
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: object) -> None:
-        """Record one event: buffered inside a pool task, appended otherwise."""
-        buffer = getattr(self._local, "buffer", None)
-        if buffer is None:
-            self._append(kind, fields, notify=True)
+        """Record one event: routed to the task bus inside a pool task."""
+        task = getattr(self._local, "task", None)
+        if task is not None:
+            task.emit(kind, **fields)
             return
-        buffer.append((kind, fields))
-        stream = getattr(self._local, "stream", None)
-        if stream is not None:
-            try:
-                stream.put((kind, fields))
-            except Exception:  # pragma: no cover - display-only, best-effort
-                pass
+        self._append(kind, fields, notify=True)
 
     def _append(self, kind: str, fields: dict, notify: bool) -> None:
         self.events.append(LiveEvent(self._lclock, kind, fields))
@@ -122,39 +116,26 @@ class TelemetryBus:
             subscriber(kind, fields)
 
     # ------------------------------------------------------------------
-    # worker-side task buffering
+    # per-thread task routing and the worker-pool dump/merge protocol
     # ------------------------------------------------------------------
-    def begin_task(self, stream=None) -> None:
-        """Route this worker's emissions into a fresh per-task buffer.
+    def route(self, task: TelemetryBus | None) -> None:
+        """Send this thread's emissions to *task* (``None`` routes them back)."""
+        self._local.task = task
 
-        *stream* is the optional display-only multiprocessing queue; each
-        buffered event is additionally pushed there so the parent's progress
-        view updates while the task is still running.
-        """
-        self._local.buffer = []
-        self._local.stream = stream
+    def dump(self) -> list[tuple[str, dict]]:
+        """The logged ``(kind, fields)`` pairs, picklable, for shipping home."""
+        return [(event.kind, event.fields) for event in self.events]
 
-    def end_task(self) -> list[tuple[str, dict]]:
-        """Detach and return the buffer installed by :meth:`begin_task`."""
-        buffer = getattr(self._local, "buffer", None) or []
-        self._local.buffer = None
-        self._local.stream = None
-        return buffer
+    def merge_dump(self, dump: list[tuple[str, dict]]) -> None:
+        """Append a task's :meth:`dump` to the log, in its original order.
 
-    def absorb(self, buffers: Sequence[Sequence[tuple[str, dict]]]) -> int:
-        """Append shipped task *buffers* to the log, in the given order.
-
-        The pool passes buffers in task-index order, reproducing the append
+        The pool merges dumps in task-index order, reproducing the append
         sequence of a serial run.  Subscribers are only re-notified when no
         stream queue is attached (streamed events already reached them live).
         """
         notify = self._stream is None
-        absorbed = 0
-        for buffer in buffers:
-            for kind, fields in buffer:
-                self._append(kind, dict(fields), notify=notify)
-                absorbed += 1
-        return absorbed
+        for kind, fields in dump:
+            self._append(kind, dict(fields), notify=notify)
 
     # ------------------------------------------------------------------
     # live fan-out
@@ -301,26 +282,24 @@ def bus_on() -> Iterator[TelemetryBus]:
         BUS = previous
 
 
-def begin_task(stream=None) -> None:
-    """Worker-side: buffer this task's emissions for deterministic merging.
+def task_bus(stream=None) -> TelemetryBus:
+    """A fresh bus recording one worker-pool task.
 
-    In a worker *process* the forked/spawned interpreter has its own
-    :data:`BUS` global (a fork-time copy, or ``None`` under spawn); a fresh
-    bus is installed if needed so the buffer never aliases the parent log.
-    In a worker *thread* the shared bus buffers per-thread via its
-    ``threading.local`` slot.
+    *stream* is the parent's optional display-only multiprocessing queue;
+    each event is additionally pushed there so the parent's progress view
+    updates while the task is still running.
     """
-    global BUS
-    if BUS is None:
-        BUS = TelemetryBus()
-    BUS.begin_task(stream=stream)
+    bus = TelemetryBus()
+    if stream is not None:
 
+        def push(kind: str, fields: dict) -> None:
+            try:
+                stream.put((kind, fields))
+            except Exception:  # pragma: no cover - display-only, best-effort
+                pass
 
-def end_task() -> list[tuple[str, dict]]:
-    """Worker-side: detach and return the buffer begun by :func:`begin_task`."""
-    if BUS is None:  # pragma: no cover - begin_task always installs a bus
-        return []
-    return BUS.end_task()
+        bus.subscribe(push)
+    return bus
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ process needs the complementary, explicitly *wall-clock* layer that serving
 stacks require and experiments forbid:
 
 * :class:`LatencyRecorder` — a log-bucketed (HDR-style) latency histogram
-  with O(1) record (fixed bucket count), geometric within-bucket percentile
-  interpolation, and lossless merging, on the bucket layout shared with
+  with O(1) record (fixed bucket count) and geometric within-bucket
+  percentile interpolation, on the bucket layout of
   :meth:`repro.obs.metrics.Histogram.log_spaced`.
 * :class:`OpsRegistry` — the process-wide home for named latency recorders
   and operational counters, enabled/disabled exactly like the other obs
@@ -63,7 +63,7 @@ SUMMARY_PERCENTILES = (50.0, 90.0, 99.0, 99.9)
 
 
 class LatencyRecorder:
-    """A log-bucketed latency histogram: O(1) record, mergeable, percentiles.
+    """A log-bucketed latency histogram: O(1) record, percentiles.
 
     Values are **seconds** (summaries convert to milliseconds).  The bucket
     layout defaults to :data:`repro.obs.metrics.LATENCY_BUCKETS` (1µs..60s,
@@ -129,21 +129,6 @@ class LatencyRecorder:
             return min(max(estimate, self.min), self.max)
         return self.max  # pragma: no cover - unreachable (running == count)
 
-    def merge(self, other: "LatencyRecorder") -> None:
-        """Fold *other* into this recorder (shared bounds required)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"latency bucket layouts differ: {len(other.bounds)} vs "
-                f"{len(self.bounds)} bounds"
-            )
-        for index, n in enumerate(other.counts):
-            self.counts[index] += n
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
     def summary(self) -> dict:
         """JSON-ready percentile summary in milliseconds."""
         out: dict[str, object] = {"count": self.count}
@@ -156,27 +141,6 @@ class LatencyRecorder:
             key = f"p{p:g}".replace(".", "") + "_ms"
             out[key] = round(self.percentile(p) * 1000, 3)
         return out
-
-    def dump(self) -> dict:
-        """Lossless, picklable export (the cross-process merge path)."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "min": None if self.count == 0 else self.min,
-            "max": self.max,
-        }
-
-    def merge_dump(self, dump: dict) -> None:
-        """Fold one :meth:`dump` into this recorder."""
-        other = LatencyRecorder(tuple(dump["bounds"]))
-        other.counts = list(dump["counts"])
-        other.count = dump["count"]
-        other.total = dump["total"]
-        other.min = math.inf if dump.get("min") is None else dump["min"]
-        other.max = dump.get("max", 0.0)
-        self.merge(other)
 
 
 class OpsRegistry:

@@ -13,7 +13,7 @@ state-management events that can change a verdict's meaning after the fact
 The chain is a plain schema-versioned dict — JSON for ``--json``, a
 tree-shaped terminal rendering otherwise — built read-only from the same
 event dicts every other analysis tool consumes, so it works on live
-tracers, golden artifacts and merged parallel shard traces alike.
+tracers, golden artifacts and traces merged from pool workers alike.
 """
 
 from __future__ import annotations

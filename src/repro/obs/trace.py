@@ -12,8 +12,8 @@ Design constraints, in priority order:
 * **Disabled by default, near-zero overhead.**  The module-level
   :data:`TRACER` is ``None`` unless tracing was explicitly enabled;
   instrumented hot paths guard every emission with a single attribute load
-  and ``is not None`` check, so the fault-free fast paths from PR 1 are
-  untouched when tracing is off.
+  and ``is not None`` check, so the fault-free fast paths are untouched
+  when tracing is off.
 * **Deterministic output.**  Events carry virtual-clock time and a
   monotonically increasing sequence number — never wall-clock, object ids,
   or hash-randomized values — so a trace is byte-identical across two runs
@@ -22,20 +22,18 @@ Design constraints, in priority order:
   events); a trace of a pathological run drops the oldest events rather
   than exhausting memory.  ``dropped_events`` says how many were lost.
 
-Tracing state is process-local, but traced runs no longer have to be
-serial: :class:`~repro.runtime.pool.WorkerPool` detects an installed tracer
-and runs each task under a fresh **shard** tracer (:func:`begin_shard` /
-:func:`end_shard`), written to a per-task JSONL shard file and merged back
-into the parent recorder in (task index, seq) order by
-:func:`merge_shard_dir`.  Because a serial run emits each task's events
-contiguously and in task order, the merged parallel trace is byte-identical
-to the serial one.
+Tracing state is process-local.  A :class:`~repro.runtime.pool.WorkerPool`
+task that leaves the driver records into a **task-local** tracer (routed per
+thread by :meth:`FlowTracer.route`, or installed as the worker process's
+:data:`TRACER`), ships it home as a :meth:`FlowTracer.dump`, and the parent
+folds the dumps in with :meth:`FlowTracer.merge_dump` in task-index order.
+Because a serial run emits each task's events contiguously and in task
+order, the merged parallel trace is byte-identical to the serial one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -100,12 +98,18 @@ class FlowTracer:
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._seq = 0
         self.dropped_events = 0
+        self._local = _TaskSlot()
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def emit(self, kind: str, time: float = -1.0, **fields: object) -> None:
         """Record one event (called only behind an ``is not None`` guard)."""
+        # Explicit None check: an empty task tracer is falsy (__len__ == 0).
+        task = self._local.task
+        if task is not None:
+            task.emit(kind, time, **fields)
+            return
         if len(self._events) == self.capacity:
             self.dropped_events += 1
         self._events.append(TraceEvent(self._seq, time, kind, fields))
@@ -176,24 +180,36 @@ class FlowTracer:
             target.write(payload)
         return len(events)
 
-    def absorb(self, records: Iterable[dict], dropped: int = 0) -> int:
-        """Re-emit exported event *records* into this tracer, renumbered.
+    # ------------------------------------------------------------------
+    # per-thread task routing and the worker-pool dump/merge protocol
+    # ------------------------------------------------------------------
+    def route(self, task: FlowTracer | None) -> None:
+        """Send this thread's emissions to *task* (``None`` routes them back)."""
+        self._local.task = task
 
-        The shard-merge path: records parsed from a shard file are appended
-        in their original order but with this tracer's own sequence numbers,
-        exactly as if the events had been emitted here in the first place.
-        *dropped* carries the shard's own ring-buffer losses forward.
+    def dump(self) -> dict:
+        """The recorded events and drop count, picklable, for shipping home."""
+        return {
+            "events": [(e.time, e.kind, e.fields) for e in self._events],
+            "dropped": self.dropped_events,
+        }
+
+    def merge_dump(self, dump: dict) -> None:
+        """Re-emit a :meth:`dump` into this tracer, renumbered.
+
+        Events append in their original order under this tracer's own
+        sequence numbers, exactly as if they had been emitted here; the
+        dump's own ring-buffer losses carry forward into ``dropped_events``.
         """
-        absorbed = 0
-        for record in records:
-            fields = dict(record)
-            fields.pop("seq", None)
-            time = fields.pop("time", -1.0)
-            kind = fields.pop("kind")
+        for time, kind, fields in dump["events"]:
             self.emit(kind, time, **fields)
-            absorbed += 1
-        self.dropped_events += dropped
-        return absorbed
+        self.dropped_events += dump["dropped"]
+
+
+class _TaskSlot(threading.local):
+    """Per-thread routing slot: the task-local tracer, or None."""
+
+    task: FlowTracer | None = None
 
 
 def load_jsonl(path: str) -> list[dict]:
@@ -231,11 +247,9 @@ def structural_view(events: Iterable[TraceEvent | dict]) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# the module-level recorder (None = tracing disabled, the default).  During
-# a traced parallel map the worker pool temporarily swaps in a
-# ShardDispatcher, which quacks like a FlowTracer for emission purposes.
+# the module-level recorder (None = tracing disabled, the default)
 # ----------------------------------------------------------------------
-TRACER: FlowTracer | ShardDispatcher | None = None
+TRACER: FlowTracer | None = None
 
 
 def enable_tracing(capacity: int = DEFAULT_CAPACITY) -> FlowTracer:
@@ -262,115 +276,6 @@ def tracing(capacity: int = DEFAULT_CAPACITY) -> Iterator[FlowTracer]:
         yield tracer
     finally:
         TRACER = previous
-
-
-# ----------------------------------------------------------------------
-# sharded tracing (parallel traced runs)
-# ----------------------------------------------------------------------
-class ShardDispatcher:
-    """Routes emissions to a per-worker shard tracer during a parallel map.
-
-    Installed as the module-level :data:`TRACER` by the worker pool while a
-    traced map is in flight.  A worker (thread, or forked process that
-    inherited the dispatcher) calls :func:`begin_shard`, which parks a fresh
-    :class:`FlowTracer` in this dispatcher's thread-local slot; instrumented
-    sites keep calling ``TRACER.emit(...)`` unchanged and land in the active
-    shard.  Emissions outside any shard (the driver thread itself) fall
-    through to the parent tracer.
-    """
-
-    def __init__(self, parent: FlowTracer) -> None:
-        self.parent = parent
-        self._local = threading.local()
-
-    def _active(self) -> FlowTracer:
-        # NB: explicit None check — an empty FlowTracer is falsy (__len__ == 0),
-        # so ``or`` would silently bypass a freshly-begun shard.
-        shard = getattr(self._local, "tracer", None)
-        return self.parent if shard is None else shard
-
-    def set_shard(self, shard: FlowTracer | None) -> None:
-        self._local.tracer = shard
-
-    def emit(self, kind: str, time: float = -1.0, **fields: object) -> None:
-        self._active().emit(kind, time, **fields)
-
-    def span(self, name: str, time: float = -1.0, **fields: object) -> Iterator[None]:
-        return self._active().span(name, time, **fields)
-
-
-def begin_shard(capacity: int = DEFAULT_CAPACITY) -> FlowTracer:
-    """Route this worker's emissions into a fresh shard tracer.
-
-    In a worker *process* the module global is simply replaced (each process
-    has its own); in a worker *thread* the installed :class:`ShardDispatcher`
-    routes per-thread so concurrent tasks cannot interleave their events.
-    """
-    global TRACER
-    shard = FlowTracer(capacity=capacity)
-    if isinstance(TRACER, ShardDispatcher):
-        TRACER.set_shard(shard)
-    else:
-        TRACER = shard
-    return shard
-
-
-def end_shard() -> None:
-    """Detach the worker's shard tracer installed by :func:`begin_shard`."""
-    global TRACER
-    if isinstance(TRACER, ShardDispatcher):
-        TRACER.set_shard(None)
-    else:
-        TRACER = None
-
-
-@contextmanager
-def shard_scope(parent: FlowTracer) -> Iterator[ShardDispatcher]:
-    """Install a :class:`ShardDispatcher` over *parent* for a traced map."""
-    global TRACER
-    previous = TRACER
-    dispatcher = ShardDispatcher(parent)
-    TRACER = dispatcher
-    try:
-        yield dispatcher
-    finally:
-        TRACER = previous
-
-
-def shard_filename(index: int) -> str:
-    """Canonical shard file name for task *index* (fixed width, sortable)."""
-    return f"shard-{index:08d}.jsonl"
-
-
-def merge_shard_dir(tracer: FlowTracer, shard_dir: str, count: int) -> int:
-    """Merge per-task shard files into *tracer* in (task index, seq) order.
-
-    Shards were written by :func:`FlowTracer.export_jsonl`, so each one is
-    already internally ordered by seq; visiting them in task-index order and
-    renumbering through :meth:`FlowTracer.absorb` reproduces exactly the
-    event sequence a serial run would have recorded.  Missing shards (a task
-    that emitted nothing, or a skipped/failed task) are silently empty.
-    Returns the number of merged events.
-    """
-    merged = 0
-    for index in range(count):
-        path = os.path.join(shard_dir, shard_filename(index))
-        if not os.path.exists(path):
-            continue
-        dropped = 0
-        with open(path, encoding="utf-8") as handle:
-            records = []
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "trace.header":
-                    dropped = record.get("dropped", 0)
-                    continue
-                records.append(record)
-        merged += tracer.absorb(records, dropped=dropped)
-    return merged
 
 
 def packet_fields(packet) -> dict:

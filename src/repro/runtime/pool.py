@@ -22,24 +22,16 @@ turns task failures into retries with capped exponential backoff, per-task
 timeouts, crashed-worker recovery (a killed process worker rebuilds the
 executor and requeues the task), and a consecutive-failure circuit breaker.
 On exhaustion a task's slot holds a structured :class:`TaskFailure` instead
-of the whole run dying.  Without a policy, behaviour is identical to before.
+of the whole run dying.  Without a policy, the first exception propagates.
 
-Sharded tracing: when a flow tracer is installed (``--trace``), a parallel
-map no longer has to fall back to serial execution.  Each task runs under a
-fresh per-task shard tracer, exports its events to a shard file, and the
-pool merges the shards back into the parent tracer in (task index, seq)
-order after the map — producing a trace byte-identical to the serial run's
-(each task's events are contiguous and in task order either way).
-
-Cross-process observability: the same guarantee covers the metrics
-registry, the profiler and the telemetry bus.  A concurrent map whose
-parent has any of them enabled wraps each task in :class:`_ObsCall`, which
-installs fresh worker-side recorders, snapshots them at task end, and ships
-the snapshots home with the result; the parent merges them in (task index,
-key) order.  Counters and stage timings sum, gauges keep the last task's
-write, telemetry buffers append in task order — so a process-pool run's
-merged metrics snapshot is identical to a serial run's, and experiment
-drivers no longer force the serial backend when metering.
+Observability across workers: when tasks leave the driver (a concurrent
+backend, and more than one task or a retry policy), each task runs under
+:class:`_CapturedCall`, which records into task-local recorders and ships
+one ``dump()`` per recorder home with the result.  The parent folds them in
+with ``merge_dump`` in task-index order.  A serial run records each task's
+events contiguously and in task order, so the merged trace, telemetry log,
+metrics snapshot and coverage are identical to the serial run's, whatever
+backend ran the map.
 """
 
 from __future__ import annotations
@@ -49,7 +41,6 @@ import hashlib
 import logging
 import os
 import random
-import tempfile
 import time
 from concurrent.futures import (
     CancelledError,
@@ -177,101 +168,61 @@ class _SeededCall:
         return self.fn(item)
 
 
-class _ObsPayload:
-    """A task result bundled with the worker-side observability it produced."""
+#: The recorders a task can ship home: name -> (module, global name,
+#: task-local factory given the :class:`_CapturedCall`).
+_RECORDERS = {
+    "trace": (obs_trace, "TRACER", lambda call: obs_trace.FlowTracer(call.capacity)),
+    "metrics": (obs_metrics, "METRICS", lambda call: obs_metrics.MetricsRegistry()),
+    "profile": (obs_profiling, "PROFILER", lambda call: obs_profiling.Profiler()),
+    "coverage": (obs_coverage, "COVERAGE", lambda call: obs_coverage.CoverageRecorder()),
+    "bus": (obs_live, "BUS", lambda call: obs_live.task_bus(call.stream)),
+}
 
-    __slots__ = ("result", "metrics", "profile", "events", "coverage")
-
-    def __init__(self, result, metrics, profile, events, coverage=None) -> None:
-        self.result = result
-        self.metrics = metrics
-        self.profile = profile
-        self.events = events
-        self.coverage = coverage
+#: Recorders that route per thread, so thread workers ship them too; the
+#: others are shared by thread workers and record straight into the parent.
+_ROUTED = ("trace", "bus")
 
 
-class _ObsCall:
+class _CapturedCall:
     """Picklable wrapper shipping a task's observability home with its result.
 
-    Process-pool workers have their own (unobserved) metrics registry,
-    profiler and telemetry bus, so anything they record is lost unless it
-    travels back with the result.  This wrapper installs fresh worker-side
-    recorders around the task, snapshots them at task end, and returns an
-    :class:`_ObsPayload` the parent unwraps — merging metrics/profile dumps
-    and telemetry buffers in task-index order, reproducing exactly what a
-    serial run would have recorded.
-
-    Thread-pool tasks share the parent's registry and profiler (their
-    increments already land home, and swapping the process-global registry
-    per-thread would race), so they only buffer telemetry, which the bus
-    routes per-thread.  A failing attempt discards its buffered events —
-    the retry that eventually succeeds owns the task's telemetry, matching
-    the trace sharder's retry semantics.
+    In the worker it opens a fresh task-local recorder for each name in
+    *shipped*, runs the task, and returns ``(result, dumps)``, one dump per
+    recorder in *shipped* order.  A process worker installs each recorder
+    as its own module global; a thread worker routes the shared tracer and
+    bus to them for this thread only.  A failing attempt raises before
+    anything is dumped, so its task-local state is discarded and the retry
+    that succeeds owns the task's observability.
     """
 
     def __init__(
-        self, call: Callable[[T], R], ship_metrics: bool, ship_profile: bool,
-        buffer_events: bool, stream=None, ship_coverage: bool = False,
+        self, call: Callable[[T], R], shipped: tuple[str, ...], threaded: bool,
+        capacity: int, stream=None,
     ) -> None:
         self.call = call
-        self.ship_metrics = ship_metrics
-        self.ship_profile = ship_profile
-        self.buffer_events = buffer_events
-        self.stream = stream
-        self.ship_coverage = ship_coverage
-
-    def __call__(self, item: T) -> "_ObsPayload":
-        if self.buffer_events:
-            obs_live.begin_task(stream=self.stream)
-        registry = obs_metrics.enable_metrics() if self.ship_metrics else None
-        profiler = obs_profiling.enable_profiling() if self.ship_profile else None
-        recorder = obs_coverage.enable_coverage() if self.ship_coverage else None
-        try:
-            result = self.call(item)
-        except BaseException:
-            if self.buffer_events:
-                obs_live.end_task()
-            raise
-        events = obs_live.end_task() if self.buffer_events else None
-        return _ObsPayload(
-            result,
-            registry.dump() if registry is not None else None,
-            profiler.dump() if profiler is not None else None,
-            events,
-            recorder.dump() if recorder is not None else None,
-        )
-
-
-class _ShardedCall:
-    """Picklable wrapper running one task under a fresh trace shard.
-
-    In the worker, :func:`repro.obs.trace.begin_shard` routes the task's
-    emissions into a private :class:`~repro.obs.trace.FlowTracer`; on
-    success the shard is exported to ``shard-<index>.jsonl`` (written to a
-    temp name and renamed, so a crashed worker can never leave a truncated
-    shard) for the parent to merge.  A failing attempt writes nothing — the
-    retry that eventually succeeds owns the shard file.
-    """
-
-    def __init__(
-        self, call: Callable[[T], R], index: int, shard_dir: str, capacity: int
-    ) -> None:
-        self.call = call
-        self.index = index
-        self.shard_dir = shard_dir
+        self.shipped = shipped
+        self.threaded = threaded
         self.capacity = capacity
+        self.stream = stream
 
-    def __call__(self, item: T) -> R:
-        shard = obs_trace.begin_shard(self.capacity)
+    def __call__(self, item: T) -> tuple[R, list]:
+        recorders = []
+        for name in self.shipped:
+            module, attr, factory = _RECORDERS[name]
+            recorder = factory(self)
+            if self.threaded:
+                getattr(module, attr).route(recorder)
+            else:
+                setattr(module, attr, recorder)
+            recorders.append(recorder)
         try:
             result = self.call(item)
         finally:
-            obs_trace.end_shard()
-        path = os.path.join(self.shard_dir, obs_trace.shard_filename(self.index))
-        tmp_path = f"{path}.tmp"
-        shard.export_jsonl(tmp_path)
-        os.replace(tmp_path, path)
-        return result
+            if self.threaded:
+                for name in self.shipped:
+                    module, attr, _ = _RECORDERS[name]
+                    getattr(module, attr).route(None)
+        return result, [recorder.dump() for recorder in recorders]
 
 
 class WorkerPool:
@@ -313,14 +264,12 @@ class WorkerPool:
         With *retry* set, failing tasks are retried per the policy and a
         task that exhausts its attempts yields a :class:`TaskFailure` in its
         slot instead of propagating; without it, the first exception
-        propagates exactly as before.
+        propagates.
 
-        With a flow tracer installed, a concurrent map records each task
-        into its own trace shard and merges the shards back into the
-        tracer in (task index, seq) order — the merged trace is
-        byte-identical to what the serial backend would have recorded.
-        The metrics registry, profiler and telemetry bus get the same
-        treatment through per-task snapshots shipped home with results.
+        When tasks leave the driver, every enabled recorder a worker
+        cannot share with the parent (see :class:`_CapturedCall`) is
+        recorded per task and merged back in task-index order, so the
+        parent ends up with what the serial backend would have recorded.
         """
         tasks: Sequence[T] = list(items)
         if not tasks:
@@ -330,24 +279,22 @@ class WorkerPool:
             calls = [_SeededCall(fn, seed, i) for i in range(len(tasks))]
         else:
             calls = [fn] * len(tasks)
-        obs_wrapped = self._wrap_obs(calls, len(tasks), retry)
-        if obs_wrapped is not None:
-            calls = obs_wrapped
-        bus = obs_live.BUS
+        tracer, bus = obs_trace.TRACER, obs_live.BUS
+        shipped = self._shipped(len(tasks), retry)
+        if shipped:
+            capacity = tracer.capacity if tracer is not None else 0
+            stream = bus.stream if bus is not None else None
+            threaded = self.backend is Backend.THREAD
+            calls = [
+                _CapturedCall(call, shipped, threaded, capacity, stream)
+                for call in calls
+            ]
         if bus is not None:
             for index in range(len(tasks)):
                 bus.emit("pool.dispatch", task=index)
-        tracer = obs_trace.TRACER
-        if (
-            isinstance(tracer, obs_trace.FlowTracer)
-            and self.backend is not Backend.SERIAL
-            and len(tasks) > 1
-        ):
-            results = self._map_sharded(calls, tasks, retry, tracer)
-        else:
-            results = self._execute(calls, tasks, retry)
-        if obs_wrapped is not None:
-            results = self._merge_obs_results(results)
+        results = self._execute(calls, tasks, retry)
+        if shipped:
+            results = _merge_captured(results, shipped)
         if bus is not None:
             for index, result in enumerate(results):
                 bus.emit(
@@ -357,60 +304,23 @@ class WorkerPool:
                 )
         return results
 
-    def _wrap_obs(
-        self,
-        calls: Sequence[Callable[[T], R]],
-        count: int,
-        retry: RetryPolicy | None,
-    ) -> list["_ObsCall"] | None:
-        """Wrap calls in :class:`_ObsCall` when tasks leave the driver process.
+    def _shipped(self, count: int, retry: RetryPolicy | None) -> tuple[str, ...]:
+        """The enabled recorders each task ships home, in merge order.
 
-        Serial maps — and single-task concurrent maps without a retry
-        policy, which run inline — record straight into the parent's
-        facilities and need no wrapping.  Metrics/profile snapshots ship
-        only from *process* workers (thread workers share the parent's
-        recorders); telemetry buffers ship from both concurrent backends.
+        Nothing ships unless tasks leave the driver: a serial map, or a
+        single task without a retry policy (which runs inline), records
+        straight into the parent.  Thread workers ship only the recorders
+        that route per thread.
         """
         if self.backend is Backend.SERIAL or (count == 1 and retry is None):
-            return None
-        ship = self.backend is Backend.PROCESS
-        ship_metrics = ship and obs_metrics.METRICS is not None
-        ship_profile = ship and obs_profiling.PROFILER is not None
-        ship_coverage = ship and obs_coverage.COVERAGE is not None
-        bus = obs_live.BUS
-        if not (ship_metrics or ship_profile or ship_coverage or bus is not None):
-            return None
-        stream = bus.stream if bus is not None else None
-        return [
-            _ObsCall(
-                call, ship_metrics, ship_profile, bus is not None, stream,
-                ship_coverage,
-            )
-            for call in calls
-        ]
-
-    def _merge_obs_results(
-        self, results: Sequence["R | TaskFailure | _ObsPayload"]
-    ) -> list[R | TaskFailure]:
-        """Unwrap :class:`_ObsPayload` results, merging snapshots in task order."""
-        merged: list[R | TaskFailure] = []
-        buffers: list[list[tuple[str, dict]]] = []
-        for result in results:
-            if not isinstance(result, _ObsPayload):
-                merged.append(result)  # a TaskFailure slot: nothing shipped
-                continue
-            if result.metrics is not None and obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.merge_dump(result.metrics)
-            if result.profile is not None and obs_profiling.PROFILER is not None:
-                obs_profiling.PROFILER.merge_dump(result.profile)
-            if result.coverage is not None and obs_coverage.COVERAGE is not None:
-                obs_coverage.COVERAGE.merge_dump(result.coverage)
-            if result.events is not None:
-                buffers.append(result.events)
-            merged.append(result.result)
-        if buffers and obs_live.BUS is not None:
-            obs_live.BUS.absorb(buffers)
-        return merged
+            return ()
+        threaded = self.backend is Backend.THREAD
+        return tuple(
+            name
+            for name, (module, attr, _) in _RECORDERS.items()
+            if getattr(module, attr) is not None
+            and (name in _ROUTED or not threaded)
+        )
 
     def _execute(
         self,
@@ -458,35 +368,6 @@ class WorkerPool:
             for index, dispatch in enumerate(submitted):
                 ops.record("pool.task", max(0.0, done_at[index] - dispatch))
             return results
-
-    def _map_sharded(
-        self,
-        calls: Sequence[Callable[[T], R]],
-        tasks: Sequence[T],
-        retry: RetryPolicy | None,
-        tracer: "obs_trace.FlowTracer",
-    ) -> list[R | TaskFailure]:
-        """A traced concurrent map: per-task shard files, merged in order.
-
-        The parent tracer is swapped for a :class:`~repro.obs.trace.ShardDispatcher`
-        for the duration of the map so worker threads (and forked worker
-        processes) route their emissions into per-task shards; pool-level
-        events emitted by the driver itself (retries, circuit trips) still
-        reach the parent tracer directly.  A task's shard is written only by
-        a successful attempt, so retries cannot leave partial shards behind.
-        """
-        with tempfile.TemporaryDirectory(prefix="repro-trace-shards-") as shard_dir:
-            wrapped = [
-                _ShardedCall(call, index, shard_dir, tracer.capacity)
-                for index, call in enumerate(calls)
-            ]
-            with obs_trace.shard_scope(tracer):
-                results = self._execute(wrapped, tasks, retry)
-            merged = obs_trace.merge_shard_dir(tracer, shard_dir, len(tasks))
-            logger.debug(
-                "merged %d trace events from %d task shards", merged, len(tasks)
-            )
-        return results
 
     def run_all(
         self, thunks: Sequence[Callable[[], R]], *, retry: RetryPolicy | None = None
@@ -682,47 +563,48 @@ def _workers_from_env() -> int | None:
     return parsed
 
 
+def _merge_captured(
+    results: Sequence[tuple[R, list] | TaskFailure], shipped: tuple[str, ...]
+) -> list[R | TaskFailure]:
+    """Unwrap :class:`_CapturedCall` results, merging dumps in task order."""
+    merged: list[R | TaskFailure] = []
+    for slot in results:
+        if isinstance(slot, TaskFailure):
+            merged.append(slot)  # an exhausted task shipped nothing
+            continue
+        result, dumps = slot
+        for name, dump in zip(shipped, dumps):
+            module, attr, _ = _RECORDERS[name]
+            getattr(module, attr).merge_dump(dump)
+        merged.append(result)
+    return merged
+
+
+def _record(kind: str, counter: str, **fields: object) -> None:
+    """Count one pool resilience event and emit it to the trace and bus."""
+    if obs_metrics.METRICS is not None:
+        obs_metrics.METRICS.inc(counter)
+    if obs_trace.TRACER is not None:
+        obs_trace.TRACER.emit(kind, **fields)
+    if obs_live.BUS is not None:
+        obs_live.BUS.emit(kind, **fields)
+
+
 def _record_retry(index: int, attempt: int, error_type: str, backend: Backend) -> None:
     """Count one failed attempt (retry or final) in the observability layer."""
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc("pool.retries")
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(
-            "pool.retry",
-            task=index,
-            attempt=attempt,
-            error=error_type,
-            backend=backend.value,
-        )
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
-            "pool.retry",
-            task=index,
-            attempt=attempt,
-            error=error_type,
-            backend=backend.value,
-        )
+    _record(
+        "pool.retry", "pool.retries",
+        task=index, attempt=attempt, error=error_type, backend=backend.value,
+    )
 
 
 def _record_exhaustion(index: int, backend: Backend) -> None:
     """Count one task giving up for good (its slot becomes a TaskFailure)."""
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc("pool.task_failures")
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(
-            "pool.task_failed", task=index, backend=backend.value
-        )
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("pool.task_failed", task=index, backend=backend.value)
+    _record("pool.task_failed", "pool.task_failures", task=index, backend=backend.value)
 
 
 def _circuit_failure(index: int, backend: Backend) -> TaskFailure:
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc("pool.circuit_open")
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit("pool.circuit_open", task=index, backend=backend.value)
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("pool.circuit_open", task=index, backend=backend.value)
+    _record("pool.circuit_open", "pool.circuit_open", task=index, backend=backend.value)
     if obs_flight.FLIGHT is not None:
         # A tripped breaker fails every remaining task the same way; dump
         # the evidence once per trip episode, not once per failed slot.

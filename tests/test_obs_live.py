@@ -1,6 +1,6 @@
 """The telemetry bus: deterministic event logs, cross-process metric merging.
 
-The acceptance bar mirrors the trace sharder's: whatever backend runs a
+The acceptance bar mirrors the flow tracer's: whatever backend runs a
 seeded experiment, the merged telemetry event log and the merged metrics
 snapshot must equal what the serial backend records — and two runs of the
 same seeded experiment must export byte-identical ``events.jsonl`` files.
@@ -17,7 +17,7 @@ from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
-from repro.runtime import WorkerPool
+from repro.runtime import RetryPolicy, TaskFailure, WorkerPool
 
 pytestmark = pytest.mark.obs
 
@@ -26,6 +26,18 @@ TABLE3_KWARGS = {
     "include_os_matrix": False,
     "characterize": False,
 }
+
+
+_ATTEMPTS: dict[int, int] = {}
+
+
+def _flaky_task(item: int) -> int:
+    """Emit one telemetry event per attempt; first attempts fail, item 2 always."""
+    attempt = _ATTEMPTS[item] = _ATTEMPTS.get(item, 0) + 1
+    obs_live.BUS.emit("unit.attempt", item=item, attempt=attempt)
+    if attempt == 1 or item == 2:
+        raise RuntimeError("attempt fails")
+    return item
 
 
 # ----------------------------------------------------------------------
@@ -47,24 +59,25 @@ class TestTelemetryBus:
         bus.emit("unit.x", n=3)
         assert seen == [("unit.x", {"n": 3})]
 
-    def test_task_buffering_and_absorb_order(self):
+    def test_task_routing_and_merge_dump_order(self):
         bus = obs_live.TelemetryBus()
         bus.emit("unit.before")
-        bus.begin_task()
+        task = obs_live.task_bus()
+        bus.route(task)
         bus.emit("unit.task", task=0)
-        buffer = bus.end_task()
-        assert [e.kind for e in bus.events] == ["unit.before"]  # buffered, not appended
-        assert buffer == [("unit.task", {"task": 0})]
-        absorbed = bus.absorb([buffer, [("unit.task", {"task": 1})]])
-        assert absorbed == 2
+        bus.route(None)
+        assert [e.kind for e in bus.events] == ["unit.before"]  # routed, not appended
+        assert task.dump() == [("unit.task", {"task": 0})]
+        bus.merge_dump(task.dump())
+        bus.merge_dump([("unit.task", {"task": 1})])
         assert [e.fields.get("task") for e in bus.events[1:]] == [0, 1]
         assert [e.lclock for e in bus.events] == [0, 1, 2]
 
-    def test_absorb_notifies_when_not_streaming(self):
+    def test_merge_dump_notifies_when_not_streaming(self):
         bus = obs_live.TelemetryBus()
         seen = []
         bus.subscribe(lambda kind, fields: seen.append(kind))
-        bus.absorb([[("unit.late", {})]])
+        bus.merge_dump([("unit.late", {})])
         assert seen == ["unit.late"]
 
     def test_export_and_load_round_trip(self, tmp_path):
@@ -91,13 +104,20 @@ class TestTelemetryBus:
         assert obs_live.BUS is None
 
     def test_failed_task_buffer_is_discarded(self):
-        bus = obs_live.TelemetryBus()
-        bus.begin_task()
-        bus.emit("unit.doomed")
-        bus.end_task()  # the pool discards a failing attempt's buffer
-        bus.begin_task()
-        bus.emit("unit.retry")
-        assert bus.end_task() == [("unit.retry", {})]
+        # Each task's first attempt emits and then fails; the pool discards
+        # that attempt's events, so the retry alone owns the task's log, and
+        # a task that exhausts its retries leaves nothing in it.
+        _ATTEMPTS.clear()
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
+        with obs_live.bus_on() as bus:
+            results = WorkerPool("thread", max_workers=2).map(
+                _flaky_task, [0, 1, 2], retry=retry
+            )
+        assert results[:2] == [0, 1]
+        assert isinstance(results[2], TaskFailure)
+        assert bus.tally()["pool.retry"] == 4
+        attempts = [e.fields for e in bus.events if e.kind == "unit.attempt"]
+        assert attempts == [{"item": 0, "attempt": 2}, {"item": 1, "attempt": 2}]
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,25 @@
-"""Shard-and-merge tracing: traced parallel runs must equal traced serial.
+"""Per-task trace capture: traced parallel runs must equal traced serial.
 
-The acceptance bar for the sharded tracer is byte identity: a traced
-``table3``/``figure4`` run on a process or thread pool must export exactly
-the JSONL a serial run exports, because each task's events land in a
-per-task shard that the pool merges back in (task index, seq) order — the
-order the serial loop would have emitted them in.
+The acceptance bar is byte identity: a traced ``table3``/``figure4`` run on
+a process or thread pool must export exactly the JSONL a serial run
+exports, because each task's events land in a task-local tracer whose dump
+the pool merges back in task-index order — the order the serial loop would
+have emitted them in.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.table3 import run_table3
 from repro.obs import trace as obs_trace
-from repro.runtime import WorkerPool
+from repro.runtime import RetryPolicy, WorkerPool
 
 pytestmark = [pytest.mark.obs, pytest.mark.slow]
 
@@ -34,6 +37,39 @@ def _traced_table3(tmp_path, backend: str) -> str:
         tracer.export_jsonl(str(out))
     assert rows  # the run itself must have produced the table
     return out.read_text()
+
+
+def _emit_events(count: int) -> int:
+    """A pool task emitting *count* trace events of its own."""
+    tracer = obs_trace.TRACER
+    if tracer is not None:
+        with tracer.span("unit.task", count=count):
+            for index in range(count):
+                tracer.emit("unit.work", index=index)
+    return count
+
+
+def _traced_map(
+    backend: str, counts, retry=None, capacity=obs_trace.DEFAULT_CAPACITY, workers=2
+) -> str:
+    with obs_trace.tracing(capacity) as tracer:
+        results = WorkerPool(backend, max_workers=workers).map(
+            _emit_events, counts, retry=retry
+        )
+        assert results == list(counts)
+        out = io.StringIO()
+        tracer.export_jsonl(out)
+    return out.getvalue()
+
+
+def _kinds(export: str) -> list[str]:
+    return [json.loads(line)["kind"] for line in export.splitlines()[1:]]
+
+
+def _unnumbered(line: str) -> dict:
+    record = json.loads(line)
+    del record["seq"]
+    return record
 
 
 def _traced_figure4(tmp_path, backend: str) -> str:
@@ -71,37 +107,77 @@ class TestShardMergeByteIdentity:
         assert seqs == list(range(len(seqs)))
 
 
+class TestCaptureAcrossBackends:
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["plain", "retry"])
+    @pytest.mark.parametrize("counts", [(3,), (3, 2)], ids=["one-task", "two-tasks"])
+    def test_worker_event_kinds_equal_serial(self, counts, retry):
+        # A single task with a retry policy still runs in a worker; its
+        # events must come home like those of a multi-task map.
+        serial = _kinds(_traced_map("serial", counts, retry))
+        assert serial.count("unit.work") == sum(counts)
+        for backend in ("thread", "process"):
+            assert _kinds(_traced_map(backend, counts, retry)) == serial, backend
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_task_ring_overflow_drops_match_serial(self, backend):
+        # Each task emits 8 events (span enter/exit around 6) into a ring of
+        # 5: the task-local rings drop, then the parent ring drops again.
+        serial = _traced_map("serial", (6, 6), capacity=5).splitlines()
+        parallel = _traced_map(backend, (6, 6), capacity=5).splitlines()
+        assert json.loads(serial[0])["dropped"] == 11
+        assert parallel[0] == serial[0]
+        # The same last five events survive; only their seq numbers differ,
+        # because a task's ring never numbered the events it dropped.
+        assert [_unnumbered(line) for line in parallel[1:]] == [
+            _unnumbered(line) for line in serial[1:]
+        ]
+
+    def test_thread_routing_survives_contention(self):
+        # More worker threads than cores and a short switch interval: an
+        # event routed to the wrong thread's task tracer (or leaking into
+        # the parent) would reorder the merged trace.
+        counts = tuple(range(40, 80, 2))
+        serial = _traced_map("serial", counts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _traced_map("thread", counts, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
 class TestShardScaffolding:
-    def test_shard_scope_restores_previous_tracer(self):
-        with obs_trace.tracing() as tracer:
-            with obs_trace.shard_scope(tracer) as dispatcher:
-                assert obs_trace.TRACER is dispatcher
-            assert obs_trace.TRACER is tracer
-
-    def test_dispatcher_routes_to_active_shard_even_when_empty(self):
+    def test_route_reaches_task_tracer_even_when_empty(self):
         # Regression: an empty FlowTracer is falsy (__len__ == 0), so the
-        # dispatcher must select the shard with an explicit None check or a
-        # freshly-begun shard's first event leaks into the parent tracer.
+        # tracer must pick the routed task tracer with an explicit None
+        # check or a freshly opened task tracer's first event leaks into the
+        # parent tracer.
         parent = obs_trace.FlowTracer()
-        dispatcher = obs_trace.ShardDispatcher(parent)
-        shard = obs_trace.FlowTracer()
-        dispatcher.set_shard(shard)
-        dispatcher.emit("unit.event", probe=1)
-        assert len(shard) == 1
+        task = obs_trace.FlowTracer()
+        parent.route(task)
+        parent.emit("unit.event", probe=1)
+        assert len(task) == 1
         assert len(parent) == 0
-        dispatcher.set_shard(None)
-        dispatcher.emit("unit.event", probe=2)
+        # Routing is per thread: another thread still records into the parent.
+        other = threading.Thread(target=parent.emit, args=("unit.other",))
+        other.start()
+        other.join(timeout=5)
+        assert not other.is_alive()
         assert len(parent) == 1
+        parent.route(None)
+        parent.emit("unit.event", probe=2)
+        assert len(parent) == 2
+        assert len(task) == 1
 
-    def test_absorb_renumbers_and_accumulates_drops(self):
+    def test_merge_dump_renumbers_and_accumulates_drops(self):
         source = obs_trace.FlowTracer()
         source.emit("unit.a", 1.0, detail="x")
         source.emit("unit.b", 2.0)
-        records = [event.as_dict() for event in source.events()]
+        source.dropped_events = 3
         target = obs_trace.FlowTracer()
         target.emit("unit.pre")
-        absorbed = target.absorb(records, dropped=3)
-        assert absorbed == 2
+        target.merge_dump(source.dump())
         assert target.dropped_events == 3
         merged = [event.as_dict() for event in target.events()]
         assert [event["seq"] for event in merged] == [0, 1, 2]
@@ -109,29 +185,10 @@ class TestShardScaffolding:
         assert merged[1]["detail"] == "x"
         assert merged[1]["time"] == 1.0
 
-    def test_merge_shard_dir_orders_by_task_index(self, tmp_path):
-        # Write shards out of creation order; the merge must follow index.
-        for index, kind in ((1, "unit.second"), (0, "unit.first")):
-            shard = obs_trace.FlowTracer()
-            shard.emit(kind)
-            shard.export_jsonl(str(tmp_path / obs_trace.shard_filename(index)))
-        merged = obs_trace.FlowTracer()
-        count = obs_trace.merge_shard_dir(merged, str(tmp_path), 2)
-        assert count == 2
-        kinds = [event.as_dict()["kind"] for event in merged.events()]
-        assert kinds == ["unit.first", "unit.second"]
-
-    def test_merge_shard_dir_tolerates_missing_shards(self, tmp_path):
-        shard = obs_trace.FlowTracer()
-        shard.emit("unit.only")
-        shard.export_jsonl(str(tmp_path / obs_trace.shard_filename(2)))
-        merged = obs_trace.FlowTracer()
-        assert obs_trace.merge_shard_dir(merged, str(tmp_path), 5) == 1
-
     def test_metered_runs_no_longer_force_serial(self, tmp_path):
-        # Metrics used to force the serial backend; now the pool ships each
-        # worker's registry dump home and merges it, so a metered process-pool
-        # run records the same counters a serial run would.
+        # The pool ships each worker's registry dump home and merges it, so
+        # a metered process-pool run records the same counters a serial run
+        # would.
         from repro.obs import metrics as obs_metrics
 
         with obs_metrics.collecting() as registry:
