@@ -14,8 +14,8 @@ from typing import Protocol
 
 from repro.endpoint.osmodel import LINUX, OSProfile, Verdict
 from repro.packets.flow import FiveTuple
-from repro.packets.ip import IPPacket, fast_packet
-from repro.packets.tcp import TCPFlags, TCPSegment, fast_segment
+from repro.packets.ip import IPPacket
+from repro.packets.tcp import TCPFlags, TCPSegment
 
 MTU_PAYLOAD = 1460
 SERVER_ISN = 100_000
@@ -165,10 +165,10 @@ class TCPServerStack:
                 expected_seq=(segment.seq + 1) & 0xFFFFFFFF,
             )
             self._connections[key] = conn
-            synack = fast_segment(
+            synack = TCPSegment(
                 segment.dport, segment.sport, SERVER_ISN, conn.expected_seq, flags=_SYN_ACK
             )
-            return [fast_packet(self.address, packet.src, synack)]
+            return [IPPacket(self.address, packet.src, synack)]
 
         if conn is None or conn.state == "closed":
             return []
@@ -237,19 +237,19 @@ class TCPServerStack:
         )
 
     def _ack_packet(self, conn: _Connection) -> IPPacket:
-        ack = fast_segment(conn.server_port, conn.client_port, conn.server_seq, conn.expected_seq)
-        return fast_packet(self.address, conn.client, ack)
+        ack = TCPSegment(conn.server_port, conn.client_port, conn.server_seq, conn.expected_seq)
+        return IPPacket(self.address, conn.client, ack)
 
     def _data_packets(self, conn: _Connection, data: bytes) -> list[IPPacket]:
         packets = []
         for offset in range(0, len(data), MTU_PAYLOAD):
             chunk = data[offset : offset + MTU_PAYLOAD]
-            segment = fast_segment(
+            segment = TCPSegment(
                 conn.server_port, conn.client_port, conn.server_seq, conn.expected_seq,
                 flags=_ACK_PSH, payload=chunk,
             )
             conn.server_seq = (conn.server_seq + len(chunk)) & 0xFFFFFFFF
-            packets.append(fast_packet(self.address, conn.client, segment))
+            packets.append(IPPacket(self.address, conn.client, segment))
         if self.retransmit_enabled:
             conn.sent.extend(data)
         return packets
@@ -264,23 +264,23 @@ class TCPServerStack:
         seq = ack
         for offset in range(0, len(tail), MTU_PAYLOAD):
             chunk = tail[offset : offset + MTU_PAYLOAD]
-            segment = fast_segment(
+            segment = TCPSegment(
                 conn.server_port, conn.client_port, seq, conn.expected_seq,
                 flags=_ACK_PSH, payload=chunk,
             )
             seq = (seq + len(chunk)) & 0xFFFFFFFF
-            packets.append(fast_packet(self.address, conn.client, segment))
+            packets.append(IPPacket(self.address, conn.client, segment))
         return packets
 
     def _rst_for(self, packet: IPPacket, segment: TCPSegment) -> IPPacket:
-        rst = fast_segment(
+        rst = TCPSegment(
             segment.dport,
             segment.sport,
             segment.ack,
             (segment.seq + len(segment.payload)) & 0xFFFFFFFF,
             flags=_RST_ACK,
         )
-        reply = fast_packet(self.address, packet.src, rst)
+        reply = IPPacket(self.address, packet.src, rst)
         self.rst_sent.append(reply)
         return reply
 

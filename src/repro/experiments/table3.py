@@ -106,11 +106,10 @@ def run_table3(
     """
     if pool is None:
         pool = WorkerPool()
-    # Metered runs no longer force the serial backend: the pool ships each
-    # worker's metrics-registry snapshot home with its result and merges the
-    # dumps in (task index, key) order, so a process-pool run's snapshot is
-    # identical to a serial run's (see runtime/pool.py, same guarantee the
-    # trace sharder gives).
+    # Metered runs may use any backend: the pool ships each worker's
+    # recorder dumps (metrics, trace, ...) home with its result and merges
+    # them in task-index order, so a process-pool run's snapshot is
+    # identical to a serial run's (see runtime/pool.py).
     if cell_trials is None:
         cell_trials = 5 if faults is not None and not faults.is_zero() else 1
     tasks = [(name, techniques, characterize, faults, cell_trials) for name in env_names]

@@ -13,6 +13,11 @@ the named cache slots, while cache slots themselves (and any private
 attribute) pass through untouched.  Caches default to ``None`` at class
 level, so ``dataclasses.replace``-style copies start cold and can never
 observe a stale value.
+
+Construction bypasses the hook: each packet class's ``__init__`` validates
+its arguments and stores the whole instance dict with one write, since a
+fresh object has no cache to invalidate.  The hook only runs for
+assignments after construction (crafted inert packets mutate fields).
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ def install_wire_cache(cls: type, cache_attrs: tuple[str, ...]) -> None:
         _caches: tuple[str, ...] = cache_attrs,
     ) -> None:
         # Caches live in the instance dict only once populated (the class
-        # holds the None default), so invalidation is a conditional delete —
-        # field assignment during __init__ stays nearly free.
+        # holds the None default), so invalidation is a conditional delete.
         d = self.__dict__
         d[name] = value
         if name in _fields:

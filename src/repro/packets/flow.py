@@ -79,9 +79,9 @@ class FiveTuple:
             key = _KEY_INTERN.get(tup)
             if key is None:
                 key = cls(tup[0], sport, tup[2], dport, tup[4])
+                if len(_KEY_INTERN) >= _INTERN_LIMIT:
+                    _KEY_INTERN.clear()
                 _KEY_INTERN[tup] = key
-                if len(_KEY_INTERN) > _INTERN_LIMIT:
-                    del _KEY_INTERN[next(iter(_KEY_INTERN))]
         object.__setattr__(packet, "_flow_cache", (transport, key))
         return key
 
@@ -107,9 +107,11 @@ class FiveTuple:
                 norm = self
             else:
                 norm = self.reversed
-            interned = _NORMALIZED_INTERN.setdefault(norm, norm)
-            if interned is norm and len(_NORMALIZED_INTERN) > _INTERN_LIMIT:
-                del _NORMALIZED_INTERN[next(iter(_NORMALIZED_INTERN))]
+            interned = _NORMALIZED_INTERN.get(norm)
+            if interned is None:
+                if len(_NORMALIZED_INTERN) >= _INTERN_LIMIT:
+                    _NORMALIZED_INTERN.clear()
+                _NORMALIZED_INTERN[norm] = interned = norm
             norm = interned
             # The normalized tuple is its own normalization.
             object.__setattr__(norm, "_norm", norm)
@@ -129,10 +131,12 @@ class FiveTuple:
         return f"{self.src}:{self.sport}->{self.dst}:{self.dport}/{self.protocol}"
 
 
-#: Interning tables (bounded, oldest evicted).  Best-effort only — equality
-#: semantics never depend on identity.  _KEY_INTERN maps raw field tuples to
-#: the shared unidirectional key; _NORMALIZED_INTERN maps normalized keys to
-#: their canonical instance so flow-table probes hit the dict identity path.
+#: Interning tables (bounded, cleared on overflow: O(1), where evicting the
+#: oldest key scans past every slot deleted since the dict last resized).
+#: Best-effort only — equality semantics never depend on identity.
+#: _KEY_INTERN maps raw field tuples to the shared unidirectional key;
+#: _NORMALIZED_INTERN maps normalized keys to their canonical instance so
+#: flow-table probes hit the dict identity path.
 _KEY_INTERN: dict[tuple, FiveTuple] = {}
 _NORMALIZED_INTERN: dict[FiveTuple, FiveTuple] = {}
 _INTERN_LIMIT = 16_384

@@ -8,7 +8,7 @@ TTL expires, which lib·erate's localization phase (traceroute-style probing,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import internet_checksum
@@ -20,7 +20,7 @@ ICMP_ECHO_REQUEST = 8
 ICMP_TIME_EXCEEDED = 11
 
 
-@dataclass
+@dataclass(init=False)
 class ICMPMessage:
     """An ICMP message.
 
@@ -38,9 +38,17 @@ class ICMPMessage:
     rest: bytes = b"\x00\x00\x00\x00"
     payload: bytes = b""
 
-    def __post_init__(self) -> None:
-        if len(self.rest) != 4:
+    def __init__(
+        self, icmp_type: int = ICMP_ECHO_REQUEST, code: int = 0,
+        rest: bytes = b"\x00\x00\x00\x00", payload: bytes = b"",
+    ) -> None:
+        # Validate, then store the instance dict in one write (construction
+        # skips the wire-cache __setattr__ hook).
+        if len(rest) != 4:
             raise ValueError("ICMP 'rest of header' must be exactly 4 bytes")
+        object.__setattr__(self, "__dict__", {
+            "icmp_type": icmp_type, "code": code, "rest": rest, "payload": payload,
+        })
 
     def to_bytes(self, src: str | None = None, dst: str | None = None) -> bytes:
         """Serialize with a correct checksum (src/dst accepted for API symmetry).

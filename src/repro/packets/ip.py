@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.obs import metrics as obs_metrics
 from repro.packets._wirecache import install_wire_cache
@@ -41,7 +41,7 @@ _PROTO_FOR_TYPE: dict[type, int] = {
 }
 
 
-@dataclass
+@dataclass(init=False)
 class IPPacket:
     """An IPv4 packet wrapping a transport-layer payload.
 
@@ -78,6 +78,21 @@ class IPPacket:
     protocol: int | None = None
     checksum: int | None = None
     options: bytes = b""
+
+    def __init__(
+        self, src: str, dst: str, transport: Transport = b"", ttl: int = 64, version: int = 4,
+        ihl: int | None = None, tos: int = 0, total_length: int | None = None,
+        identification: int = 0, df: bool = False, mf: bool = False, frag_offset: int = 0,
+        protocol: int | None = None, checksum: int | None = None, options: bytes = b"",
+    ) -> None:
+        # One store of the whole instance dict: a fresh packet has no cache
+        # to invalidate, so construction skips the wire-cache __setattr__.
+        object.__setattr__(self, "__dict__", {
+            "src": src, "dst": dst, "transport": transport, "ttl": ttl, "version": version,
+            "ihl": ihl, "tos": tos, "total_length": total_length,
+            "identification": identification, "df": df, "mf": mf, "frag_offset": frag_offset,
+            "protocol": protocol, "checksum": checksum, "options": options,
+        })
 
     # ------------------------------------------------------------------
     # derived header fields
@@ -349,7 +364,7 @@ class IPPacket:
         The transport object is also copied when it is a dataclass, so the
         copy can be mutated independently.  This is the per-hop hot path, so
         the copy is a direct instance-dict clone rather than
-        ``dataclasses.replace`` (``IPPacket`` has no ``__post_init__``, and
+        ``dataclasses.replace`` (``IPPacket.__init__`` validates nothing, and
         the source's fields already satisfy every invariant).  Cloning the
         dict also carries the transport's memoized wire bytes — valid on a
         field-identical copy — while the IP-level header/wire caches are
@@ -408,38 +423,3 @@ install_wire_cache(IPPacket, ("_hdr0_cache", "_wire_cache", "_flow_cache"))
 _FIELD_NAMES = frozenset(f.name for f in fields(IPPacket))
 #: Fields that participate in flow identity (see FiveTuple.of's packet memo).
 _FLOW_FIELDS = frozenset({"src", "dst", "transport", "protocol"})
-
-
-def fast_packet(src: str, dst: str, transport: Transport, ttl: int = 64) -> IPPacket:
-    """Build a pristine IPv4 packet without ``__init__``/validation overhead.
-
-    For hot paths that wrap already-validated transports (endpoint stacks
-    emitting ACKs and data): one dict display instead of the dataclass
-    constructor's per-field ``__setattr__`` walk.  Every header field takes
-    its auto-computed default; callers needing overrides use the
-    constructor or copy().
-    """
-    packet = object.__new__(IPPacket)
-    object.__setattr__(packet, "__dict__", {
-        "src": src,
-        "dst": dst,
-        "transport": transport,
-        "ttl": ttl,
-        "version": 4,
-        "ihl": None,
-        "tos": 0,
-        "total_length": None,
-        "identification": 0,
-        "df": False,
-        "mf": False,
-        "frag_offset": 0,
-        "protocol": None,
-        "checksum": None,
-        "options": b"",
-    })
-    return packet
-
-
-# fast_packet's dict display must cover exactly the dataclass fields;
-# this trips at import time if a field is ever added or renamed.
-assert set(fast_packet("0.0.0.0", "0.0.0.0", b"").__dict__) == _FIELD_NAMES

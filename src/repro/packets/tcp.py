@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import internet_checksum, pseudo_header
@@ -54,7 +54,7 @@ class TCPFlags(enum.IntFlag):
         return True
 
 
-@dataclass
+@dataclass(init=False)
 class TCPSegment:
     """A TCP segment.
 
@@ -86,15 +86,26 @@ class TCPSegment:
     data_offset: int | None = None
     checksum: int | None = None
 
-    def __post_init__(self) -> None:
-        if type(self.flags) is not TCPFlags:
-            self.flags = TCPFlags(self.flags)
-        for name in ("sport", "dport"):
-            value = getattr(self, name)
-            if not 0 <= value <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {value}")
-        self.seq &= 0xFFFFFFFF
-        self.ack &= 0xFFFFFFFF
+    def __init__(
+        self, sport: int = 0, dport: int = 0, seq: int = 0, ack: int = 0,
+        flags: TCPFlags = TCPFlags.ACK, window: int = 65535, urgent: int = 0,
+        options: bytes = b"", payload: bytes = b"", data_offset: int | None = None,
+        checksum: int | None = None,
+    ) -> None:
+        # Validate as locals, then store the instance dict in one write: a
+        # fresh segment has no cache to invalidate, so construction skips
+        # the wire-cache __setattr__ hook.
+        if type(flags) is not TCPFlags:
+            flags = TCPFlags(flags)
+        if not 0 <= sport <= 0xFFFF:
+            raise ValueError(f"sport out of range: {sport}")
+        if not 0 <= dport <= 0xFFFF:
+            raise ValueError(f"dport out of range: {dport}")
+        object.__setattr__(self, "__dict__", {
+            "sport": sport, "dport": dport, "seq": seq & 0xFFFFFFFF, "ack": ack & 0xFFFFFFFF,
+            "flags": flags, "window": window, "urgent": urgent, "options": options,
+            "payload": payload, "data_offset": data_offset, "checksum": checksum,
+        })
 
     @property
     def padded_options(self) -> bytes:
@@ -234,7 +245,7 @@ class TCPSegment:
 
         Equivalent to ``dataclasses.replace`` but built as a direct
         instance-dict clone (this is the per-packet construction hot path):
-        unchanged fields already satisfy every ``__post_init__`` invariant,
+        unchanged fields already satisfy every ``__init__`` invariant,
         so only the changed ones are re-validated.
         """
         if changes and not _FIELD_NAMES.issuperset(changes):
@@ -269,40 +280,3 @@ class TCPSegment:
 install_wire_cache(TCPSegment, ("_wire0_cache", "_wire_cache", "_csum_cache"))
 
 _FIELD_NAMES = frozenset(f.name for f in fields(TCPSegment))
-
-
-def fast_segment(
-    sport: int,
-    dport: int,
-    seq: int,
-    ack: int,
-    flags: TCPFlags = TCPFlags.ACK,
-    payload: bytes = b"",
-) -> TCPSegment:
-    """Build a plain segment without ``__init__``/validation overhead.
-
-    For hot paths that construct segments from already-validated values
-    (established connections): one dict display instead of the dataclass
-    constructor's per-field ``__setattr__`` walk.  Every other field takes
-    its default; callers needing overrides use the constructor or copy().
-    """
-    segment = object.__new__(TCPSegment)
-    object.__setattr__(segment, "__dict__", {
-        "sport": sport,
-        "dport": dport,
-        "seq": seq,
-        "ack": ack,
-        "flags": flags,
-        "window": 65535,
-        "urgent": 0,
-        "options": b"",
-        "payload": payload,
-        "data_offset": None,
-        "checksum": None,
-    })
-    return segment
-
-
-# fast_segment's dict display must cover exactly the dataclass fields;
-# this trips at import time if a field is ever added or renamed.
-assert set(fast_segment(0, 0, 0, 0).__dict__) == _FIELD_NAMES

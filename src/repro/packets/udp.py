@@ -19,7 +19,7 @@ UDP_HEADER_LEN = 8
 _EXPLICIT = object()  # _wire_cache key for serializations with an overridden checksum
 
 
-@dataclass
+@dataclass(init=False)
 class UDPDatagram:
     """A UDP datagram.
 
@@ -39,11 +39,20 @@ class UDPDatagram:
     length: int | None = None
     checksum: int | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("sport", "dport"):
-            value = getattr(self, name)
-            if not 0 <= value <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {value}")
+    def __init__(
+        self, sport: int = 0, dport: int = 0, payload: bytes = b"",
+        length: int | None = None, checksum: int | None = None,
+    ) -> None:
+        # Validate as locals, then store the instance dict in one write
+        # (construction skips the wire-cache __setattr__ hook).
+        if not 0 <= sport <= 0xFFFF:
+            raise ValueError(f"sport out of range: {sport}")
+        if not 0 <= dport <= 0xFFFF:
+            raise ValueError(f"dport out of range: {dport}")
+        object.__setattr__(self, "__dict__", {
+            "sport": sport, "dport": dport, "payload": payload, "length": length,
+            "checksum": checksum,
+        })
 
     @property
     def effective_length(self) -> int:

@@ -1,18 +1,54 @@
 """Equivalence tests for the packet fast path.
 
-The vectorized checksum, the memoized wire caches, and the fragment
-reassembly shortcut must be observably identical to the original scalar /
-recompute-everything implementations.
+The vectorized checksum, the memoized wire caches, the one-store packet
+constructors, and the fragment reassembly shortcut must be observably
+identical to the original scalar / recompute-everything implementations.
 """
 
+import inspect
+from dataclasses import MISSING, fields
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.packets.checksum import internet_checksum, verify_checksum
 from repro.packets.fragment import fragment_packet, reassemble_fragments
+from repro.packets.icmp import ICMPMessage
 from repro.packets.ip import IPPacket
-from repro.packets.tcp import TCPSegment
+from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.packets.udp import UDPDatagram
+
+#: One fully specified instance per wire-cached class, plus a field to
+#: assign after construction and the new value.
+BUILDERS = {
+    IPPacket: (
+        lambda: IPPacket(
+            src="10.0.0.1",
+            dst="10.0.0.2",
+            transport=TCPSegment(sport=5, dport=80, payload=b"GET /"),
+            ttl=33,
+            identification=7,
+            df=True,
+        ),
+        "ttl",
+        32,
+    ),
+    TCPSegment: (
+        lambda: TCPSegment(
+            sport=1234, dport=80, seq=7, ack=9, flags=0x18, window=512, payload=b"hi"
+        ),
+        "window",
+        1024,
+    ),
+    UDPDatagram: (lambda: UDPDatagram(sport=53, dport=5353, payload=b"query"), "dport", 53),
+    ICMPMessage: (
+        lambda: ICMPMessage(icmp_type=11, code=0, rest=b"\x00\x01\x02\x03", payload=b"hdr"),
+        "code",
+        1,
+    ),
+}
+WIRE_CACHED = list(BUILDERS)
 
 payloads = st.binary(min_size=0, max_size=1024)
 
@@ -149,12 +185,83 @@ class TestWireCacheInvalidation:
         else:  # pragma: no cover - failure path
             raise AssertionError("expected TypeError for unknown field")
 
+    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
+    def test_constructed_then_mutated_drops_memo(self, cls):
+        build, name, value = BUILDERS[cls]
+        obj = build()
+        first = obj.to_bytes()
+        assert obj.to_bytes() is first  # memo warm
+        setattr(obj, name, value)
+        second = obj.to_bytes()
+        assert second != first
+        reference = build()
+        object.__setattr__(reference, name, value)  # no memo to drop yet
+        assert second == reference.to_bytes()
+
     def test_verify_checksum_equivalence(self):
         seg = TCPSegment(sport=1, dport=2, seq=3, payload=b"payload")
         wire = seg.to_bytes("10.0.0.1", "10.0.0.2")
         parsed = TCPSegment.from_bytes(wire)
         assert parsed.verify_checksum("10.0.0.1", "10.0.0.2")
         assert not parsed.verify_checksum("10.0.0.1", "10.0.0.9")
+
+
+class TestOneStoreConstruction:
+    """Constructors store the instance dict in one write, bypassing the hook."""
+
+    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
+    def test_construction_never_goes_through_the_hook(self, cls, monkeypatch):
+        hook = cls.__setattr__
+        calls = []
+
+        def counting(self, name, value):
+            calls.append(name)
+            hook(self, name, value)
+
+        monkeypatch.setattr(cls, "__setattr__", counting)
+        build, name, value = BUILDERS[cls]
+        obj = build()
+        assert calls == []
+        setattr(obj, name, value)  # assignments after construction still go through it
+        assert calls == [name]
+
+    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
+    def test_signature_matches_fields(self, cls):
+        params = [
+            (p.name, p.default) for p in inspect.signature(cls).parameters.values()
+        ]
+        declared = [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(cls)
+        ]
+        assert params == declared
+
+    @pytest.mark.parametrize("cls", [TCPSegment, UDPDatagram], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("port", ["sport", "dport"])
+    @pytest.mark.parametrize("value", [-1, 0x10000])
+    def test_out_of_range_ports_raise(self, cls, port, value):
+        with pytest.raises(ValueError, match=f"{port} out of range"):
+            cls(**{port: value})
+
+    def test_int_flags_are_coerced(self):
+        seg = TCPSegment(flags=0x12)
+        assert type(seg.flags) is TCPFlags
+        assert seg.flags == TCPFlags.SYN | TCPFlags.ACK
+
+    def test_sequence_numbers_are_masked(self):
+        seg = TCPSegment(seq=2**32 + 5, ack=2**33 + 7)
+        assert (seg.seq, seg.ack) == (5, 7)
+
+    def test_short_icmp_rest_raises(self):
+        with pytest.raises(ValueError, match="exactly 4 bytes"):
+            ICMPMessage(rest=b"\x00\x00")
+
+    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
+    def test_instance_dict_holds_exactly_the_fields(self, cls):
+        build, name, value = BUILDERS[cls]
+        obj = build()
+        assert list(obj.__dict__) == [f.name for f in fields(cls)]
+        assert obj == build()
 
 
 class TestFragmentShortcut:
