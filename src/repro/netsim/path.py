@@ -2,11 +2,13 @@
 
 Packet propagation is event-driven: every unit of work — "this packet is at
 element *i*" — is an explicit agenda item that the frame loop consumes in
-depth-first order, byte-identical to the historical nested-call driver (the
-golden traces pin this).  An element may inject packets back
-toward the sender (ICMP Time Exceeded, censor RSTs) or forward toward the
-destination; injected packets traverse the remaining elements exactly as
-real ones would.
+depth-first order: an element's extra outputs and an endpoint's responses
+complete before anything stacked earlier (the golden traces pin this
+order).  An element may inject packets back toward the sender (ICMP Time
+Exceeded, censor RSTs) or forward toward the destination; injected packets
+traverse the remaining elements exactly as real ones would.  The walk is
+the same whether or not a tracer or metrics registry is live; observers
+only record what it does.
 
 The synchronous API (:meth:`Path.send_from_client`) runs a frame to
 completion on the spot.  :meth:`Path.schedule_from_client` instead defers a
@@ -34,8 +36,9 @@ from repro.packets.ip import IPPacket
 #: Process-wide count of packet propagations across every simulated path.
 #: Monotonically increasing, never reset — benchmarks take deltas around the
 #: measured section to report packets/second.  Counts frames (a packet
-#: entering the chain), not per-element steps: agenda continuation items do
-#: not re-count, so the meaning is identical to the nested-call driver's.
+#: entering the chain or an endpoint response), not per-element steps: an
+#: agenda continuation item (the same packet resuming mid-chain after its
+#: element's extra outputs) does not re-count.
 _packets_propagated_total = 0
 
 
@@ -113,11 +116,9 @@ class Path:
         per-(src, dst) pseudo-header work and warming every wire memo) so
         downstream taps, DPI byte scans and replay observation serialize by
         cache hit.  Delivery is otherwise identical to calling
-        :meth:`send_from_client` once per packet.  Skipped when metrics are
-        live: the per-packet path owns the wirecache hit/miss counts.
+        :meth:`send_from_client` once per packet.
         """
-        if obs_metrics.METRICS is None:
-            serialize_batch(packets, lenient=True)
+        serialize_batch(packets, lenient=True)
         for packet in packets:
             self.send_from_client(packet)
 
@@ -178,22 +179,22 @@ class Path:
             element.reset()
 
     # ------------------------------------------------------------------
-    # propagation machinery (the event core's frame executor)
+    # propagation machinery
     # ------------------------------------------------------------------
     def _propagate(self, packet: IPPacket, direction: Direction, index: int, depth: int) -> None:
         """Run one frame to completion via an explicit event agenda.
 
         Agenda items are ``(packet, direction, index, depth, counted)``
-        tuples consumed LIFO, which reproduces the nested-call driver's
-        depth-first order exactly: an element's extra outputs complete
-        before its last output continues, and endpoint responses run before
-        anything that was stacked earlier.  ``counted`` is False for
-        continuation items (the same packet resuming mid-chain) so the
-        process-wide propagation counter keeps its historical meaning.
+        tuples consumed LIFO, which gives the depth-first order contract:
+        an element's extra outputs complete before its last output
+        continues, and endpoint responses run before anything that was
+        stacked earlier.  ``counted`` is False for continuation items (the
+        same packet resuming mid-chain) so the process-wide propagation
+        counter counts each frame once.
 
-        Injections via the transit context (:class:`_FrameContext`) remain
-        synchronous re-entrant calls — they must finish before the
-        injecting element's ``process`` returns, exactly as before.
+        Injections via the transit context (:class:`_FrameContext`) are
+        synchronous re-entrant calls — they finish before the injecting
+        element's ``process`` returns.
         """
         agenda: list[tuple[IPPacket, Direction, int, int, bool]] = [
             (packet, direction, index, depth, True)
@@ -228,54 +229,47 @@ class Path:
         ctx = _FrameContext(self, direction, depth, step)
         current = packet
         i = index
-        if tracer is None and metrics is None:
-            # Obs-free hot loop: no per-hop emit/counter checks, and runs of
-            # consecutive routers collapse into one TTL subtraction.  Only
-            # sound with nothing per-hop observable (no traverse events, no
-            # hop counters); the traced loop below stays hop-by-hop so
-            # golden traces are byte-identical.
-            while 0 <= i < count:
-                element = elements[i]
-                if type(element) is RouterHop and (
-                    current.version == 4
-                    and current.ihl is None
-                    and current.total_length is None
-                    and current.checksum is None
-                ):
-                    # Walk the maximal run of consecutive routers.  A run of
-                    # k routers applied to a pristine packet with TTL > k is
-                    # exactly k TTL decrements: headers stay valid at every
-                    # hop (auto-computed fields are self-consistent) and the
-                    # TTL cannot expire mid-run, so no drops, no ICMP, and
-                    # the single clone below is byte-identical to hop-by-hop.
-                    j = i + step
-                    run = 1
-                    while 0 <= j < count and type(elements[j]) is RouterHop:
-                        run += 1
-                        j += step
-                    if current.ttl > run:
-                        current = current.decremented(run)
-                        i = j
-                        continue
-                ctx.index = i
-                outputs = element.process(current, direction, ctx)
-                if not outputs:
-                    return
-                if len(outputs) > 1:
-                    # An element may emit several packets (e.g. reassembly
-                    # flushes); extras propagate to completion before the
-                    # last output continues, so the continuation is stacked
-                    # first (LIFO) and the extras above it in order.
-                    agenda.append((outputs[-1], direction, i + step, depth, False))
-                    for extra in reversed(outputs[:-1]):
-                        agenda.append((extra, direction, i + step, depth + 1, True))
-                    return
-                current = outputs[-1]
-                i += step
-            self._deliver_to_endpoint(agenda, current, direction, depth)
-            return
         while 0 <= i < count:
             element = elements[i]
+            if type(element) is RouterHop and (
+                current.version == 4
+                and current.ihl is None
+                and current.total_length is None
+                and current.checksum is None
+            ):
+                # Walk the maximal run of consecutive routers.  A run of k
+                # routers applied to a pristine packet with TTL > k is
+                # exactly k TTL decrements: headers stay valid at every hop
+                # (auto-computed fields are self-consistent) and the TTL
+                # cannot expire mid-run, so no drops, no ICMP, and the single
+                # clone below is byte-identical to hop-by-hop.  Otherwise the
+                # run's first router processes the packet like any element.
+                j = i + step
+                run = 1
+                while 0 <= j < count and type(elements[j]) is RouterHop:
+                    run += 1
+                    j += step
+                if current.ttl > run:
+                    if tracer is not None:
+                        # The run's per-hop events: each router saw the
+                        # packet one TTL lower than the one before it.
+                        fields = obs_trace.packet_fields(current)
+                        now = self.clock.now
+                        for hop in range(run):
+                            fields["ttl"] = current.ttl - hop
+                            tracer.emit(
+                                "hop.traverse",
+                                now,
+                                element=elements[i + hop * step].name,
+                                dir=direction.value,
+                                out=1,
+                                **fields,
+                            )
+                    if metrics is not None:
+                        metrics.inc("netsim.hop.forwarded", run)
+                    current = current.decremented(run)
+                    i = j
+                    continue
             ctx.index = i
             outputs = element.process(current, direction, ctx)
             if tracer is not None:
@@ -295,6 +289,10 @@ class Path:
             if metrics is not None:
                 metrics.inc("netsim.hop.forwarded")
             if len(outputs) > 1:
+                # An element may emit several packets (e.g. reassembly
+                # flushes); extras propagate to completion before the last
+                # output continues, so the continuation is stacked first
+                # (LIFO) and the extras above it in order.
                 agenda.append((outputs[-1], direction, i + step, depth, False))
                 for extra in reversed(outputs[:-1]):
                     agenda.append((extra, direction, i + step, depth + 1, True))
@@ -322,9 +320,8 @@ class Path:
     ) -> None:
         """Hand the frame's packet to its endpoint; stack the responses.
 
-        Responses are pushed in reverse so they pop in order, running
-        before any earlier-stacked work — the nested-call driver's
-        "responses recurse inside delivery" order.
+        Responses are pushed in reverse so they pop in order, each running
+        to completion before any earlier-stacked work.
         """
         if direction is Direction.CLIENT_TO_SERVER:
             responses = self.server_endpoint.receive(packet)

@@ -65,14 +65,12 @@ def serialize_batch(
 
     Every produced byte string equals the packet's own ``to_bytes()``
     result, and both the transport's and the packet's wire memos are warmed,
-    so interleaved per-packet serialization stays consistent.
+    so interleaved per-packet serialization stays consistent.  Each wire the
+    fast path computes counts as one ``wirecache.misses``; packets that go
+    through ``to_bytes()`` count there.
     """
-    if obs_metrics.METRICS is not None:
-        # The per-packet path counts wirecache hits/misses; bypassing it
-        # would skew those metrics, so batch mode defers when they're live.
-        return _fallback_batch(packets, lenient)
-
     out: list[bytes | None] = []
+    encoded = 0
     # Shared per-(src, dst) state: address bytes and pseudo-header prefix.
     pair_key: tuple[str, str] | None = None
     addr_bytes = b""
@@ -130,6 +128,10 @@ def serialize_batch(
         wire = header0[:10] + _PACK_H(internet_checksum(header0)) + header0[12:] + seg
         object.__setattr__(packet, "_wire_cache", (seg, wire))
         out.append(wire)
+        encoded += 1
+    metrics = obs_metrics.METRICS
+    if metrics is not None and encoded:
+        metrics.inc("wirecache.misses", encoded)
     return out
 
 
@@ -140,10 +142,6 @@ def _serialize_one(packet: IPPacket, lenient: bool) -> bytes | None:
         if not lenient:
             raise
         return None
-
-
-def _fallback_batch(packets: list[IPPacket], lenient: bool) -> list[bytes | None]:
-    return [_serialize_one(p, lenient) for p in packets]
 
 
 def concat_wire_bytes(packets: list[IPPacket]) -> bytes:

@@ -14,8 +14,10 @@ reference implementations over randomized inputs:
   to per-packet ``to_bytes()`` for every packet shape (plain fast-path
   packets, crafted overrides that fall back, unserializable ones under
   ``lenient``), in any interleaving with per-packet serialization, since
-  both write the same wire memos.
+  both write the same wire memos — with metrics live or not.
 """
+
+from contextlib import nullcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from repro.middlebox.automaton import (
 )
 from repro.middlebox.rules import MatchRule
 from repro.middlebox.ruleindex import CompiledRuleSet
+from repro.obs import metrics as obs_metrics
 from repro.packets.batch import concat_wire_bytes, serialize_batch
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
@@ -229,9 +232,26 @@ def reference_wires(packets):
 
 class TestSerializeBatchDifferential:
     @settings(max_examples=150)
-    @given(packets=st.lists(packet_st, max_size=10))
-    def test_batch_equals_per_packet_to_bytes(self, packets):
-        assert serialize_batch(packets, lenient=True) == reference_wires(packets)
+    @given(packets=st.lists(packet_st, max_size=10), live_metrics=st.booleans())
+    def test_batch_equals_per_packet_to_bytes(self, packets, live_metrics):
+        expected = reference_wires(packets)
+        with obs_metrics.collecting() if live_metrics else nullcontext():
+            assert serialize_batch(packets, lenient=True) == expected
+
+    @settings(max_examples=50)
+    @given(transports=st.lists(st.one_of(plain_tcp_st, plain_udp_st), min_size=1, max_size=8))
+    def test_live_metrics_count_batch_encodes_as_misses(self, transports):
+        """k cold plain packets: k misses from the batch, then k to_bytes() hits."""
+        packets = [IPPacket(src="10.0.0.1", dst="10.0.0.2", transport=t) for t in transports]
+        k = len(packets)
+        with obs_metrics.collecting() as metrics:
+            serialize_batch(packets)
+            assert metrics.counter("wirecache.misses") == k
+            assert metrics.counter("wirecache.hits") == 0
+            for packet in packets:
+                packet.to_bytes()
+            assert metrics.counter("wirecache.hits") == k
+            assert metrics.counter("wirecache.misses") == k
 
     @settings(max_examples=100)
     @given(packets=st.lists(packet_st, max_size=8), interleave=st.lists(st.booleans(), max_size=8))

@@ -9,7 +9,8 @@ laws* of the simulator, not best-effort breadcrumbs:
   (``lost + burst_lost + flap_dropped``);
 * ``mbx.rule_match`` events agree with the middlebox's own match log and
   verdict bookkeeping;
-* metrics counters equal the independent trace-event tallies.
+* metrics counters (hop forwards and absorbs included) equal the
+  independent trace-event tallies.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ obs_settings = settings(
 )
 
 
-def _packet(ident: int, payload: bytes = b"x") -> IPPacket:
+def _packet(ident: int, payload: bytes = b"x", ttl: int = 64) -> IPPacket:
     segment = TCPSegment(
         sport=40_001,
         dport=80,
@@ -60,7 +61,7 @@ def _packet(ident: int, payload: bytes = b"x") -> IPPacket:
         flags=TCPFlags.ACK | TCPFlags.PSH,
         payload=payload,
     )
-    return IPPacket(src=CLIENT, dst=SERVER, transport=segment, identification=ident)
+    return IPPacket(src=CLIENT, dst=SERVER, transport=segment, identification=ident, ttl=ttl)
 
 
 class TestPacketConservation:
@@ -74,24 +75,45 @@ class TestPacketConservation:
             max_size=20,
             unique=True,
         ),
+        ttl=st.one_of(st.integers(min_value=0, max_value=7), st.just(64)),
     )
-    def test_each_packet_traverses_each_hop_exactly_once(self, n_hops, idents):
+    def test_each_packet_traverses_each_hop_exactly_once(self, n_hops, idents, ttl):
         clock = VirtualClock()
         hops = [RouterHop(f"r{i}") for i in range(n_hops)]
         path = Path(clock, list(hops))
-        with obs_trace.tracing() as tracer:
+        with obs_metrics.collecting() as metrics, obs_trace.tracing() as tracer:
             for ident in idents:
-                path.send_from_client(_packet(ident))
+                path.send_from_client(_packet(ident, ttl=ttl))
         traverses = tracer.events("hop.traverse")
-        # exactly one traverse per (packet, hop) pair, in hop order
+        # A router absorbs a packet arriving with TTL <= 1, so a packet sent
+        # with TTL <= n_hops stops at hop max(ttl, 1) and is answered with
+        # ICMP Time Exceeded; anything higher crosses every hop.
+        delivered = ttl > n_hops
+        reached = n_hops if delivered else max(ttl, 1)
         for ident in idents:
-            mine = [e for e in traverses if e.fields["ident"] == ident]
-            assert [e.fields["element"] for e in mine] == [h.name for h in hops]
-        assert len(traverses) == len(idents) * n_hops
-        # a clean router chain delivers everything it was given
-        delivered = tracer.events("endpoint.deliver")
-        assert sorted(e.fields["ident"] for e in delivered) == sorted(idents)
-        assert not tracer.events("hop.drop")
+            mine = [
+                e for e in traverses
+                if e.fields["src"] == CLIENT and e.fields["ident"] == ident
+            ]
+            # one traverse per hop reached, in hop order, TTL one lower each
+            assert [e.fields["element"] for e in mine] == [h.name for h in hops[:reached]]
+            assert [e.fields["ttl"] for e in mine] == [ttl - h for h in range(reached)]
+            outs = [e.fields["out"] for e in mine]
+            assert outs == [1] * (reached - 1) + [1 if delivered else 0]
+        assert sum(e.fields["src"] == CLIENT for e in traverses) == len(idents) * reached
+        to_server = [
+            e.fields["ident"] for e in tracer.events("endpoint.deliver")
+            if e.fields["endpoint"] == "server"
+        ]
+        assert sorted(to_server) == (sorted(idents) if delivered else [])
+        assert len(tracer.events("hop.drop")) == (0 if delivered else len(idents))
+        # the hop counters equal the traverse tallies, ICMP replies included
+        assert metrics.counter("netsim.hop.forwarded") == sum(
+            e.fields["out"] >= 1 for e in traverses
+        )
+        assert metrics.counter("netsim.hop.absorbed") == sum(
+            e.fields["out"] == 0 for e in traverses
+        )
 
 
 class TestFaultLedger:
