@@ -40,9 +40,8 @@ def main() -> None:
     print()
     print("=== the operator hardens the classifier ===")
     dpi = env.dpi()
-    dpi.track_flows = False  # switch to Iran-style per-packet matching
-    dpi.match_and_forget = False
-    dpi.require_protocol_anchor = False
+    # Switch to Iran-style stateless per-packet matching.
+    dpi.reconfigure(track_flows=False, match_and_forget=False, require_protocol_anchor=False)
     print("classifier switched to stateless per-packet matching")
 
     old_technique = proxy.technique.name

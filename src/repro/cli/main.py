@@ -64,6 +64,16 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_pool_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--pool",
+        choices=("serial", "thread", "process"),
+        default=None,
+        help=f"worker-pool backend for {what} "
+        "(default: REPRO_RUNTIME_BACKEND, serial when unset)",
+    )
+
+
 def _make_trace(args: argparse.Namespace):
     if getattr(args, "trace", None):
         from repro.traffic.trace import Trace
@@ -1066,25 +1076,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated environment subset (e.g. 'testbed' for one cell)",
     )
-    t3.add_argument(
-        "--pool",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="worker-pool backend for the environment columns "
-        "(default: REPRO_RUNTIME_BACKEND, serial when unset)",
-    )
+    _add_pool_arg(t3, "the environment columns")
     _add_fault_args(t3)
     _add_obs_args(t3)
     t3.set_defaults(func=cmd_table3)
     f4 = sub.add_parser("figure4", help="regenerate Figure 4")
     f4.add_argument("--trials", type=int, default=6)
-    f4.add_argument(
-        "--pool",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="worker-pool backend for the (hour, trial) sweep "
-        "(default: REPRO_RUNTIME_BACKEND, serial when unset)",
-    )
+    _add_pool_arg(f4, "the (hour, trial) sweep")
     _add_fault_args(f4)
     _add_obs_args(f4)
     f4.set_defaults(func=cmd_figure4)

@@ -16,6 +16,12 @@ reverse-engineered, through configuration:
   technique slips through;
 * **state retention** — pre-match and post-match flush timeouts, RST-driven
   flushing, and the GFC's residual server:port blocking.
+
+Those knobs are a fixed vector of ambiguity resolutions per classifier, so
+the engine compiles them once into a per-packet plan (bound checks, flags
+and per-flow cached rule views) instead of re-testing them on every packet.
+:meth:`DPIMiddlebox.reconfigure` is the only way to change a knob; it
+recompiles the plan.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import enum
 import heapq
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Callable
 
 from repro.middlebox.flowtable import FlowTable, Handle
@@ -44,6 +51,7 @@ from repro.packets.flow import Direction, FiveTuple
 from repro.packets.fragment import reassemble_fragments
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
+from repro.packets.udp import UDPDatagram
 
 #: Protocol prefixes an anchoring classifier accepts at stream offset zero.
 PROTOCOL_ANCHORS: tuple[bytes, ...] = (b"GET", b"POST", b"HEAD", b"PUT", b"HTTP/", b"\x16\x03")
@@ -53,6 +61,20 @@ PROTOCOL_ANCHORS: tuple[bytes, ...] = (b"GET", b"POST", b"HEAD", b"PUT", b"HTTP/
 ANCHOR_MIN_BYTES = 5
 
 TimeoutSpec = float | None | Callable[[float], float | None]
+
+#: The engine's knobs: constructor arguments compiled into the per-packet
+#: plan, readable as attributes and changed only through ``reconfigure``.
+_KNOBS = (
+    "rules", "validation", "reassembly", "reassemble_ip_fragments", "inspect_packet_limit",
+    "inspect_byte_limit", "match_and_forget", "require_protocol_anchor", "track_flows",
+    "ports", "classify_udp", "udp_inspect_packet_limit", "pre_match_timeout",
+    "post_match_timeout", "rst_flush_pre_match", "rst_flush_post_match",
+    "rst_timeout_reduction", "endpoint_block_threshold", "endpoint_block_duration",
+    "protocol_agnostic_flow_keying", "max_flows", "flow_byte_budget", "overload",
+)
+
+#: Knobs that shape the flow table itself; fixed at construction.
+_FIXED_KNOBS = frozenset({"flow_byte_budget", "overload"})
 
 
 def _flow_fields(key: FiveTuple) -> str:
@@ -93,6 +115,15 @@ class ReassemblyMode(enum.Enum):
 
 class DPIMiddlebox(NetworkElement):
     """A configurable deep-packet-inspection middlebox.
+
+    Every argument but *name* and *policy_state* is a knob.  The engine
+    resolves the knobs once into a per-packet plan: the flow-key function,
+    the validation checks the profile actually runs, the reassembly and
+    anchor branches, the port scope, and whether anything can expire.
+    Per-flow constants (the normalized key and each direction's compiled
+    rule view) live on the :class:`FlowState`.  Knobs read as attributes;
+    assigning one raises, and :meth:`reconfigure` changes knobs and
+    recompiles the plan.
 
     Args:
         name: element label.
@@ -178,47 +209,14 @@ class DPIMiddlebox(NetworkElement):
         endpoint_block_capacity: int | None = 65536,
     ) -> None:
         self.name = name
-        self.rules = list(rules)
         self.policy_state = policy_state
-        self.validation = validation if validation is not None else MiddleboxValidation.lax()
-        self.reassembly = reassembly
-        self.reassemble_ip_fragments = reassemble_ip_fragments
-        self.inspect_packet_limit = inspect_packet_limit
-        self.inspect_byte_limit = inspect_byte_limit
-        self.match_and_forget = match_and_forget
-        self.require_protocol_anchor = require_protocol_anchor
-        self.track_flows = track_flows
-        self.ports = frozenset(ports) if ports is not None else None
-        self.classify_udp = classify_udp
-        self.udp_inspect_packet_limit = (
-            udp_inspect_packet_limit if udp_inspect_packet_limit is not None else inspect_packet_limit
-        )
-        self.pre_match_timeout = pre_match_timeout
-        self.post_match_timeout = post_match_timeout
-        self.rst_flush_pre_match = rst_flush_pre_match
-        self.rst_flush_post_match = rst_flush_post_match
-        self.rst_timeout_reduction = rst_timeout_reduction
-        self.endpoint_block_threshold = endpoint_block_threshold
-        self.endpoint_block_duration = endpoint_block_duration
-        self.protocol_agnostic_flow_keying = protocol_agnostic_flow_keying
-        self.max_flows = max_flows
-        self.flow_byte_budget = flow_byte_budget
-        self.overload = overload
+        knobs = locals()
+        self._set_knobs({knob: knobs[knob] for knob in _KNOBS})
         self.evictions = 0
         self.sheds = 0
 
-        self._compiled = CompiledRuleSet.shared(self.rules)
-        self._compiled_source: list[MatchRule] = self.rules
+        self._compiled: CompiledRuleSet | None = None
         self._now = 0.0  # last packet's clock time, for event timestamps
-        #: Sticky flag: True once any flow received an RST-shortened
-        #: timeout, so the per-packet expiry sweep can skip scanning when no
-        #: timeout source exists at all.
-        self._any_timeout_override = False
-        #: Callable timeouts (GFC time-of-day flushing) can shrink between
-        #: packets, so fixed-deadline timers would fire late; those
-        #: configurations keep the per-packet scan.  Constant timeouts (and
-        #: RST overrides, which are always constants) use the timer heap.
-        self._scan_timeouts = callable(pre_match_timeout) or callable(post_match_timeout)
         #: Expiry timers as a min-heap of ``(deadline, timer_id, handle)``.
         #: An entry whose id no longer equals its flow's ``timer_id`` (the
         #: timer was replaced, or the flow is gone) is stale and skipped.
@@ -257,8 +255,74 @@ class DPIMiddlebox(NetworkElement):
         #: instead of draining the log between flush points.
         self.matches_logged = 0
         #: The coverage recorder this engine last declared its universe to
-        #: (identity-compared so re-registration costs one check per view).
+        #: (identity-compared so re-registration costs one check per scan).
         self._coverage_registered: obs_coverage.CoverageRecorder | None = None
+        self._compile()
+
+    # ==================================================================
+    # knobs and the compiled plan
+    # ==================================================================
+    def reconfigure(self, **changes: object) -> None:
+        """Change knobs on a live engine and recompile its plan.
+
+        Flow state survives: flows keep their verdicts and buffers, new
+        rules apply from each flow's next scan, and changed timeouts re-arm
+        every flow's expiry timer.  Raises :class:`TypeError` for a name
+        that is not a knob, or for a knob that sizes the flow table
+        (``flow_byte_budget``, ``overload``).
+        """
+        refused = sorted(set(changes).difference(_KNOBS) | _FIXED_KNOBS.intersection(changes))
+        if refused:
+            raise TypeError(f"reconfigure() cannot set {', '.join(refused)}: not a knob, "
+                            "or fixed at construction")
+        max_flows = changes.get("max_flows")
+        if max_flows is not None and max_flows < 1:
+            raise ValueError("max_flows must be >= 1")
+        self._set_knobs(changes)
+        self._compile()
+        if "pre_match_timeout" in changes or "post_match_timeout" in changes:
+            self._timers.clear()
+            for normalized, state in self._flows.items():
+                state.timer_id = state.timer_deadline = None
+                self._arm_timer(normalized, state, self._now)
+
+    def _set_knobs(self, changes: dict[str, object]) -> None:
+        for knob, value in changes.items():
+            if knob == "rules":
+                value = tuple(value)  # type: ignore[arg-type]
+            elif knob == "validation" and value is None:
+                value = MiddleboxValidation.lax()
+            elif knob == "ports" and value is not None:
+                value = frozenset(value)  # type: ignore[arg-type]
+            elif knob == "udp_inspect_packet_limit" and value is None:
+                value = changes.get("inspect_packet_limit", self._inspect_packet_limit)
+            setattr(self, "_" + knob, value)
+
+    def _compile(self) -> None:
+        """Resolve the knobs into the per-packet plan."""
+        compiled = CompiledRuleSet.shared(self._rules)
+        if compiled is not self._compiled:
+            self._compiled = compiled
+            self._coverage_registered = None  # new catalog: re-declare
+            for state in self._flows.values():
+                state.client_view = state.server_view = None
+        validation = self._validation
+        self._ip_check = validation.ip_check()
+        self._tcp_check = validation.tcp_check()
+        self._udp_check = validation.udp_check()
+        self._key_of = self._agnostic_key if self._protocol_agnostic_flow_keying else FiveTuple.of
+        self._per_packet = self._reassembly is ReassemblyMode.PER_PACKET
+        self._all_in_scope = self._ports is None and self._classify_udp
+        #: Callable timeouts (GFC time-of-day flushing) can shrink between
+        #: packets, so fixed-deadline timers would fire late; those
+        #: configurations keep the per-packet scan.  Constant timeouts (and
+        #: RST overrides, which are always constants) use the timer heap.
+        pre, post = self._pre_match_timeout, self._post_match_timeout
+        self._scan_timeouts = callable(pre) or callable(post)
+        #: Work due on every packet whatever the timer heap says.
+        blocking = self._endpoint_block_threshold is not None or len(self._endpoint_block_until)
+        self._sweep_each_packet = self._scan_timeouts or bool(blocking)
+        self._flows.capacity = self._max_flows
 
     # ==================================================================
     # NetworkElement interface
@@ -269,18 +333,20 @@ class DPIMiddlebox(NetworkElement):
         """Observe one packet: update classifier state, apply policies, forward."""
         now = ctx.clock.now
         self._now = now
-        self._expire(now)
+        timers = self._timers
+        if self._sweep_each_packet or (timers and timers[0][0] <= now):
+            self._expire(now)
 
         inspect_target = packet
-        if packet.is_fragment:
-            if not self.reassemble_ip_fragments:
+        if packet.mf or packet.frag_offset > 0:
+            if not self._reassemble_ip_fragments:
                 return [packet]  # cannot attribute a fragment to a flow
             whole = self._feed_fragment(packet)
             if whole is None:
                 return [packet]
             inspect_target = whole
 
-        key = self._flow_key(inspect_target)
+        key = self._key_of(inspect_target)
         if key is None:
             return [packet]  # non-TCP/UDP (wrong protocol field, ICMP, ...)
 
@@ -289,67 +355,57 @@ class DPIMiddlebox(NetworkElement):
         ):
             return []
 
-        if not self.track_flows:
-            self._stateless_inspect(inspect_target, ctx)
+        if not self._track_flows:
+            self._stateless_inspect(inspect_target, now, ctx)
             return [packet]
 
-        state = self._flow_for(inspect_target, key, now)
+        transport = inspect_target.transport
+        tcp = transport if isinstance(transport, TCPSegment) else None
+        normalized = key.normalized()
+        state = self._flows.get(normalized)  # touches the LRU chain
         if state is None:
-            return [packet]  # untracked mid-flow traffic is invisible to us
+            state = self._new_flow(key, normalized, tcp, now)
+            if state is None:
+                return [packet]  # untracked mid-flow traffic is invisible to us
         state.last_packet_time = now
 
-        tcp = inspect_target.tcp
         if tcp is not None and int(tcp.flags) & 0x04:  # RST
-            self._handle_rst(state, key)
+            self._handle_rst(state, normalized)
             return [packet]
 
-        if not self._in_scope(state):
+        if not self._all_in_scope and not self._in_scope(state):
             return [packet]
 
-        if state.blocked and state.matched_rule is not None:
-            if inspect_target.app_payload:
-                self._apply_block(state, state.matched_rule, inspect_target, ctx)
+        if state.verdict is not None:
+            if state.blocked and inspect_target.app_payload:  # verdict: the blocking rule
+                self._inject_block(state.matched_rule, state.client_tuple, inspect_target, ctx)
             return [packet]
 
-        if state.inspection_finished:
-            return [packet]
-
-        self._inspect(state, inspect_target, now, ctx)
-        if self.flow_byte_budget is not None:
+        self._inspect(state, inspect_target, key, tcp, now, ctx)
+        if self._flow_byte_budget is not None:
             # Scan buffers may have grown; re-appraise and shed if over.
-            self._flows.recost(key.normalized())
+            self._flows.recost(normalized)
         return [packet]
 
-    def _flow_key(self, packet: IPPacket) -> FiveTuple | None:
-        """The flow a packet belongs to, honoring protocol-agnostic keying."""
+    def _agnostic_key(self, packet: IPPacket) -> FiveTuple | None:
+        """The flow key by port pair, whatever the IP protocol field says."""
         key = FiveTuple.of(packet)
-        if key is None or not self.protocol_agnostic_flow_keying:
+        transport = packet.transport
+        if isinstance(transport, TCPSegment):
+            protocol = 6
+        elif isinstance(transport, UDPDatagram):
+            protocol = 17
+        else:
             return key
-        if packet.tcp is not None:
-            if key.protocol == 6:
-                return key
-            return FiveTuple(key.src, key.sport, key.dst, key.dport, 6)
-        if packet.udp is not None:
-            if key.protocol == 17:
-                return key
-            return FiveTuple(key.src, key.sport, key.dst, key.dport, 17)
-        return key
-
-    def _transport_protocol(self, packet: IPPacket) -> int:
-        """The protocol used for inspection dispatch (honors agnostic keying)."""
-        if self.protocol_agnostic_flow_keying:
-            if packet.tcp is not None:
-                return 6
-            if packet.udp is not None:
-                return 17
-        return packet.effective_protocol
+        if key is None or key.protocol == protocol:
+            return key
+        return FiveTuple(key.src, key.sport, key.dst, key.dport, protocol)
 
     def reset(self) -> None:
         """Forget every flow, fragment buffer, block counter and log entry."""
-        self._any_timeout_override = False
         self._timers.clear()
-        if self.overload is not None:
-            self._shedder = LoadShedder(self.overload)
+        if self._overload is not None:
+            self._shedder = LoadShedder(self._overload)
         self._flows.clear()
         self._fragments.clear()
         self._endpoint_block_counts.clear()
@@ -360,25 +416,28 @@ class DPIMiddlebox(NetworkElement):
     # ==================================================================
     # flow bookkeeping
     # ==================================================================
-    def _flow_for(self, packet: IPPacket, key: FiveTuple, now: float) -> FlowState | None:
-        normalized = key.normalized()
-        state = self._flows.get(normalized)  # touches the LRU chain
-        if state is not None:
-            return state
-        tcp = packet.tcp
-        is_flow_start = self._transport_protocol(packet) == 17 or (
+    def _new_flow(
+        self, key: FiveTuple, normalized: FiveTuple, tcp: TCPSegment | None, now: float
+    ) -> FlowState | None:
+        """Start tracking the flow a SYN (or first UDP datagram) opens.
+
+        ``key.protocol`` is the inspection dispatch protocol: the flow key
+        carries the packet's protocol field, or with agnostic keying the
+        transport's own protocol, and every later packet that finds this
+        flow has the same key protocol.
+        """
+        is_flow_start = key.protocol == 17 or (
             tcp is not None and int(tcp.flags) & 0x12 == 0x02  # SYN without ACK
         )
         if not is_flow_start:
             return None  # mid-flow packet for a flow we never tracked (or flushed)
         if self._shedder is not None and not self._admit_flow(key, normalized, now):
             return None  # shed: the flow forwards uninspected
-        protocol = "udp" if self._transport_protocol(packet) == 17 else "tcp"
-        expected_seq = None
-        if tcp is not None:
-            expected_seq = (tcp.seq + 1) & 0xFFFFFFFF
+        protocol = "udp" if key.protocol == 17 else "tcp"
+        expected_seq = (tcp.seq + 1) & 0xFFFFFFFF if tcp is not None else None
         state = FlowState(
             client_tuple=key,
+            normalized=normalized,
             protocol=protocol,
             server_port=key.dport,
             created_at=now,
@@ -412,10 +471,7 @@ class DPIMiddlebox(NetworkElement):
         never span an eviction (``run_flow`` is synchronous), so bounding
         cannot change any verdict.
         """
-        if max_flows < 1:
-            raise ValueError("max_flows must be >= 1")
-        self.max_flows = max_flows
-        self._flows.capacity = max_flows
+        self.reconfigure(max_flows=max_flows)
         if match_log_bound is not None:
             self.match_log = deque(self.match_log, maxlen=match_log_bound)
 
@@ -423,9 +479,9 @@ class DPIMiddlebox(NetworkElement):
         """Admission control under overload: decide whether to track at all."""
         shedder = self._shedder
         assert shedder is not None
-        if self.max_flows is None:
+        if self._max_flows is None:
             return True
-        fullness = len(self._flows) / self.max_flows
+        fullness = len(self._flows) / self._max_flows
         transition = shedder.crossed(fullness)
         if transition is not None:
             if obs_live.BUS is not None:
@@ -462,26 +518,17 @@ class DPIMiddlebox(NetworkElement):
             obs_metrics.METRICS.inc("mbx.evictions")
 
     def _in_scope(self, state: FlowState) -> bool:
-        if self.ports is not None and state.server_port not in self.ports:
+        if self._ports is not None and state.server_port not in self._ports:
             return False
-        if state.protocol == "udp" and not self.classify_udp:
-            return False
-        return True
-
-    def _resolve_timeout(self, spec: TimeoutSpec, now: float) -> float | None:
-        if callable(spec):
-            return spec(now)
-        return spec
+        return state.protocol != "udp" or self._classify_udp
 
     def _timeout_for(self, state: FlowState, now: float) -> float | None:
-        """The flush timeout applying to the flow's current category."""
+        """The flush timeout applying to the flow's current category (any
+        verdict, a match or the final non-match, counts as post-match)."""
         if state.timeout_override is not None:
             return state.timeout_override
-        if state.matched_rule is not None:
-            return self._resolve_timeout(self.post_match_timeout, now)
-        if state.verdict is None:
-            return self._resolve_timeout(self.pre_match_timeout, now)
-        return self._resolve_timeout(self.post_match_timeout, now)
+        spec = self._pre_match_timeout if state.verdict is None else self._post_match_timeout
+        return spec(now) if callable(spec) else spec
 
     def _arm_timer(self, normalized: FiveTuple, state: FlowState, now: float) -> None:
         """Schedule (or tighten) the flow's expiry timer.
@@ -512,16 +559,12 @@ class DPIMiddlebox(NetworkElement):
         state.timer_deadline = deadline
 
     def _expire(self, now: float) -> None:
-        # Fast path: nothing can expire when no timeout is configured, no
-        # flow carries an RST-shortened override, and no endpoint is blocked
-        # — true for most environments, checked per packet.
-        if (
-            self.pre_match_timeout is None
-            and self.post_match_timeout is None
-            and not self._any_timeout_override
-            and not len(self._endpoint_block_until)
-        ):
-            return
+        """Flush idle flows and lapse endpoint blocks.
+
+        :meth:`process` calls this only when something can be due: a timer
+        at the heap head, a callable timeout (scanned every packet), or
+        endpoint blocking.
+        """
         if self._scan_timeouts:
             self._expire_scan(now)
         else:
@@ -610,23 +653,22 @@ class DPIMiddlebox(NetworkElement):
             obs_metrics.METRICS.inc("mbx.flows_flushed")
             obs_metrics.METRICS.inc(f"mbx.flows_flushed.{reason}")
 
-    def _handle_rst(self, state: FlowState, key: FiveTuple) -> None:
+    def _handle_rst(self, state: FlowState, normalized: FiveTuple) -> None:
         matched = state.matched_rule is not None
-        if matched and self.rst_flush_post_match:
-            self._forget_flow(key.normalized(), reason="rst-post-match")
-        elif not matched and self.rst_flush_pre_match:
-            self._forget_flow(key.normalized(), reason="rst-pre-match")
-        elif self.rst_timeout_reduction is not None:
-            state.timeout_override = self.rst_timeout_reduction
-            self._any_timeout_override = True
-            self._arm_timer(key.normalized(), state, self._now)
+        if matched and self._rst_flush_post_match:
+            self._forget_flow(normalized, reason="rst-post-match")
+        elif not matched and self._rst_flush_pre_match:
+            self._forget_flow(normalized, reason="rst-pre-match")
+        elif self._rst_timeout_reduction is not None:
+            state.timeout_override = self._rst_timeout_reduction
+            self._arm_timer(normalized, state, self._now)
             if obs_trace.TRACER is not None:
                 obs_trace.TRACER.emit(
                     "mbx.rst_timeout_reduced",
                     self._now,
                     element=self.name,
                     flow=_flow_fields(state.client_tuple),
-                    timeout=self.rst_timeout_reduction,
+                    timeout=self._rst_timeout_reduction,
                 )
 
     # ==================================================================
@@ -663,18 +705,32 @@ class DPIMiddlebox(NetworkElement):
     # inspection
     # ==================================================================
     def _inspect(
-        self, state: FlowState, packet: IPPacket, now: float, ctx: TransitContext
+        self,
+        state: FlowState,
+        packet: IPPacket,
+        key: FiveTuple,
+        tcp: TCPSegment | None,
+        now: float,
+        ctx: TransitContext,
     ) -> None:
-        if not self.validation.ip_inspectable(packet):
+        if not self._ip_check(packet):
             return
-        direction = state.direction_of(packet.src, self._sport_of(packet))
-        payload = b""
-        if self._transport_protocol(packet) == 6 and packet.tcp is not None:
-            payload = self._tcp_payload_for_matching(state, packet, packet.tcp, direction)
-        elif self._transport_protocol(packet) == 17 and packet.udp is not None:
-            if not self.validation.udp_inspectable(packet, packet.udp):
+        client = state.client_tuple
+        direction = "client" if key.src == client.src and key.sport == client.sport else "server"
+        if key.protocol == 6 and tcp is not None:
+            expected = state.expected_seq if direction == "client" else None
+            if not self._tcp_check(packet, tcp, expected):
                 return
-            payload = packet.udp.payload
+            payload = tcp.payload
+            if payload and direction == "client" and not self._per_packet:
+                payload = self._stream_payload(state, tcp, payload)
+        elif key.protocol == 17 and isinstance(packet.transport, UDPDatagram):
+            udp = packet.transport
+            if self._udp_check is not None and not self._udp_check(packet, udp):
+                return
+            payload = udp.payload
+        else:
+            return
         if not payload:
             return
 
@@ -685,9 +741,15 @@ class DPIMiddlebox(NetworkElement):
             index = state.server_packets
             state.server_packets += 1
 
-        buffer = self._buffer_for_matching(state, payload, direction)
+        if self._per_packet:
+            buffer: bytes | bytearray = payload
+        else:
+            buffer = state.client_buffer if direction == "client" else state.server_buffer
+            buffer.extend(payload)
+            if self._inspect_byte_limit is not None:
+                del buffer[self._inspect_byte_limit :]
 
-        if direction == "client" and self.require_protocol_anchor and state.anchor_ok is None:
+        if direction == "client" and self._require_protocol_anchor and state.anchor_ok is None:
             self._decide_anchor(state, payload, buffer, index)
             if state.anchor_ok is not None and obs_trace.TRACER is not None:
                 obs_trace.TRACER.emit(
@@ -698,42 +760,77 @@ class DPIMiddlebox(NetworkElement):
                     ok=state.anchor_ok,
                 )
             if state.anchor_ok is False:
-                if self.match_and_forget:
+                if self._match_and_forget:
                     self._finalize_unclassified(state, "anchor-failed", now)
                 return
-        if (
-            direction == "client"
-            and self.require_protocol_anchor
-            and state.anchor_ok is None
-            and state.protocol == "tcp"
-        ):
-            # Stream modes postpone the anchor decision until enough bytes
-            # assemble; matching waits with it.
-            if self._window_exhausted(state) and self.match_and_forget:
-                self._finalize_unclassified(state, "window-exhausted", now)
-            return
+            if state.anchor_ok is None and state.protocol == "tcp":
+                # Stream modes postpone the anchor decision until enough
+                # bytes assemble; matching waits with it.
+                if self._window_exhausted(state) and self._match_and_forget:
+                    self._finalize_unclassified(state, "window-exhausted", now)
+                return
 
-        matched = self._match_rules(state, buffer, payload, index, direction)
+        view = state.client_view if direction == "client" else state.server_view
+        coverage = obs_coverage.COVERAGE
+        if view is None or (coverage is not None and self._coverage_registered is not coverage):
+            view = self._view(state.protocol, state.server_port, direction)
+            if direction == "client":
+                state.client_view = view
+            else:
+                state.server_view = view
+        scan: StreamScan | None = None
+        if not self._per_packet:
+            scan = state.client_scan if direction == "client" else state.server_scan
+            if scan is None:
+                scan = StreamScan()
+                if direction == "client":
+                    state.client_scan = scan
+                else:
+                    state.server_scan = scan
+        metrics = obs_metrics.METRICS
+        if metrics is not None:
+            # Bytes the matcher actually walks: whole buffer per packet in
+            # per-packet mode, only the un-scanned tail past the watermark in
+            # stream modes (the incremental-scan optimisation).
+            scanned = len(buffer) if scan is None else max(0, len(buffer) - scan.watermark)
+            metrics.inc("mbx.scan_bytes", scanned)
+            metrics.observe("mbx.scan.payload_bytes", scanned)
+        ops = obs_ops.OPS
+        if ops is None:
+            matched = view.match(buffer, payload, index, scan)
+        else:
+            started = time.perf_counter()
+            matched = view.match(buffer, payload, index, scan)
+            ops.record("mbx.scan", time.perf_counter() - started)
         if matched is not None:
             state.verdict = matched
             state.match_time = now
-            self._arm_timer(state.client_tuple.normalized(), state, now)
+            self._arm_timer(state.normalized, state, now)
             self.match_log.append((now, matched.name, state.client_tuple))
             self.matches_logged += 1
             if obs_trace.TRACER is not None:
-                self._emit_rule_match(state, matched, buffer, index, direction, now)
+                flow = state.client_tuple
+                self._emit_rule_match(flow, view, matched, buffer, index, direction, scan, now)
+                obs_trace.TRACER.emit(
+                    "mbx.verdict",
+                    now,
+                    element=self.name,
+                    flow=_flow_fields(flow),
+                    verdict=matched.name,
+                    reason="rule-match",
+                )
             if obs_metrics.METRICS is not None:
                 obs_metrics.METRICS.inc("mbx.rule_matches")
             self._apply_policy(state, matched, packet, ctx)
             return
 
-        if self._window_exhausted(state) and self.match_and_forget:
+        if self._window_exhausted(state) and self._match_and_forget:
             self._finalize_unclassified(state, "window-exhausted", now)
 
     def _finalize_unclassified(self, state: FlowState, reason: str, now: float) -> None:
         """Commit the match-and-forget "never going to match" verdict."""
         state.verdict = UNCLASSIFIED_FINAL
-        self._arm_timer(state.client_tuple.normalized(), state, now)
+        self._arm_timer(state.normalized, state, now)
         if obs_trace.TRACER is not None:
             obs_trace.TRACER.emit(
                 "mbx.verdict",
@@ -748,11 +845,13 @@ class DPIMiddlebox(NetworkElement):
 
     def _emit_rule_match(
         self,
-        state: FlowState,
+        flow: FiveTuple,
+        view: CompiledView,
         rule: MatchRule,
         buffer: bytes | bytearray,
-        index: int,
+        index: int | None,
         direction: str,
+        scan: StreamScan | None,
         now: float,
     ) -> None:
         """The causal core of a trace: which rule fired, where, and on what.
@@ -764,12 +863,11 @@ class DPIMiddlebox(NetworkElement):
         together they say exactly which bytes convicted the flow.
         """
         match_start = match_end = None
+        data = bytes(buffer)
         for keyword in rule.keywords:
-            offset = bytes(buffer).find(keyword)
+            offset = data.find(keyword)
             if offset >= 0 and (match_start is None or offset < match_start):
                 match_start, match_end = offset, offset + len(keyword)
-        scan = state.client_scan if direction == "client" else state.server_scan
-        view = self._view(state.protocol, state.server_port, direction)
         tracer = obs_trace.TRACER
         assert tracer is not None
         tracer.emit(
@@ -778,7 +876,7 @@ class DPIMiddlebox(NetworkElement):
             element=self.name,
             rule=rule.name,
             action=rule.policy.action.value,
-            flow=_flow_fields(state.client_tuple),
+            flow=_flow_fields(flow),
             dir=direction,
             packet_index=index,
             match_start=match_start,
@@ -788,14 +886,6 @@ class DPIMiddlebox(NetworkElement):
             automaton=view.automaton.digest if view.automaton.patterns else None,
             scan_node=scan.node if scan is not None else None,
             rule_scope=view.scope,
-        )
-        tracer.emit(
-            "mbx.verdict",
-            now,
-            element=self.name,
-            flow=_flow_fields(state.client_tuple),
-            verdict=rule.name,
-            reason="rule-match",
         )
 
     def _decide_anchor(
@@ -810,36 +900,22 @@ class DPIMiddlebox(NetworkElement):
         if state.protocol == "udp":
             state.anchor_ok = True
             return
-        if self.reassembly is ReassemblyMode.PER_PACKET:
+        if self._per_packet:
             if index == 0:
                 state.anchor_ok = payload.startswith(PROTOCOL_ANCHORS)
             return
         if len(buffer) >= ANCHOR_MIN_BYTES:
             state.anchor_ok = buffer.startswith(PROTOCOL_ANCHORS)
 
-    def _sport_of(self, packet: IPPacket) -> int:
-        transport = packet.transport
-        return getattr(transport, "sport", 0)
-
-    def _tcp_payload_for_matching(
-        self, state: FlowState, packet: IPPacket, segment: TCPSegment, direction: str
-    ) -> bytes:
-        expected = state.expected_seq if direction == "client" else None
-        if not self.validation.tcp_inspectable(packet, segment, expected):
-            return b""
-        payload = segment.payload
-        if not payload:
-            return b""
-        if self.reassembly is ReassemblyMode.PER_PACKET or direction == "server":
-            return payload
-        # Stream modes track the client's sequence space.
+    def _stream_payload(self, state: FlowState, segment: TCPSegment, payload: bytes) -> bytes:
+        """The new in-sequence client bytes a segment adds to the stream."""
         if state.expected_seq is None:
             state.expected_seq = segment.seq  # no SYN seen (shouldn't happen when tracked)
         ahead = (segment.seq - state.expected_seq) & 0xFFFFFFFF
         if ahead == 0:
             state.expected_seq = (state.expected_seq + len(payload)) & 0xFFFFFFFF
             assembled = bytearray(payload)
-            if self.reassembly is ReassemblyMode.FULL:
+            if self._reassembly is ReassemblyMode.FULL:
                 while state.expected_seq in state.ooo_segments:
                     chunk = state.ooo_segments.pop(state.expected_seq)
                     assembled.extend(chunk)
@@ -847,7 +923,7 @@ class DPIMiddlebox(NetworkElement):
             return bytes(assembled)
         if ahead < 0x8000_0000:
             # Future data: only FULL mode buffers it; IN_ORDER ignores it.
-            if self.reassembly is ReassemblyMode.FULL:
+            if self._reassembly is ReassemblyMode.FULL:
                 state.ooo_segments.setdefault(segment.seq, payload)
             return b""
         behind = 0x1_0000_0000 - ahead
@@ -857,150 +933,69 @@ class DPIMiddlebox(NetworkElement):
         state.expected_seq = (state.expected_seq + len(fresh)) & 0xFFFFFFFF
         return fresh
 
-    def _buffer_for_matching(
-        self, state: FlowState, payload: bytes, direction: str
-    ) -> bytes | bytearray:
-        if self.reassembly is ReassemblyMode.PER_PACKET:
-            return payload
-        buffer = state.client_buffer if direction == "client" else state.server_buffer
-        buffer.extend(payload)
-        if self.inspect_byte_limit is not None:
-            del buffer[self.inspect_byte_limit :]
-        return buffer
-
     def _view(self, protocol: str, server_port: int, direction: str) -> CompiledView:
-        """The precompiled rule view for this flow context (rebuilds if the
-        rule list was replaced since compilation)."""
-        if self.rules is not self._compiled_source or len(self._compiled.rules) != len(
-            self.rules
-        ):
-            self._compiled = CompiledRuleSet.shared(self.rules)
-            self._compiled_source = self.rules
-            self._coverage_registered = None  # new catalog: re-declare
+        """The precompiled rule view for this flow context (declaring the
+        rule universe to a newly live coverage recorder first)."""
         coverage = obs_coverage.COVERAGE
         if coverage is not None and self._coverage_registered is not coverage:
             self._compiled.register_coverage(coverage)
             self._coverage_registered = coverage
         return self._compiled.view(protocol, server_port, direction)
 
-    def _match_rules(
-        self,
-        state: FlowState,
-        buffer: bytes | bytearray,
-        packet_payload: bytes,
-        index: int,
-        direction: str,
-    ) -> MatchRule | None:
-        view = self._view(state.protocol, state.server_port, direction)
-        scan: StreamScan | None = None
-        if self.reassembly is not ReassemblyMode.PER_PACKET:
-            scan = state.client_scan if direction == "client" else state.server_scan
-            if scan is None:
-                scan = StreamScan()
-                if direction == "client":
-                    state.client_scan = scan
-                else:
-                    state.server_scan = scan
-        metrics = obs_metrics.METRICS
-        if metrics is not None:
-            # Bytes the matcher actually walks: whole buffer per packet in
-            # per-packet mode, only the un-scanned tail past the watermark in
-            # stream modes (the incremental-scan optimisation).
-            if scan is None:
-                scanned = len(buffer)
-            else:
-                scanned = max(0, len(buffer) - scan.watermark)
-            metrics.inc("mbx.scan_bytes", scanned)
-            metrics.observe("mbx.scan.payload_bytes", scanned)
-        ops = obs_ops.OPS
-        if ops is None:
-            return view.match(buffer, packet_payload, index, scan)
-        started = time.perf_counter()
-        match = view.match(buffer, packet_payload, index, scan)
-        ops.record("mbx.scan", time.perf_counter() - started)
-        return match
-
     def _window_exhausted(self, state: FlowState) -> bool:
-        limit = (
-            self.udp_inspect_packet_limit if state.protocol == "udp" else self.inspect_packet_limit
-        )
+        udp = state.protocol == "udp"
+        limit = self._udp_inspect_packet_limit if udp else self._inspect_packet_limit
         if limit is not None and state.client_packets >= limit:
             return True
-        if (
-            self.inspect_byte_limit is not None
-            and len(state.client_buffer) >= self.inspect_byte_limit
-        ):
-            return True
-        return False
+        byte_limit = self._inspect_byte_limit
+        return byte_limit is not None and len(state.client_buffer) >= byte_limit
 
     # ==================================================================
     # stateless (Iran-style) inspection
     # ==================================================================
-    def _stateless_inspect(self, packet: IPPacket, ctx: TransitContext) -> None:
-        key = FiveTuple.of(packet)
-        if key is None:
+    def _stateless_inspect(self, packet: IPPacket, now: float, ctx: TransitContext) -> None:
+        key = FiveTuple.of(packet)  # the packet's own key, whatever the keying
+        if not self._ip_check(packet):
             return
-        if not self.validation.ip_inspectable(packet):
-            return
-        protocol = "udp" if packet.effective_protocol == 17 else "tcp"
-        if protocol == "udp" and not self.classify_udp:
+        protocol = key.protocol
+        if protocol == 17 and not self._classify_udp:
             return
         payload = b""
         server_port = key.dport
         direction = "client"
-        if packet.effective_protocol == 6 and packet.tcp is not None:
-            if not self.validation.tcp_inspectable(packet, packet.tcp, None):
+        transport = packet.transport
+        if protocol == 6 and isinstance(transport, TCPSegment):
+            if not self._tcp_check(packet, transport, None):
                 return
-            payload = packet.tcp.payload
+            payload = transport.payload
             # Heuristic orientation: traffic *to* a rule port is client-side.
-            if self.ports is not None and packet.tcp.sport in self.ports:
+            if self._ports is not None and transport.sport in self._ports:
                 direction = "server"
                 server_port = key.sport
-        elif packet.effective_protocol == 17 and packet.udp is not None:
-            if not self.validation.udp_inspectable(packet, packet.udp):
+        elif protocol == 17 and isinstance(transport, UDPDatagram):
+            if self._udp_check is not None and not self._udp_check(packet, transport):
                 return
-            payload = packet.udp.payload
+            payload = transport.payload
         if not payload:
             return
-        if self.ports is not None and server_port not in self.ports:
+        if self._ports is not None and server_port not in self._ports:
             return
         if obs_metrics.METRICS is not None:
             obs_metrics.METRICS.inc("mbx.scan_bytes", len(payload))
             obs_metrics.METRICS.observe("mbx.scan.payload_bytes", len(payload))
+        view = self._view("udp" if protocol == 17 else "tcp", server_port, direction)
         ops = obs_ops.OPS
         if ops is None:
-            rule = self._view(protocol, server_port, direction).match_stateless(payload)
+            rule = view.match_stateless(payload)
         else:
             started = time.perf_counter()
-            rule = self._view(protocol, server_port, direction).match_stateless(payload)
+            rule = view.match_stateless(payload)
             ops.record("mbx.scan", time.perf_counter() - started)
         if rule is not None:
-            self.match_log.append((ctx.clock.now, rule.name, key))
+            self.match_log.append((now, rule.name, key))
             self.matches_logged += 1
             if obs_trace.TRACER is not None:
-                match_start = match_end = None
-                for keyword in rule.keywords:
-                    offset = payload.find(keyword)
-                    if offset >= 0 and (match_start is None or offset < match_start):
-                        match_start, match_end = offset, offset + len(keyword)
-                view = self._view(protocol, server_port, direction)
-                obs_trace.TRACER.emit(
-                    "mbx.rule_match",
-                    ctx.clock.now,
-                    element=self.name,
-                    rule=rule.name,
-                    action=rule.policy.action.value,
-                    flow=_flow_fields(key),
-                    dir=direction,
-                    packet_index=None,
-                    match_start=match_start,
-                    match_end=match_end,
-                    watermark=None,
-                    buffer_len=len(payload),
-                    automaton=view.automaton.digest if view.automaton.patterns else None,
-                    scan_node=None,
-                    rule_scope=view.scope,
-                )
+                self._emit_rule_match(key, view, rule, payload, None, direction, None, now)
             if obs_metrics.METRICS is not None:
                 obs_metrics.METRICS.inc("mbx.rule_matches")
             self._apply_stateless_policy(rule, packet, key, ctx)
@@ -1022,7 +1017,7 @@ class DPIMiddlebox(NetworkElement):
         elif action in (PolicyAction.BLOCK_RST, PolicyAction.BLOCK_PAGE):
             state.blocked = True
             self._register_endpoint_block(key, ctx)
-            self._apply_block(state, rule, packet, ctx)
+            self._inject_block(rule, key, packet, ctx)
 
     def _apply_stateless_policy(
         self, rule: MatchRule, packet: IPPacket, key: FiveTuple, ctx: TransitContext
@@ -1043,13 +1038,13 @@ class DPIMiddlebox(NetworkElement):
         self._endpoint_block_counts.pop(endpoint)
 
     def _register_endpoint_block(self, key: FiveTuple, ctx: TransitContext) -> None:
-        if self.endpoint_block_threshold is None:
+        if self._endpoint_block_threshold is None:
             return
         endpoint = (key.dst, key.dport)
         count = (self._endpoint_block_counts.get(endpoint) or 0) + 1
         self._endpoint_block_counts.insert(endpoint, count)
-        if count >= self.endpoint_block_threshold:
-            until = ctx.clock.now + self.endpoint_block_duration
+        if count >= self._endpoint_block_threshold:
+            until = ctx.clock.now + self._endpoint_block_duration
             self.policy_state.blocked_endpoints.add(endpoint)
             self._endpoint_block_until.insert(endpoint, until)
             if obs_trace.TRACER is not None:
@@ -1080,21 +1075,10 @@ class DPIMiddlebox(NetworkElement):
         if obs_metrics.METRICS is not None:
             obs_metrics.METRICS.inc("mbx.endpoint_block_hits")
         # Disrupt the connection attempt outright.
-        rst = TCPSegment(
-            sport=key.dport,
-            dport=key.sport,
-            seq=0,
-            ack=0,
-            flags=TCPFlags.RST,
-        )
+        rst = TCPSegment(sport=key.dport, dport=key.sport, seq=0, ack=0, flags=TCPFlags.RST)
         if packet.effective_protocol == 6:
             ctx.inject_back(IPPacket(src=key.dst, dst=key.src, transport=rst))
         return True
-
-    def _apply_block(
-        self, state: FlowState, rule: MatchRule, packet: IPPacket, ctx: TransitContext
-    ) -> None:
-        self._inject_block(rule, state.client_tuple, packet, ctx)
 
     def _inject_block(
         self, rule: MatchRule, client_tuple: FiveTuple, packet: IPPacket, ctx: TransitContext
@@ -1156,7 +1140,7 @@ class DPIMiddlebox(NetworkElement):
                 if isinstance(state.verdict, MatchRule):
                     return state.verdict.name
                 return state.verdict
-        if not self.track_flows:
+        if not self._track_flows:
             # Stateless classifiers keep no flow table; the match log is the
             # only readout.
             for _time, rule_name, key in reversed(self.match_log):
@@ -1169,3 +1153,15 @@ class DPIMiddlebox(NetworkElement):
         return any(
             key.src == client and key.sport == sport for _t, _rule, key in self.match_log
         )
+
+
+def _knob_property(knob: str) -> property:
+    def refuse(self: DPIMiddlebox, value: object) -> None:
+        raise AttributeError(f"{knob} is compiled into the plan; use reconfigure({knob}=...)")
+
+    return property(attrgetter("_" + knob), refuse, doc=f"The ``{knob}`` knob (read-only).")
+
+
+for _knob in _KNOBS:
+    setattr(DPIMiddlebox, _knob, _knob_property(_knob))
+del _knob

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.middlebox.ruleindex import StreamScan
+from repro.middlebox.ruleindex import CompiledView, StreamScan
 from repro.middlebox.rules import MatchRule
 from repro.packets.flow import FiveTuple
 
@@ -20,6 +20,9 @@ class FlowState:
     Attributes:
         client_tuple: the five-tuple as seen from the client side (the SYN
             sender, or the first UDP packet's sender).
+        normalized: the direction-independent flow-table key.
+        protocol / server_port: the flow's inspection context ("tcp" or
+            "udp", the server's port); constant for the flow's lifetime.
         created_at / last_packet_time: clock readings for flush timers.
         verdict: None while inspecting, a :class:`MatchRule` after a match,
             or :data:`UNCLASSIFIED_FINAL` once the window closed.
@@ -39,9 +42,13 @@ class FlowState:
             engine's timer heap (lazy-rescheduled; None when no constant
             timeout applies to the flow's current category).  Heap entries
             carrying any other id are stale.
+        client_view / server_view: the compiled rule view for each
+            direction, resolved on the direction's first scan (None until
+            then, and again after the engine's rules change).
     """
 
     client_tuple: FiveTuple
+    normalized: FiveTuple
     protocol: str
     server_port: int
     created_at: float
@@ -61,19 +68,10 @@ class FlowState:
     server_scan: StreamScan | None = None
     timer_id: int | None = None
     timer_deadline: float | None = None
+    client_view: CompiledView | None = None
+    server_view: CompiledView | None = None
 
     @property
     def matched_rule(self) -> MatchRule | None:
         """The matched rule, or None for unclassified / window-closed flows."""
         return self.verdict if isinstance(self.verdict, MatchRule) else None
-
-    @property
-    def inspection_finished(self) -> bool:
-        """True once the classifier will not look at further packets."""
-        return self.verdict is not None
-
-    def direction_of(self, src: str, sport: int) -> str:
-        """"client" when (src, sport) is the flow's client endpoint else "server"."""
-        if src == self.client_tuple.src and sport == self.client_tuple.sport:
-            return "client"
-        return "server"

@@ -12,10 +12,29 @@ inert-packet evasion technique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.packets.udp import UDPDatagram
+
+
+def ip_structurally_sound(packet: IPPacket) -> bool:
+    """The IP checks every classifier needs just to locate the payload:
+    version 4, a consistent IHL, and no truncating total length."""
+    if packet.version != 4:
+        return False
+    if packet.ihl is not None and not packet.has_valid_ihl():
+        return False
+    return packet.total_length is None or not packet.total_length_too_short()
+
+
+def tcp_structurally_sound(
+    packet: IPPacket, segment: TCPSegment, expected_seq: int | None
+) -> bool:
+    """The TCP check every classifier needs to locate the payload: a data
+    offset that matches the header (only an explicit offset can differ)."""
+    return segment.data_offset is None or segment.has_valid_data_offset()
 
 
 @dataclass(frozen=True)
@@ -43,10 +62,8 @@ class MiddleboxValidation:
     # ------------------------------------------------------------------
     def ip_inspectable(self, packet: IPPacket) -> bool:
         """Can/will the classifier look inside this IP packet at all?"""
-        if not packet.has_valid_version() or not packet.has_valid_ihl():
-            return False  # cannot even locate the payload
-        if packet.total_length_too_short():
-            return False  # payload truncated per the declared length
+        if not ip_structurally_sound(packet):
+            return False
         if self.require_length_not_long and packet.total_length_too_long():
             return False
         if self.require_valid_ip_checksum and not packet.has_valid_checksum():
@@ -66,8 +83,8 @@ class MiddleboxValidation:
         *expected_seq* is the middlebox's view of the flow's next sequence
         number (None when it keeps no stream state).
         """
-        if not segment.has_valid_data_offset():
-            return False  # cannot locate the payload
+        if not tcp_structurally_sound(packet, segment, expected_seq):
+            return False
         if self.require_valid_tcp_checksum and not segment.verify_checksum(packet.src, packet.dst):
             return False
         if self.require_valid_flag_combo and not segment.flags.is_valid_combination():
@@ -94,6 +111,39 @@ class MiddleboxValidation:
         if self.require_valid_udp_length and not datagram.has_valid_length():
             return False
         return True
+
+    # ------------------------------------------------------------------
+    # the checks a profile actually runs, resolved once per engine
+    # ------------------------------------------------------------------
+    def ip_check(self) -> Callable[[IPPacket], bool]:
+        """:meth:`ip_inspectable`, or only the structural checks when no IP
+        knob is set."""
+        if (
+            self.require_length_not_long
+            or self.require_valid_ip_checksum
+            or self.require_wellformed_ip_options
+            or self.reject_deprecated_ip_options
+        ):
+            return self.ip_inspectable
+        return ip_structurally_sound
+
+    def tcp_check(self) -> Callable[[IPPacket, TCPSegment, int | None], bool]:
+        """:meth:`tcp_inspectable`, or only the data-offset check when no TCP
+        knob is set."""
+        if (
+            self.require_valid_tcp_checksum
+            or self.require_valid_flag_combo
+            or self.require_ack_flag
+            or self.require_in_window_seq
+        ):
+            return self.tcp_inspectable
+        return tcp_structurally_sound
+
+    def udp_check(self) -> Callable[[IPPacket, UDPDatagram], bool] | None:
+        """:meth:`udp_inspectable`, or None when it accepts every datagram."""
+        if self.require_valid_udp_checksum or self.require_valid_udp_length:
+            return self.udp_inspectable
+        return None
 
     # ------------------------------------------------------------------
     # canonical profiles (paper §6)

@@ -118,9 +118,7 @@ class TestRuntimeAdaptation:
         # The operator "fixes" the classifier: switch to Iran-style
         # stateless per-packet matching, which no inert packet can fool.
         dpi = env.dpi()
-        dpi.track_flows = False
-        dpi.match_and_forget = False
-        dpi.require_protocol_anchor = False
+        dpi.reconfigure(track_flows=False, match_and_forget=False, require_protocol_anchor=False)
 
         outcome = proxy.run_flow(classified_trace)
         # the old technique failed once, triggering re-adaptation...

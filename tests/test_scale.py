@@ -284,9 +284,10 @@ class TestHeapMatchesScan:
         heap_engine, _ = build_engine(ScaleConfig(max_flows=128, pre_match_timeout=30.0))
         assert not heap_engine._scan_timeouts
         scan_engine, _ = build_engine(ScaleConfig(max_flows=128))
-        scan_engine.pre_match_timeout = lambda now: 30.0
-        scan_engine.post_match_timeout = lambda now: 60.0
-        scan_engine._scan_timeouts = True
+        scan_engine.reconfigure(
+            pre_match_timeout=lambda now: 30.0, post_match_timeout=lambda now: 60.0
+        )
+        assert scan_engine._scan_timeouts
         assert self.churn(heap_engine) == self.churn(scan_engine)
 
 
