@@ -10,15 +10,11 @@ number instead of folklore.
 """
 
 from repro.experiments.table3 import run_table3
-from repro.obs import (
-    covering,
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
-    observability_off,
-    profiled,
-)
+from repro.obs import observability_off
+from repro.obs.coverage import covering
+from repro.obs.metrics import disable_metrics, enable_metrics
+from repro.obs.profiling import profiled
+from repro.obs.trace import disable_tracing, enable_tracing
 
 from benchmarks.conftest import BenchProbe, save_bench_json
 

@@ -26,9 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.traffic.http import http_get_trace
-from repro.traffic.video import video_stream_trace
-
 
 def _make_env(name: str, faults=None):
     from repro.envs import ENVIRONMENT_FACTORIES
@@ -84,7 +81,11 @@ def _make_trace(args: argparse.Namespace):
 
         return builtin_trace(args.builtin)
     if getattr(args, "video", False):
+        from repro.traffic.video import video_stream_trace
+
         return video_stream_trace(host=args.host, total_bytes=args.size)
+    from repro.traffic.http import http_get_trace
+
     return http_get_trace(args.host, response_body=b"x" * args.size)
 
 
@@ -172,13 +173,11 @@ _LIVE_VIEW = None
 def _setup_obs(args: argparse.Namespace) -> None:
     """Install the requested observability facilities before dispatch."""
     global _LIVE_VIEW
-    from repro.obs import (
-        enable_bus,
-        enable_coverage,
-        enable_metrics,
-        enable_profiling,
-        enable_tracing,
-    )
+    from repro.obs.coverage import enable_coverage
+    from repro.obs.live import enable_bus
+    from repro.obs.metrics import enable_metrics
+    from repro.obs.profiling import enable_profiling
+    from repro.obs.trace import enable_tracing
 
     if getattr(args, "flow_trace", False) or getattr(args, "trace_out", None):
         enable_tracing()
@@ -194,7 +193,7 @@ def _setup_obs(args: argparse.Namespace) -> None:
     if live or dashboard or getattr(args, "events_out", None):
         bus = enable_bus()
         if live:
-            from repro.obs import LiveProgressView
+            from repro.obs.live import LiveProgressView
 
             _LIVE_VIEW = LiveProgressView(stream=sys.stderr).attach(bus)
             bus.enable_streaming()

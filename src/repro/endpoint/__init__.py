@@ -7,37 +7,3 @@ it; only Windows drops packets carrying malformed IP options).  Those
 differences decide whether an inert-packet technique is safe to deploy
 unilaterally, so they are modeled explicitly in :mod:`repro.endpoint.osmodel`.
 """
-
-from repro.endpoint.apps import (
-    CompositeServerEndpoint,
-    EchoApp,
-    HTTPServerApp,
-    ReplayServerApp,
-    ReplayStep,
-    UDPReplayApp,
-)
-from repro.endpoint.osmodel import ALL_OS_PROFILES, LINUX, MACOS, OSProfile, Verdict, WINDOWS
-from repro.endpoint.rawclient import ClientCollector, RawTCPClient, RawUDPClient, SegmentPlan
-from repro.endpoint.tcpstack import TCPServerStack
-from repro.endpoint.udpstack import UDPServerStack
-
-__all__ = [
-    "CompositeServerEndpoint",
-    "ReplayStep",
-    "SegmentPlan",
-    "ALL_OS_PROFILES",
-    "EchoApp",
-    "HTTPServerApp",
-    "ReplayServerApp",
-    "UDPReplayApp",
-    "OSProfile",
-    "Verdict",
-    "LINUX",
-    "MACOS",
-    "WINDOWS",
-    "ClientCollector",
-    "RawTCPClient",
-    "RawUDPClient",
-    "TCPServerStack",
-    "UDPServerStack",
-]

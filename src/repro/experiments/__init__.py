@@ -15,7 +15,3 @@ Each module exposes a ``run_*`` function returning plain data plus a
 ``format_*`` helper that renders the paper-style table; the pytest-benchmark
 suite under ``benchmarks/`` wraps these.
 """
-
-from repro.experiments import paper_expectations
-
-__all__ = ["paper_expectations"]

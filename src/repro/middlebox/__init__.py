@@ -7,25 +7,6 @@ reassembly, packet-count inspection windows, match-and-forget semantics,
 incomplete header validation, classification flushing, and policy actions
 (throttling, zero-rating, RST/block-page censorship).
 
-Profiles in :mod:`repro.middlebox.profiles` configure the engine to behave
-like each middlebox the paper evaluated.
+The environments in :mod:`repro.envs` configure the engine to behave like
+each middlebox the paper evaluated.
 """
-
-from repro.middlebox.accounting import UsageCounter
-from repro.middlebox.engine import DPIMiddlebox, ReassemblyMode
-from repro.middlebox.policy import BlockBehavior, PolicyAction, RulePolicy
-from repro.middlebox.proxy import TransparentHTTPProxy
-from repro.middlebox.rules import MatchRule
-from repro.middlebox.validation import MiddleboxValidation
-
-__all__ = [
-    "UsageCounter",
-    "DPIMiddlebox",
-    "ReassemblyMode",
-    "BlockBehavior",
-    "PolicyAction",
-    "RulePolicy",
-    "TransparentHTTPProxy",
-    "MatchRule",
-    "MiddleboxValidation",
-]

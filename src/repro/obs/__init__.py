@@ -51,150 +51,27 @@ segregated from every deterministic guarantee above):
   dumps trace-shaped JSONL evidence once per anomaly episode
   (``liberate obs flight``).
 
+The package re-exports nothing.  Import the submodule you use, as the
+instrumented layers do (``from repro.obs import metrics as obs_metrics``),
+so that recording a counter does not load the analysis tools, the HTML
+dashboard or the asyncio ops server.  Only :func:`observability_off` lives
+here.
+
 See ``docs/OBSERVABILITY.md`` for the trace schema, metric catalog and the
 "Operating liberate live" runbook.
 """
 
-from repro.obs.analyze import TraceIndex, summarize_tracer
-from repro.obs.coverage import (
-    COVERAGE_SCHEMA_VERSION,
-    CoverageRecorder,
-    automaton_digest,
-    covering,
-    disable_coverage,
-    enable_coverage,
-    ruleset_scope,
-)
-from repro.obs.diff import TraceDiff, diff_traces
-from repro.obs.flight import FlightRecorder, disable_flight, enable_flight
-from repro.obs.live import (
-    EVENTS_SCHEMA_VERSION,
-    LiveEvent,
-    LiveProgressView,
-    TelemetryBus,
-    bus_on,
-    disable_bus,
-    enable_bus,
-    load_events_jsonl,
-)
-from repro.obs.metrics import (
-    LATENCY_BUCKETS,
-    OPS_PREFIX,
-    MetricsRegistry,
-    collecting,
-    disable_metrics,
-    enable_metrics,
-    log_bucket_bounds,
-)
-from repro.obs.ops import (
-    LatencyRecorder,
-    OpsRegistry,
-    OpsServer,
-    SLOPolicy,
-    disable_ops,
-    enable_ops,
-    evaluate_health,
-    ops_recording,
-    render_prometheus,
-)
-from repro.obs.profiling import (
-    Profiler,
-    disable_profiling,
-    enable_profiling,
-    profiled,
-    stage,
-)
-from repro.obs.report_html import (
-    DASHBOARD_SCHEMA_VERSION,
-    HEADLINE_METRICS,
-    build_model,
-    missing_metric_keys,
-    render_dashboard,
-    write_dashboard,
-)
-from repro.obs.provenance import (
-    PROVENANCE_SCHEMA_VERSION,
-    explain_flow,
-    format_explain,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    FlowTracer,
-    TraceEvent,
-    disable_tracing,
-    enable_tracing,
-    load_jsonl,
-    structural_view,
-    tracing,
-)
-
-__all__ = [
-    "COVERAGE_SCHEMA_VERSION",
-    "DASHBOARD_SCHEMA_VERSION",
-    "EVENTS_SCHEMA_VERSION",
-    "HEADLINE_METRICS",
-    "PROVENANCE_SCHEMA_VERSION",
-    "TRACE_SCHEMA_VERSION",
-    "CoverageRecorder",
-    "FlowTracer",
-    "LiveEvent",
-    "LiveProgressView",
-    "TelemetryBus",
-    "TraceEvent",
-    "TraceIndex",
-    "TraceDiff",
-    "MetricsRegistry",
-    "Profiler",
-    "LATENCY_BUCKETS",
-    "OPS_PREFIX",
-    "LatencyRecorder",
-    "OpsRegistry",
-    "OpsServer",
-    "SLOPolicy",
-    "FlightRecorder",
-    "log_bucket_bounds",
-    "evaluate_health",
-    "render_prometheus",
-    "enable_ops",
-    "disable_ops",
-    "ops_recording",
-    "enable_flight",
-    "disable_flight",
-    "diff_traces",
-    "summarize_tracer",
-    "enable_tracing",
-    "disable_tracing",
-    "tracing",
-    "enable_metrics",
-    "disable_metrics",
-    "collecting",
-    "enable_coverage",
-    "disable_coverage",
-    "covering",
-    "automaton_digest",
-    "ruleset_scope",
-    "explain_flow",
-    "format_explain",
-    "enable_profiling",
-    "disable_profiling",
-    "profiled",
-    "stage",
-    "enable_bus",
-    "disable_bus",
-    "bus_on",
-    "build_model",
-    "render_dashboard",
-    "write_dashboard",
-    "missing_metric_keys",
-    "load_events_jsonl",
-    "load_jsonl",
-    "structural_view",
-    "observability_off",
-]
-
 
 def observability_off() -> None:
     """Disable every obs facility in one call (test teardown)."""
+    from repro.obs.coverage import disable_coverage
+    from repro.obs.flight import disable_flight
+    from repro.obs.live import disable_bus
+    from repro.obs.metrics import disable_metrics
+    from repro.obs.ops import disable_ops
+    from repro.obs.profiling import disable_profiling
+    from repro.obs.trace import disable_tracing
+
     disable_tracing()
     disable_metrics()
     disable_profiling()

@@ -30,7 +30,6 @@ deterministic snapshot/golden-trace guarantees ever see a wall-clock number.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import json
 import math
@@ -38,11 +37,14 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.obs import flight as obs_flight
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import LATENCY_BUCKETS
+
+if TYPE_CHECKING:  # pragma: no cover - asyncio loads only when a server starts
+    import asyncio
 
 __all__ = [
     "LatencyRecorder",
@@ -495,6 +497,8 @@ class OpsServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "OpsServer":
+        import asyncio
+
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         return self
 
@@ -604,6 +608,8 @@ class OpsServer:
 async def http_get(host: str, port: int, path: str) -> tuple[int, str]:
     """One bare GET round-trip: (status code, body).  Used by the selfcheck
     and the CI smoke job so neither needs an HTTP client dependency."""
+    import asyncio
+
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii"))

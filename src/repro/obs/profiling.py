@@ -185,8 +185,8 @@ def disable_profiling() -> None:
 def profiled() -> Iterator[Profiler]:
     """Scoped profiling: enable on entry, restore the previous state on exit.
 
-    (Named ``profiled`` rather than ``profiling`` so the re-export in
-    ``repro.obs`` cannot shadow this submodule's name on the package.)
+    (Named ``profiled`` rather than ``profiling`` so it never reads as the
+    submodule's own name.)
     """
     global PROFILER
     previous = PROFILER

@@ -42,13 +42,8 @@ import logging
 import os
 import random
 import time
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -341,10 +336,7 @@ class WorkerPool:
                 ops.record("pool.task", time.perf_counter() - started)
             return results
         workers = min(self.max_workers, len(tasks))
-        executor_cls = (
-            ThreadPoolExecutor if self.backend is Backend.THREAD else ProcessPoolExecutor
-        )
-        with executor_cls(max_workers=workers) as executor:
+        with self._executor_class()(max_workers=workers) as executor:
             if ops is None:
                 futures = [
                     executor.submit(call, task) for call, task in zip(calls, tasks)
@@ -451,10 +443,10 @@ class WorkerPool:
         tasks: Sequence[T],
         retry: RetryPolicy,
     ) -> list[R | TaskFailure]:
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.max_workers, len(tasks))
-        executor_cls = (
-            ThreadPoolExecutor if self.backend is Backend.THREAD else ProcessPoolExecutor
-        )
+        executor_cls = self._executor_class()
         results: list[R | TaskFailure | None] = [None] * len(tasks)
         # (task index, attempts already made)
         pending: list[tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
@@ -527,6 +519,17 @@ class WorkerPool:
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return list(results)  # type: ignore[arg-type]
+
+    def _executor_class(self):
+        """The concurrent backend's executor type, imported here so that a
+        serial pool never loads ``multiprocessing``."""
+        if self.backend is Backend.THREAD:
+            from concurrent.futures import ThreadPoolExecutor
+
+            return ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
 
     def _rebuild_executor(self, executor, executor_cls, workers):
         """Replace an executor whose worker crashed, hung, or was killed."""

@@ -6,37 +6,39 @@ wire-accurate bytes for all three, wrapped in :class:`~repro.traffic.trace.Trace
 objects that the replay machinery and lib·erate itself consume.
 """
 
-from repro.traffic.http import (
-    http_get_trace,
-    http_request,
-    http_response,
-)
-from repro.traffic.pcap import read_pcap, tap_to_pcap, write_pcap
-from repro.traffic.quic import quic_initial, quic_video_trace
-from repro.traffic.recorder import TraceRecorder
-from repro.traffic.stun import stun_binding_request, stun_binding_response, stun_trace
-from repro.traffic.tls import client_hello, extract_sni, tls_trace
-from repro.traffic.trace import Trace, TracePacket, invert_bits
-from repro.traffic.video import video_stream_trace
+_LAZY_EXPORTS = {
+    "http_get_trace": "repro.traffic.http",
+    "http_request": "repro.traffic.http",
+    "http_response": "repro.traffic.http",
+    "stun_binding_request": "repro.traffic.stun",
+    "stun_binding_response": "repro.traffic.stun",
+    "stun_trace": "repro.traffic.stun",
+    "client_hello": "repro.traffic.tls",
+    "extract_sni": "repro.traffic.tls",
+    "tls_trace": "repro.traffic.tls",
+    "Trace": "repro.traffic.trace",
+    "TracePacket": "repro.traffic.trace",
+    "invert_bits": "repro.traffic.trace",
+    "video_stream_trace": "repro.traffic.video",
+    "read_pcap": "repro.traffic.pcap",
+    "tap_to_pcap": "repro.traffic.pcap",
+    "write_pcap": "repro.traffic.pcap",
+    "TraceRecorder": "repro.traffic.recorder",
+    "quic_initial": "repro.traffic.quic",
+    "quic_video_trace": "repro.traffic.quic",
+}
 
-__all__ = [
-    "http_get_trace",
-    "http_request",
-    "http_response",
-    "stun_binding_request",
-    "stun_binding_response",
-    "stun_trace",
-    "client_hello",
-    "extract_sni",
-    "tls_trace",
-    "Trace",
-    "TracePacket",
-    "invert_bits",
-    "video_stream_trace",
-    "read_pcap",
-    "tap_to_pcap",
-    "write_pcap",
-    "TraceRecorder",
-    "quic_initial",
-    "quic_video_trace",
-]
+__all__ = list(_LAZY_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Lazily resolve the public names so importing one generator loads only its module."""
+    try:
+        module_name = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.traffic' has no attribute {name!r}") from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value

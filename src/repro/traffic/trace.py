@@ -17,6 +17,9 @@ from pathlib import Path as FilePath
 from repro.endpoint.apps import ReplayStep
 from repro.packets.flow import Direction
 
+#: ``bytes.translate`` table mapping every byte value to its complement.
+_INVERT = bytes(range(255, -1, -1))
+
 
 def invert_bits(payload: bytes) -> bytes:
     """Invert every bit of *payload*.
@@ -25,7 +28,7 @@ def invert_bits(payload: bytes) -> bytes:
     guaranteed to differ from the recorded trace at every bit, and free of
     the accidental keyword matches random payloads can produce.
     """
-    return bytes((~b) & 0xFF for b in payload)
+    return bytes(payload).translate(_INVERT)
 
 
 @dataclass(slots=True)

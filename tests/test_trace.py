@@ -34,6 +34,14 @@ class TestInvertBits:
     def test_empty(self):
         assert invert_bits(b"") == b""
 
+    def test_translate_table_equals_per_byte_complement(self):
+        every_byte = bytes(range(256))
+        for data in (every_byte, every_byte[::-1], bytearray(b"\x00\xffmixed"), b""):
+            assert invert_bits(data) == bytes((~b) & 0xFF for b in data)
+            assert type(invert_bits(data)) is bytes
+        for value in range(256):
+            assert invert_bits(bytes([value])) == bytes([(~value) & 0xFF])
+
 
 class TestTraceViews:
     def test_client_payloads(self):
