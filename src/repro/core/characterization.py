@@ -266,7 +266,18 @@ class Characterizer:
         return outcome.differentiated
 
     def _random_payload(self, size: int) -> bytes:
-        return bytes(self._rng.randrange(256) for _ in range(size))
+        # ``randrange(256)`` keeps the top 9 bits of a 32-bit word when they
+        # are below 256 (top byte < 128).  A word yields at most one byte, so
+        # drawing exactly the words still needed gives the same bytes and
+        # generator state as ``size`` calls.
+        out = b""
+        while len(out) < size:
+            need = size - len(out)
+            words = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            out += bytes(
+                hi * 2 + (lo >> 7) for lo, hi in zip(words[2::4], words[3::4]) if hi < 128
+            )
+        return out
 
     def _blind_bytes(self, data: bytes) -> bytes:
         """Destroy *data* per the active blinding mode.

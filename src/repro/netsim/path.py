@@ -1,14 +1,19 @@
 """Path composition: endpoints connected through an ordered element chain.
 
 Packet propagation is event-driven: every unit of work — "this packet is at
-element *i*" — is an explicit agenda item that the frame loop consumes in
+element *i*" — is an explicit agenda item that one frame loop consumes in
 depth-first order: an element's extra outputs and an endpoint's responses
 complete before anything stacked earlier (the golden traces pin this
 order).  An element may inject packets back toward the sender (ICMP Time
 Exceeded, censor RSTs) or forward toward the destination; injected packets
-traverse the remaining elements exactly as real ones would.  The walk is
-the same whether or not a tracer or metrics registry is live; observers
-only record what it does.
+traverse the remaining elements exactly as real ones would.
+
+The loop walks a per-direction plan compiled from ``Path.elements``: each
+element's bound ``process`` and the length of the router run it starts, so
+a run of routers a pristine packet cannot expire in costs one TTL
+subtraction.  The plan is rebuilt when the chain changes.  The walk is the
+same whether or not a tracer or metrics registry is live; observers only
+record what it does.
 
 The synchronous API (:meth:`Path.send_from_client`) runs a frame to
 completion on the spot.  :meth:`Path.schedule_from_client` instead defers a
@@ -21,7 +26,8 @@ send cannot express.  While a scheduler is bound, elements arm their timers
 
 from __future__ import annotations
 
-from typing import Protocol
+from operator import is_
+from typing import Callable, Protocol
 
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import NetworkElement
@@ -90,6 +96,8 @@ class Path:
         self.server_endpoint: Endpoint = _SinkEndpoint()
         self.max_depth = max_depth
         self.scheduler = scheduler
+        self._planned: tuple[NetworkElement, ...] = ()
+        self._plans: tuple[list[_Step], list[_Step]] = ([], [])
 
     # ------------------------------------------------------------------
     # public API — synchronous sends
@@ -101,13 +109,11 @@ class Path:
 
     def send_from_client(self, packet: IPPacket) -> None:
         """Inject *packet* at the client edge, traveling toward the server."""
-        self._propagate(packet, Direction.CLIENT_TO_SERVER, index=0, depth=0)
+        self._propagate(packet, Direction.CLIENT_TO_SERVER, 0)
 
     def send_from_server(self, packet: IPPacket) -> None:
         """Inject *packet* at the server edge, traveling toward the client."""
-        self._propagate(
-            packet, Direction.SERVER_TO_CLIENT, index=len(self.elements) - 1, depth=0
-        )
+        self._propagate(packet, Direction.SERVER_TO_CLIENT)
 
     def send_batch_from_client(self, packets: list[IPPacket]) -> None:
         """Inject *packets* at the client edge in order, pre-encoding the batch.
@@ -137,18 +143,19 @@ class Path:
         """
         sched = self._require_scheduler()
         deadline = at if at is not None else sched.now + delay
-        return sched.at(deadline, self._propagate, packet, Direction.CLIENT_TO_SERVER, 0, 0)
+        return sched.at(deadline, self._propagate, packet, Direction.CLIENT_TO_SERVER, 0)
 
     def schedule_from_server(
         self, packet: IPPacket, delay: float = 0.0, at: float | None = None
     ) -> int:
-        """Schedule a server-edge frame for a future virtual time."""
+        """Schedule a server-edge frame for a future virtual time.
+
+        The server edge is resolved when the frame fires, so it starts at
+        the last element of the chain as it is then.
+        """
         sched = self._require_scheduler()
         deadline = at if at is not None else sched.now + delay
-        return sched.at(
-            deadline, self._propagate, packet, Direction.SERVER_TO_CLIENT,
-            len(self.elements) - 1, 0,
-        )
+        return sched.at(deadline, self._propagate, packet, Direction.SERVER_TO_CLIENT)
 
     def run(self, until: float | None = None) -> int:
         """Drain scheduled frames in virtual-time order; returns events fired."""
@@ -181,9 +188,40 @@ class Path:
     # ------------------------------------------------------------------
     # propagation machinery
     # ------------------------------------------------------------------
-    def _propagate(self, packet: IPPacket, direction: Direction, index: int, depth: int) -> None:
+    def _compile(self) -> tuple[list[_Step], list[_Step]]:
+        """Resolve the chain into one plan per direction; remember the chain.
+
+        Entry *i* of a plan is ``(process, element, run, run_end)``: the
+        element's bound ``process``, the element, the length of the run of
+        consecutive routers starting at *i* in that direction
+        (0 when element *i* is not a router) and the index just past that
+        run.  Methods are bound here, so a class-level wrapper installed
+        before the path was built is what the walk calls.
+        """
+        elements = self.elements
+        up: list[_Step] = []
+        run = 0
+        for i in range(len(elements) - 1, -1, -1):
+            element = elements[i]
+            run = run + 1 if type(element) is RouterHop else 0
+            up.append((element.process, element, run, i + run))
+        up.reverse()
+        down: list[_Step] = []
+        run = 0
+        for i, element in enumerate(elements):
+            run = run + 1 if type(element) is RouterHop else 0
+            down.append((element.process, element, run, i - run))
+        self._planned = tuple(elements)
+        self._plans = (up, down)
+        return self._plans
+
+    def _propagate(
+        self, packet: IPPacket, direction: Direction, index: int | None = None, depth: int = 0
+    ) -> None:
         """Run one frame to completion via an explicit event agenda.
 
+        ``index=None`` starts at the sending edge, resolved now (so an
+        element added at that edge after a frame was scheduled is walked).
         Agenda items are ``(packet, direction, index, depth, counted)``
         tuples consumed LIFO, which gives the depth-first order contract:
         an element's extra outputs complete before its last output
@@ -192,75 +230,71 @@ class Path:
         same packet resuming mid-chain) so the process-wide propagation
         counter counts each frame once.
 
-        Injections via the transit context (:class:`_FrameContext`) are
-        synchronous re-entrant calls — they finish before the injecting
-        element's ``process`` returns.
+        The plan is checked against ``self.elements`` once per frame and
+        rebuilt on any difference, so in-place edits of the public list take
+        effect from the next frame.  Injections via the transit context
+        (:class:`_FrameContext`) are synchronous re-entrant calls — they
+        finish before the injecting element's ``process`` returns.
         """
+        global _packets_propagated_total
+        elements = self.elements
+        if len(elements) == len(self._planned) and all(map(is_, elements, self._planned)):
+            up, down = self._plans
+        else:
+            up, down = self._compile()
+        count = len(elements)
+        clock = self.clock
+        tracer = obs_trace.TRACER
+        metrics = obs_metrics.METRICS
+        max_depth = self.max_depth
+        to_server = Direction.CLIENT_TO_SERVER
+        if index is None:
+            index = 0 if direction is to_server else count - 1
+        # One mutable context serves the whole frame: injections only happen
+        # synchronously inside ``process``, when its fields are current.
+        ctx = _FrameContext(self)
         agenda: list[tuple[IPPacket, Direction, int, int, bool]] = [
             (packet, direction, index, depth, True)
         ]
+        push = agenda.append
         while agenda:
-            pkt, item_direction, i, item_depth, counted = agenda.pop()
-            self._walk(agenda, pkt, item_direction, i, item_depth, counted)
-
-    def _walk(
-        self,
-        agenda: list[tuple[IPPacket, Direction, int, int, bool]],
-        packet: IPPacket,
-        direction: Direction,
-        index: int,
-        depth: int,
-        counted: bool,
-    ) -> None:
-        global _packets_propagated_total
-        if counted:
-            _packets_propagated_total += 1
-        if depth > self.max_depth:
-            raise RuntimeError("packet propagation exceeded max depth (response loop?)")
-        tracer = obs_trace.TRACER
-        metrics = obs_metrics.METRICS
-        if counted and metrics is not None:
-            metrics.inc("netsim.packets.propagated")
-        step = 1 if direction is Direction.CLIENT_TO_SERVER else -1
-        elements = self.elements
-        count = len(elements)
-        # One mutable context serves the whole walk: injections only happen
-        # synchronously inside element.process, when ``index`` is current.
-        ctx = _FrameContext(self, direction, depth, step)
-        current = packet
-        i = index
-        while 0 <= i < count:
-            element = elements[i]
-            if type(element) is RouterHop and (
-                current.version == 4
-                and current.ihl is None
-                and current.total_length is None
-                and current.checksum is None
-            ):
-                # Walk the maximal run of consecutive routers.  A run of k
-                # routers applied to a pristine packet with TTL > k is
-                # exactly k TTL decrements: headers stay valid at every hop
-                # (auto-computed fields are self-consistent) and the TTL
-                # cannot expire mid-run, so no drops, no ICMP, and the single
-                # clone below is byte-identical to hop-by-hop.  Otherwise the
-                # run's first router processes the packet like any element.
-                j = i + step
-                run = 1
-                while 0 <= j < count and type(elements[j]) is RouterHop:
-                    run += 1
-                    j += step
-                if current.ttl > run:
+            current, direction, i, depth, counted = agenda.pop()
+            if counted:
+                _packets_propagated_total += 1
+            if depth > max_depth:
+                raise RuntimeError("packet propagation exceeded max depth (response loop?)")
+            if counted and metrics is not None:
+                metrics.inc("netsim.packets.propagated")
+            step, plan = (1, up) if direction is to_server else (-1, down)
+            ctx.direction = direction
+            ctx.depth = depth
+            ctx.step = step
+            while 0 <= i < count:
+                process, element, run, run_end = plan[i]
+                if (
+                    run
+                    and current.version == 4
+                    and current.ihl is None
+                    and current.total_length is None
+                    and current.checksum is None
+                    and current.ttl > run
+                ):
+                    # k routers on a pristine packet with TTL > k are exactly
+                    # k TTL decrements: auto-computed headers stay valid and
+                    # the TTL cannot expire mid-run, so one clone is
+                    # byte-identical to hop-by-hop.  Otherwise the run's
+                    # first router processes the packet like any element.
                     if tracer is not None:
                         # The run's per-hop events: each router saw the
                         # packet one TTL lower than the one before it.
                         fields = obs_trace.packet_fields(current)
-                        now = self.clock.now
+                        now = clock.now
                         for hop in range(run):
                             fields["ttl"] = current.ttl - hop
                             tracer.emit(
                                 "hop.traverse",
                                 now,
-                                element=elements[i + hop * step].name,
+                                element=plan[i + hop * step][1].name,
                                 dir=direction.value,
                                 out=1,
                                 **fields,
@@ -268,71 +302,65 @@ class Path:
                     if metrics is not None:
                         metrics.inc("netsim.hop.forwarded", run)
                     current = current.decremented(run)
-                    i = j
+                    i = run_end
                     continue
-            ctx.index = i
-            outputs = element.process(current, direction, ctx)
-            if tracer is not None:
-                tracer.emit(
-                    "hop.traverse",
-                    self.clock.now,
-                    element=element.name,
-                    dir=direction.value,
-                    out=len(outputs),
-                    **obs_trace.packet_fields(current),
-                )
-            if not outputs:
+                ctx.index = i
+                outputs = process(current, direction, ctx)
+                if tracer is not None:
+                    tracer.emit(
+                        "hop.traverse",
+                        clock.now,
+                        element=element.name,
+                        dir=direction.value,
+                        out=len(outputs),
+                        **obs_trace.packet_fields(current),
+                    )
+                if not outputs:
+                    if metrics is not None:
+                        metrics.inc("netsim.hop.absorbed")
+                        metrics.inc(f"netsim.hop.absorbed.{element.name}")
+                    break
                 if metrics is not None:
-                    metrics.inc("netsim.hop.absorbed")
-                    metrics.inc(f"netsim.hop.absorbed.{element.name}")
-                return
-            if metrics is not None:
-                metrics.inc("netsim.hop.forwarded")
-            if len(outputs) > 1:
-                # An element may emit several packets (e.g. reassembly
-                # flushes); extras propagate to completion before the last
-                # output continues, so the continuation is stacked first
-                # (LIFO) and the extras above it in order.
-                agenda.append((outputs[-1], direction, i + step, depth, False))
-                for extra in reversed(outputs[:-1]):
-                    agenda.append((extra, direction, i + step, depth + 1, True))
-                return
-            current = outputs[-1]
-            i += step
-        if tracer is not None:
-            tracer.emit(
-                "endpoint.deliver",
-                self.clock.now,
-                endpoint="server" if direction is Direction.CLIENT_TO_SERVER else "client",
-                dir=direction.value,
-                **obs_trace.packet_fields(current),
-            )
-        if metrics is not None:
-            metrics.inc("netsim.packets.delivered")
-        self._deliver_to_endpoint(agenda, current, direction, depth)
+                    metrics.inc("netsim.hop.forwarded")
+                if len(outputs) > 1:
+                    # An element may emit several packets (e.g. reassembly
+                    # flushes); extras propagate to completion before the
+                    # last output continues, so the continuation is stacked
+                    # first (LIFO) and the extras above it in order.
+                    push((outputs[-1], direction, i + step, depth, False))
+                    for extra in reversed(outputs[:-1]):
+                        push((extra, direction, i + step, depth + 1, True))
+                    break
+                current = outputs[0]
+                i += step
+            else:
+                # Past the last element: hand the packet to its endpoint and
+                # stack the responses in reverse, so they pop in order, each
+                # running to completion before any earlier-stacked work.
+                if tracer is not None:
+                    tracer.emit(
+                        "endpoint.deliver",
+                        clock.now,
+                        endpoint="server" if step == 1 else "client",
+                        dir=direction.value,
+                        **obs_trace.packet_fields(current),
+                    )
+                if metrics is not None:
+                    metrics.inc("netsim.packets.delivered")
+                if step == 1:
+                    responses = self.server_endpoint.receive(current)
+                    back = Direction.SERVER_TO_CLIENT
+                    start = count - 1
+                else:
+                    responses = self.client_endpoint.receive(current)
+                    back = to_server
+                    start = 0
+                for response in reversed(responses):
+                    push((response, back, start, depth + 1, True))
 
-    def _deliver_to_endpoint(
-        self,
-        agenda: list[tuple[IPPacket, Direction, int, int, bool]],
-        packet: IPPacket,
-        direction: Direction,
-        depth: int,
-    ) -> None:
-        """Hand the frame's packet to its endpoint; stack the responses.
 
-        Responses are pushed in reverse so they pop in order, each running
-        to completion before any earlier-stacked work.
-        """
-        if direction is Direction.CLIENT_TO_SERVER:
-            responses = self.server_endpoint.receive(packet)
-            back = Direction.SERVER_TO_CLIENT
-            start = len(self.elements) - 1
-        else:
-            responses = self.client_endpoint.receive(packet)
-            back = Direction.CLIENT_TO_SERVER
-            start = 0
-        for response in reversed(responses):
-            agenda.append((response, back, start, depth + 1, True))
+#: One plan entry: bound ``process``, element, router-run length, run end.
+_Step = tuple[Callable[..., list[IPPacket]], NetworkElement, int, int]
 
 
 class _FrameContext:
@@ -340,28 +368,23 @@ class _FrameContext:
 
     Duck-typed stand-in for :class:`TransitContext` (same ``clock`` /
     ``inject_back`` / ``inject_forward`` / ``scheduler`` surface).  The
-    owning frame updates ``index`` as the walk advances; elements only
-    inject synchronously from ``process``, so the position is always
-    current when it is read.
+    owning frame sets ``direction``, ``depth``, ``step`` and ``index`` as it
+    takes agenda items and advances; elements only inject synchronously from
+    ``process``, so they are current when read, and each injection runs
+    as a frame with its own context.
     """
 
-    __slots__ = ("clock", "scheduler", "index", "_path", "_direction", "_depth", "_step")
+    __slots__ = ("clock", "scheduler", "index", "direction", "depth", "step", "_path")
 
-    def __init__(self, path: Path, direction: Direction, depth: int, step: int) -> None:
+    def __init__(self, path: Path) -> None:
         self.clock = path.clock
         self.scheduler = path.scheduler
-        self.index = 0
         self._path = path
-        self._direction = direction
-        self._depth = depth
-        self._step = step
 
     def inject_back(self, injected: IPPacket) -> None:
         self._path._propagate(
-            injected, self._direction.reversed, self.index - self._step, self._depth + 1
+            injected, self.direction.reversed, self.index - self.step, self.depth + 1
         )
 
     def inject_forward(self, injected: IPPacket) -> None:
-        self._path._propagate(
-            injected, self._direction, self.index + self._step, self._depth + 1
-        )
+        self._path._propagate(injected, self.direction, self.index + self.step, self.depth + 1)

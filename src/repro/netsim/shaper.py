@@ -42,7 +42,6 @@ class TokenBucket:
         Returns the delay (seconds) that was charged.
         """
         rate_bytes = self.rate_bps / 8.0
-        # Inlined _refill: this runs once per packet per shaper.
         now = clock.now
         elapsed = now - self._last
         tokens = self._tokens + elapsed * rate_bytes if elapsed > 0.0 else self._tokens
@@ -63,11 +62,6 @@ class TokenBucket:
         self._last = now
         self._tokens = max(tokens - size_bytes, 0.0)
         return delay
-
-    def _refill(self, now: float, rate_bytes: float) -> None:
-        elapsed = max(now - self._last, 0.0)
-        self._tokens = min(self.burst_bytes, self._tokens + elapsed * rate_bytes)
-        self._last = now
 
     def reset(self) -> None:
         """Restore a full bucket."""
@@ -149,23 +143,30 @@ class TokenBucketShaper(NetworkElement):
                     self._flow_buckets[normalized] = bucket
                 bucket.consume(size, ctx.clock)
                 return [packet]
-        # Inlined base-bucket fast path: the base link rarely saturates, so
-        # most packets only need a refill-and-subtract with no delay.
+        # Inlined base bucket (TokenBucket.consume, same float operations in
+        # the same order): the base link saturates on most packets of a
+        # server response, so both the refill and the delay run here.
         bucket = self.base_bucket
+        rate_bytes = bucket.rate_bps / 8.0
         clock = ctx.clock
         now = clock.now
         elapsed = now - bucket._last
         tokens = bucket._tokens
         if elapsed > 0.0:
-            tokens += elapsed * (bucket.rate_bps / 8.0)
+            tokens += elapsed * rate_bytes
             if tokens > bucket.burst_bytes:
                 tokens = bucket.burst_bytes
-        bucket._last = now
         if tokens >= size:
+            bucket._last = now
             bucket._tokens = tokens - size
-        else:
-            bucket._tokens = tokens
-            bucket.consume(size, clock)  # recomputes elapsed=0, charges delay
+            return [packet]
+        clock.advance((size - tokens) / rate_bytes)
+        later = clock.now
+        elapsed = later - now
+        if elapsed > 0.0:
+            tokens = min(bucket.burst_bytes, tokens + elapsed * rate_bytes)
+        bucket._last = later
+        bucket._tokens = max(tokens - size, 0.0)
         return [packet]
 
     def reset(self) -> None:

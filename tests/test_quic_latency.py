@@ -1,14 +1,5 @@
-"""Tests for QUIC traffic (§6.2 footnote 10, §6.5) and the latency element."""
+"""Tests for QUIC traffic (§6.2 footnote 10, §6.5)."""
 
-import pytest
-
-from repro.netsim.clock import VirtualClock
-from repro.netsim.element import TransitContext
-from repro.netsim.latency import LatencyElement
-from repro.netsim.shaper import PolicyState
-from repro.packets.flow import Direction, FiveTuple
-from repro.packets.ip import IPPacket
-from repro.packets.tcp import TCPSegment
 from repro.replay.session import ReplaySession
 from repro.traffic.quic import is_quic_initial, quic_initial, quic_video_trace
 
@@ -60,59 +51,3 @@ class TestQUICEscapesClassifiers:
     def test_testbed_stun_rule_ignores_quic(self, testbed):
         outcome = ReplaySession(testbed, quic_video_trace(total_bytes=30_000)).run()
         assert not outcome.differentiated
-
-
-class TestLatencyElement:
-    def packet(self):
-        return IPPacket(
-            src="10.1.0.2",
-            dst="203.0.113.50",
-            transport=TCPSegment(sport=40_000, dport=80, seq=1, payload=b"x"),
-        )
-
-    def ctx(self, clock):
-        return TransitContext(clock=clock, inject_back=lambda p: None, inject_forward=lambda p: None)
-
-    def test_base_delay_charged(self):
-        clock = VirtualClock()
-        element = LatencyElement(base_delay=0.01)
-        for _ in range(10):
-            element.process(self.packet(), Direction.CLIENT_TO_SERVER, self.ctx(clock))
-        assert clock.now == pytest.approx(0.1)
-        assert element.packets_delayed == 10
-
-    def test_deprioritized_flows_pay_extra(self):
-        clock = VirtualClock()
-        policy = PolicyState()
-        policy.throttle(FiveTuple.of(self.packet()), 1e6)
-        element = LatencyElement(
-            base_delay=0.001, deprioritized_extra=0.05, policy_state=policy
-        )
-        element.process(self.packet(), Direction.CLIENT_TO_SERVER, self.ctx(clock))
-        assert clock.now == pytest.approx(0.051)
-
-    def test_unmarked_flows_pay_base_only(self):
-        clock = VirtualClock()
-        element = LatencyElement(
-            base_delay=0.001, deprioritized_extra=0.05, policy_state=PolicyState()
-        )
-        element.process(self.packet(), Direction.CLIENT_TO_SERVER, self.ctx(clock))
-        assert clock.now == pytest.approx(0.001)
-
-    def test_zero_delay_is_free(self):
-        clock = VirtualClock()
-        element = LatencyElement(base_delay=0.0)
-        element.process(self.packet(), Direction.CLIENT_TO_SERVER, self.ctx(clock))
-        assert clock.now == 0.0
-        assert element.packets_delayed == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyElement(base_delay=-1)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        element = LatencyElement(base_delay=0.01)
-        element.process(self.packet(), Direction.CLIENT_TO_SERVER, self.ctx(clock))
-        element.reset()
-        assert element.packets_delayed == 0
