@@ -1098,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         "countermeasures", help="run the §4.3 normalizer countermeasure study"
     ).set_defaults(func=cmd_countermeasures)
     scale = sub.add_parser(
-        "scale", help="bounded flow-state churn workload (LRU, timer heap, shedding)"
+        "scale", help="bounded flow-state churn workload (LRU, expiry lanes, shedding)"
     )
     scale.add_argument("--flows", type=int, default=100_000, help="distinct flows to churn")
     scale.add_argument(

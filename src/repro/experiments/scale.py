@@ -8,7 +8,7 @@ flow table can hold, so every bounded-state mechanism runs hot —
 
 * slab/LRU capacity eviction (``max_flows``),
 * byte-budget shedding (``flow_byte_budget``),
-* timer-heap batch expiry (idle flows aged past their flush timeout),
+* batch idle expiry (flows aged past their flush timeout, off the expiry lanes),
 * admission load-shedding (an :class:`OverloadPolicy`, when enabled).
 
 Everything is deterministic: flow endpoints derive from the flow index,
@@ -76,12 +76,11 @@ class ScaleConfig:
         flow_byte_budget: optional scan-buffer byte bound across flows.
         shed: enable the engine's :class:`OverloadPolicy` admission shedding.
         shed_seed: deterministic coin seed for the shedder.
-        pre_match_timeout / post_match_timeout: engine flush timeouts; both
-            constant, so expiry runs on the timer heap.
+        pre_match_timeout / post_match_timeout: engine flush timeouts.
         packet_interval: virtual seconds between packets.
         idle_every / idle_seconds: every *idle_every* flows the clock jumps
             *idle_seconds* forward, batch-expiring everything idle past its
-            timeout (the timer heap's busy/quiet rhythm).
+            timeout in one walk of the expiry lanes (a busy/quiet rhythm).
     """
 
     flows: int = 100_000

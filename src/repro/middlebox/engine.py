@@ -27,13 +27,13 @@ recompiles the plan.
 from __future__ import annotations
 
 import enum
-import heapq
+import math
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from operator import attrgetter
 from typing import Callable
 
-from repro.middlebox.flowtable import FlowTable, Handle
+from repro.middlebox.flowtable import FlowTable
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.middlebox.policy import PolicyAction
 from repro.middlebox.ruleindex import CompiledRuleSet, CompiledView, StreamScan
@@ -119,7 +119,7 @@ class DPIMiddlebox(NetworkElement):
     Every argument but *name* and *policy_state* is a knob.  The engine
     resolves the knobs once into a per-packet plan: the flow-key function,
     the validation checks the profile actually runs, the reassembly and
-    anchor branches, the port scope, and whether anything can expire.
+    anchor branches, the port scope, and the idle-expiry floor.
     Per-flow constants (the normalized key and each direction's compiled
     rule view) live on the :class:`FlowState`.  Knobs read as attributes;
     assigning one raises, and :meth:`reconfigure` changes knobs and
@@ -217,11 +217,12 @@ class DPIMiddlebox(NetworkElement):
 
         self._compiled: CompiledRuleSet | None = None
         self._now = 0.0  # last packet's clock time, for event timestamps
-        #: Expiry timers as a min-heap of ``(deadline, timer_id, handle)``.
-        #: An entry whose id no longer equals its flow's ``timer_id`` (the
-        #: timer was replaced, or the flow is gone) is stale and skipped.
-        self._timers: list[tuple[float, int, Handle]] = []
-        self._next_timer_id = 0
+        #: Idle-expiry lanes, one per timeout class (pre-match, post-match,
+        #: RST override), each holding its tracked flows in last-activity
+        #: order; ``FlowState.lane`` names the flow's lane.
+        self._pre_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
+        self._post_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
+        self._rst_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
         self._shedder = LoadShedder(overload) if overload is not None else None
         prefer_victim = None
         victim_scan_limit = 1
@@ -266,9 +267,9 @@ class DPIMiddlebox(NetworkElement):
         """Change knobs on a live engine and recompile its plan.
 
         Flow state survives: flows keep their verdicts and buffers, new
-        rules apply from each flow's next scan, and changed timeouts re-arm
-        every flow's expiry timer.  Raises :class:`TypeError` for a name
-        that is not a knob, or for a knob that sizes the flow table
+        rules apply from each flow's next scan, and changed timeouts apply
+        from the next packet's idle expiry.  Raises :class:`TypeError` for
+        a name that is not a knob, or for a knob that sizes the flow table
         (``flow_byte_budget``, ``overload``).
         """
         refused = sorted(set(changes).difference(_KNOBS) | _FIXED_KNOBS.intersection(changes))
@@ -280,11 +281,6 @@ class DPIMiddlebox(NetworkElement):
             raise ValueError("max_flows must be >= 1")
         self._set_knobs(changes)
         self._compile()
-        if "pre_match_timeout" in changes or "post_match_timeout" in changes:
-            self._timers.clear()
-            for normalized, state in self._flows.items():
-                state.timer_id = state.timer_deadline = None
-                self._arm_timer(normalized, state, self._now)
 
     def _set_knobs(self, changes: dict[str, object]) -> None:
         for knob, value in changes.items():
@@ -313,15 +309,21 @@ class DPIMiddlebox(NetworkElement):
         self._key_of = self._agnostic_key if self._protocol_agnostic_flow_keying else FiveTuple.of
         self._per_packet = self._reassembly is ReassemblyMode.PER_PACKET
         self._all_in_scope = self._ports is None and self._classify_udp
-        #: Callable timeouts (GFC time-of-day flushing) can shrink between
-        #: packets, so fixed-deadline timers would fire late; those
-        #: configurations keep the per-packet scan.  Constant timeouts (and
-        #: RST overrides, which are always constants) use the timer heap.
-        pre, post = self._pre_match_timeout, self._post_match_timeout
-        self._scan_timeouts = callable(pre) or callable(post)
-        #: Work due on every packet whatever the timer heap says.
+        #: The RST lane's smallest timeout: a live flow's override set under
+        #: an earlier ``rst_timeout_reduction`` still counts.
+        overrides = [state.timeout_override for state in self._rst_lane.values()]
+        if self._rst_timeout_reduction is not None:
+            overrides.append(self._rst_timeout_reduction)
+        self._rst_floor = min(overrides, default=None)
+        #: The idle-expiry floor, the smallest timeout any flow can have, is
+        #: the least of these; callable specs (GFC time-of-day flushing) are
+        #: evaluated per packet.
+        specs = (self._pre_match_timeout, self._post_match_timeout, self._rst_floor)
+        self._timeout_callables = tuple(spec for spec in specs if callable(spec))
+        fixed = [spec for spec in specs if spec is not None and not callable(spec)]
+        self._fixed_floor = min(fixed, default=math.inf)
         blocking = self._endpoint_block_threshold is not None or len(self._endpoint_block_until)
-        self._sweep_each_packet = self._scan_timeouts or bool(blocking)
+        self._sweep_blocks = bool(blocking)
         self._flows.capacity = self._max_flows
 
     # ==================================================================
@@ -333,9 +335,11 @@ class DPIMiddlebox(NetworkElement):
         """Observe one packet: update classifier state, apply policies, forward."""
         now = ctx.clock.now
         self._now = now
-        timers = self._timers
-        if self._sweep_each_packet or (timers and timers[0][0] <= now):
-            self._expire(now)
+        oldest = self._flows.lru_value()
+        if oldest is not None and now - oldest.last_packet_time > self._idle_floor(now):
+            self._expire_idle(now)
+        if self._sweep_blocks:
+            self._lapse_endpoint_blocks(now)
 
         inspect_target = packet
         if packet.mf or packet.frag_offset > 0:
@@ -368,6 +372,7 @@ class DPIMiddlebox(NetworkElement):
             if state is None:
                 return [packet]  # untracked mid-flow traffic is invisible to us
         state.last_packet_time = now
+        state.lane.move_to_end(normalized)
 
         if tcp is not None and int(tcp.flags) & 0x04:  # RST
             self._handle_rst(state, normalized)
@@ -403,10 +408,12 @@ class DPIMiddlebox(NetworkElement):
 
     def reset(self) -> None:
         """Forget every flow, fragment buffer, block counter and log entry."""
-        self._timers.clear()
         if self._overload is not None:
             self._shedder = LoadShedder(self._overload)
         self._flows.clear()
+        self._pre_lane.clear()
+        self._post_lane.clear()
+        self._rst_lane.clear()
         self._fragments.clear()
         self._endpoint_block_counts.clear()
         self._endpoint_block_until.clear()
@@ -442,12 +449,14 @@ class DPIMiddlebox(NetworkElement):
             server_port=key.dport,
             created_at=now,
             last_packet_time=now,
+            lane=self._pre_lane,
             expected_seq=expected_seq,
         )
         # Capacity pressure evicts inside insert() (O(1) via the LRU chain),
         # firing _flow_evicted for the victim before this flow's creation
         # event — the same event order as the historical evict-then-insert.
         self._flows.insert(normalized, state)
+        self._pre_lane[normalized] = state
         if obs_trace.TRACER is not None:
             obs_trace.TRACER.emit(
                 "mbx.flow_created",
@@ -458,7 +467,6 @@ class DPIMiddlebox(NetworkElement):
             )
         if obs_metrics.METRICS is not None:
             obs_metrics.METRICS.inc("mbx.flows_created")
-        self._arm_timer(normalized, state, now)
         return state
 
     def bound_flow_state(self, max_flows: int, match_log_bound: int | None = None) -> None:
@@ -530,45 +538,48 @@ class DPIMiddlebox(NetworkElement):
         spec = self._pre_match_timeout if state.verdict is None else self._post_match_timeout
         return spec(now) if callable(spec) else spec
 
-    def _arm_timer(self, normalized: FiveTuple, state: FlowState, now: float) -> None:
-        """Schedule (or tighten) the flow's expiry timer.
+    def _idle_floor(self, now: float) -> float:
+        """The smallest flush timeout any flow can have at *now* (inf: none)."""
+        floor = self._fixed_floor
+        for spec in self._timeout_callables:
+            timeout = spec(now)
+            if timeout is not None and timeout < floor:
+                floor = timeout
+        return floor
 
-        Called when a timeout *source* changes — flow creation, a verdict,
-        an RST override — never per packet: activity pushes the true
-        deadline later, and the pending timer handles that lazily by
-        re-checking the idle condition and rescheduling when it fires.
-        Only a deadline **earlier** than the pending one forces a
-        replacement (firing late would miss a flush the per-packet scan
-        would have caught); the replaced entry goes stale in the heap.
+    def _expire_idle(self, now: float) -> None:
+        """Flush every flow idle past its own timeout, walking each lane.
+
+        A lane is in last-activity order: :meth:`process` moves a flow to
+        its lane's end as it stamps ``last_packet_time``, a flow changes
+        lane only on one of its own packets, and the clock never runs back.
+        So each lane's walk stops at the first flow idle no longer than the
+        lane's timeout: every flow after it is younger still.  Stale flows
+        flush in flow-table insertion order, the order of a scan over the
+        table.
         """
-        if self._scan_timeouts:
-            return  # callable timeouts keep the exact per-packet scan
-        timeout = self._timeout_for(state, now)
-        if timeout is None:
-            return
-        deadline = state.last_packet_time + timeout
-        if state.timer_deadline is not None and deadline >= state.timer_deadline:
-            return
-        handle = self._flows.handle_of(normalized)
-        if handle is None:
-            return
-        timer_id = self._next_timer_id
-        self._next_timer_id += 1
-        heapq.heappush(self._timers, (deadline, timer_id, handle))
-        state.timer_id = timer_id
-        state.timer_deadline = deadline
+        pre, post = self._pre_match_timeout, self._post_match_timeout
+        lanes = (
+            (self._pre_lane, pre(now) if callable(pre) else pre),
+            (self._post_lane, post(now) if callable(post) else post),
+            (self._rst_lane, self._rst_floor),
+        )
+        stale: list[tuple[int | None, FiveTuple]] = []
+        for lane, floor in lanes:
+            if floor is None:
+                continue
+            for normalized, state in lane.items():
+                idle = now - state.last_packet_time
+                if idle <= floor:
+                    break
+                if idle > self._timeout_for(state, now):  # type: ignore[operator]
+                    stale.append((self._flows.seq_of(normalized), normalized))
+        stale.sort()
+        for _seq, normalized in stale:
+            self._forget_flow(normalized, reason="timeout")
 
-    def _expire(self, now: float) -> None:
-        """Flush idle flows and lapse endpoint blocks.
-
-        :meth:`process` calls this only when something can be due: a timer
-        at the heap head, a callable timeout (scanned every packet), or
-        endpoint blocking.
-        """
-        if self._scan_timeouts:
-            self._expire_scan(now)
-        else:
-            self._expire_timers(now)
+    def _lapse_endpoint_blocks(self, now: float) -> None:
+        """End the endpoint blocks whose duration has passed."""
         if len(self._endpoint_block_until):
             expired_endpoints = [
                 endpoint
@@ -580,53 +591,17 @@ class DPIMiddlebox(NetworkElement):
                 self.policy_state.blocked_endpoints.discard(endpoint)
                 self._endpoint_block_counts.pop(endpoint)
 
-    def _expire_scan(self, now: float) -> None:
-        """Per-packet timeout scan, kept for callable (time-of-day) specs."""
-        stale: list[FiveTuple] = []
-        for normalized, state in self._flows.items():
-            timeout = self._timeout_for(state, now)
-            if timeout is not None and now - state.last_packet_time > timeout:
-                stale.append(normalized)
-        for normalized in stale:
-            self._forget_flow(normalized, reason="timeout")
-
-    def _expire_timers(self, now: float) -> None:
-        """Batch expiry off the timer heap: O(timers due), not O(flows).
-
-        Due timers re-check the exact idle condition the scan used (the
-        flow may have been touched since the timer was armed) and
-        reschedule when not yet stale.  Stale flows flush in flow-table
-        insertion order, matching the scan's dict-iteration order.
-        """
-        timers = self._timers
-        if not timers or timers[0][0] > now:
-            return
-        # Pop the whole due set before re-arming: a re-armed deadline can
-        # equal *now*, and it must wait for the next packet's sweep.
-        due = []
-        while timers and timers[0][0] <= now:
-            due.append(heapq.heappop(timers))
-        stale: list[tuple[int, FiveTuple]] = []
-        for _deadline, timer_id, handle in due:
-            entry = self._flows.entry_by_handle(handle)
-            if entry is None:
-                continue  # flow already flushed/evicted; stale handle
-            normalized, state = entry
-            if state.timer_id != timer_id:
-                continue  # superseded by a later arm or a teardown
-            state.timer_id = None
-            state.timer_deadline = None
-            timeout = self._timeout_for(state, now)
-            if timeout is None:
-                continue
-            if now - state.last_packet_time > timeout:
-                seq = self._flows.seq_of(normalized)
-                stale.append((seq if seq is not None else 0, normalized))
-            else:
-                self._arm_timer(normalized, state, now)
-        stale.sort()
-        for _seq, normalized in stale:
-            self._forget_flow(normalized, reason="timeout")
+    def _relane(self, state: FlowState) -> None:
+        """Move the flow to its timeout class's lane after a verdict or an
+        RST override; it joins at the recent end, as its packet is now."""
+        if state.timeout_override is not None:
+            lane = self._rst_lane
+        else:
+            lane = self._pre_lane if state.verdict is None else self._post_lane
+        if state.lane is not lane:
+            del state.lane[state.normalized]
+            lane[state.normalized] = state
+            state.lane = lane
 
     def _forget_flow(self, normalized: FiveTuple, reason: str = "flush") -> None:
         state = self._flows.pop(normalized)
@@ -636,8 +611,7 @@ class DPIMiddlebox(NetworkElement):
 
     def _flow_dropped(self, normalized: FiveTuple, state: FlowState, reason: str) -> None:
         """Shared teardown for flushed *and* table-evicted flows."""
-        state.timer_id = None  # any heap entry for the flow is now stale
-        state.timer_deadline = None
+        del state.lane[normalized]
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
         if obs_trace.TRACER is not None:
@@ -661,7 +635,7 @@ class DPIMiddlebox(NetworkElement):
             self._forget_flow(normalized, reason="rst-pre-match")
         elif self._rst_timeout_reduction is not None:
             state.timeout_override = self._rst_timeout_reduction
-            self._arm_timer(normalized, state, self._now)
+            self._relane(state)
             if obs_trace.TRACER is not None:
                 obs_trace.TRACER.emit(
                     "mbx.rst_timeout_reduced",
@@ -805,7 +779,7 @@ class DPIMiddlebox(NetworkElement):
         if matched is not None:
             state.verdict = matched
             state.match_time = now
-            self._arm_timer(state.normalized, state, now)
+            self._relane(state)
             self.match_log.append((now, matched.name, state.client_tuple))
             self.matches_logged += 1
             if obs_trace.TRACER is not None:
@@ -830,7 +804,7 @@ class DPIMiddlebox(NetworkElement):
     def _finalize_unclassified(self, state: FlowState, reason: str, now: float) -> None:
         """Commit the match-and-forget "never going to match" verdict."""
         state.verdict = UNCLASSIFIED_FINAL
-        self._arm_timer(state.normalized, state, now)
+        self._relane(state)
         if obs_trace.TRACER is not None:
             obs_trace.TRACER.emit(
                 "mbx.verdict",

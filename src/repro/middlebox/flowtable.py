@@ -7,16 +7,13 @@ min-scan over last-activity times.  :class:`FlowTable` replaces them with a
 slab allocator threaded by an intrusive doubly-linked LRU list:
 
 * **slab slots** — entries live in preallocated parallel arrays (key, value,
-  generation, insertion sequence, LRU links, byte cost).  Slots are recycled
-  through a free list; the arrays grow geometrically up to ``capacity`` and
-  never shrink, so steady-state churn allocates nothing.
+  insertion sequence, LRU links, byte cost).  Slots are recycled through a
+  free list; the arrays grow geometrically up to ``capacity`` and never
+  shrink, so steady-state churn allocates nothing.
 * **intrusive LRU** — ``get``/``touch`` splice the entry to the MRU end and
   eviction unlinks the LRU end, all by integer index surgery: no heap, no
-  scan, no per-entry wrapper objects.
-* **generation-stamped handles** — a :class:`Handle` is ``(slot,
-  generation)``; recycling a slot bumps its generation, so a stale handle
-  held by a timer heap or shed queue dereferences to ``None`` instead of
-  aliasing whichever flow now occupies the slot.  Never a ``KeyError``.
+  scan, no per-entry wrapper objects.  The LRU-end value is the
+  least-recently-active entry, which the engine's idle-expiry gate reads.
 * **bounds** — a ``capacity`` entry bound (LRU-evict on insert) and an
   optional ``byte_budget`` enforced through a caller-supplied ``cost_of``
   function (re-appraised via :meth:`recost` as buffers grow).
@@ -34,7 +31,7 @@ a bounded window from the LRU end — the walk is capped by
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterator, NamedTuple, TypeVar
+from typing import Callable, Generic, Iterator, TypeVar
 
 from repro.obs import metrics as obs_metrics
 
@@ -48,18 +45,6 @@ _INITIAL_SLOTS = 64
 DEFAULT_VICTIM_SCAN_LIMIT = 8
 
 _NIL = -1  # null link in the intrusive list
-
-
-class Handle(NamedTuple):
-    """A generation-stamped reference to a table entry.
-
-    Stays cheap to store (two ints) and safe to hold across evictions: once
-    the slot is recycled for another key the generation no longer matches
-    and :meth:`FlowTable.entry_by_handle` returns ``None``.
-    """
-
-    slot: int
-    generation: int
 
 
 class FlowTable(Generic[K, V]):
@@ -96,7 +81,6 @@ class FlowTable(Generic[K, V]):
         "_index",
         "_key",
         "_value",
-        "_gen",
         "_seq",
         "_cost",
         "_prev",
@@ -137,7 +121,6 @@ class FlowTable(Generic[K, V]):
         size = _INITIAL_SLOTS if capacity is None else min(capacity, _INITIAL_SLOTS)
         self._key: list[K | None] = [None] * size
         self._value: list[V | None] = [None] * size
-        self._gen: list[int] = [0] * size
         self._seq: list[int] = [0] * size
         self._cost: list[int] = [0] * size
         self._prev: list[int] = [_NIL] * size
@@ -163,7 +146,6 @@ class FlowTable(Generic[K, V]):
         extra = new - old
         self._key.extend([None] * extra)
         self._value.extend([None] * extra)
-        self._gen.extend([0] * extra)
         self._seq.extend([0] * extra)
         self._cost.extend([0] * extra)
         self._prev.extend([_NIL] * extra)
@@ -207,7 +189,6 @@ class FlowTable(Generic[K, V]):
         self._key[slot] = None
         self._value[slot] = None
         self._cost[slot] = 0
-        self._gen[slot] += 1  # invalidate outstanding handles
         self._free.append(slot)
         return value  # type: ignore[return-value]
 
@@ -243,11 +224,11 @@ class FlowTable(Generic[K, V]):
         self._touch_slot(slot)
         return True
 
-    def insert(self, key: K, value: V) -> Handle:
-        """Insert (or replace) *key*, evicting under pressure; returns a handle.
+    def insert(self, key: K, value: V) -> None:
+        """Insert (or replace) *key*, evicting under pressure.
 
-        A replaced key keeps its slot and generation but is re-stamped with
-        a fresh insertion sequence and touched to MRU, mirroring
+        A replaced key keeps its slot but is re-stamped with a fresh
+        insertion sequence and touched to MRU, mirroring
         ``dict.pop`` + re-insert ordering semantics.
         """
         slot = self._index.get(key)
@@ -264,7 +245,7 @@ class FlowTable(Generic[K, V]):
             self._index[key] = slot
             self._touch_slot(slot)
             self._maybe_shed_bytes(keep=slot)
-            return Handle(slot, self._gen[slot])
+            return
         if self.capacity is not None and len(self._index) >= self.capacity:
             self.evict(reason="evicted")
         if not self._free:
@@ -280,7 +261,6 @@ class FlowTable(Generic[K, V]):
         self._link_front(slot)
         self.inserts += 1
         self._maybe_shed_bytes(keep=slot)
-        return Handle(slot, self._gen[slot])
 
     def pop(self, key: K, default: V | None = None) -> V | None:
         """Remove *key* and return its value (no eviction callback)."""
@@ -296,7 +276,6 @@ class FlowTable(Generic[K, V]):
             self._value[slot] = None
             self._cost[slot] = 0
             self._prev[slot] = self._next[slot] = _NIL
-            self._gen[slot] += 1
             self._free.append(slot)
         self._index.clear()
         self._head = self._tail = _NIL
@@ -316,31 +295,8 @@ class FlowTable(Generic[K, V]):
             yield self._value[slot]  # type: ignore[misc]
 
     # ------------------------------------------------------------------
-    # handles and ordering
+    # ordering
     # ------------------------------------------------------------------
-    def handle_of(self, key: K) -> Handle | None:
-        """A generation-stamped handle for *key* (None when absent)."""
-        slot = self._index.get(key)
-        if slot is None:
-            return None
-        return Handle(slot, self._gen[slot])
-
-    def entry_by_handle(self, handle: Handle) -> tuple[K, V] | None:
-        """Dereference *handle*: ``(key, value)`` while live, else ``None``.
-
-        A handle whose slot was recycled (or whose table was cleared) is
-        detected by the generation stamp — stale dereferences are safe.
-        """
-        slot = handle.slot
-        if slot < 0 or slot >= len(self._key):
-            return None
-        if self._gen[slot] != handle.generation:
-            return None
-        key = self._key[slot]
-        if key is None:
-            return None
-        return key, self._value[slot]  # type: ignore[return-value]
-
     def seq_of(self, key: K) -> int | None:
         """The entry's insertion sequence (monotonic; reassigned on replace)."""
         slot = self._index.get(key)
@@ -348,11 +304,11 @@ class FlowTable(Generic[K, V]):
             return None
         return self._seq[slot]
 
-    def lru_key(self) -> K | None:
-        """The current eviction candidate, without evicting it."""
+    def lru_value(self) -> V | None:
+        """The value at the LRU end (the eviction candidate), untouched."""
         if self._tail == _NIL:
             return None
-        return self._key[self._tail]
+        return self._value[self._tail]
 
     # ------------------------------------------------------------------
     # eviction

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.middlebox.ruleindex import CompiledView, StreamScan
@@ -23,7 +24,10 @@ class FlowState:
         normalized: the direction-independent flow-table key.
         protocol / server_port: the flow's inspection context ("tcp" or
             "udp", the server's port); constant for the flow's lifetime.
-        created_at / last_packet_time: clock readings for flush timers.
+        created_at / last_packet_time: clock readings; the engine's idle
+            expiry compares ``last_packet_time`` with the flow's timeout.
+        lane: the engine's idle-expiry lane for the flow's timeout class
+            (pre-match, post-match or RST override).
         verdict: None while inspecting, a :class:`MatchRule` after a match,
             or :data:`UNCLASSIFIED_FINAL` once the window closed.
         match_time: when the verdict was reached.
@@ -38,10 +42,6 @@ class FlowState:
             testbed shortens its timeout to 10 s after seeing a RST).
         client_scan / server_scan: incremental multi-pattern scan state over
             the corresponding buffer (stream reassembly modes only).
-        timer_id / timer_deadline: the flow's pending expiry timer on the
-            engine's timer heap (lazy-rescheduled; None when no constant
-            timeout applies to the flow's current category).  Heap entries
-            carrying any other id are stale.
         client_view / server_view: the compiled rule view for each
             direction, resolved on the direction's first scan (None until
             then, and again after the engine's rules change).
@@ -53,6 +53,7 @@ class FlowState:
     server_port: int
     created_at: float
     last_packet_time: float
+    lane: OrderedDict[FiveTuple, FlowState]
     verdict: MatchRule | str | None = None
     match_time: float | None = None
     client_packets: int = 0
@@ -66,8 +67,6 @@ class FlowState:
     timeout_override: float | None = None
     client_scan: StreamScan | None = None
     server_scan: StreamScan | None = None
-    timer_id: int | None = None
-    timer_deadline: float | None = None
     client_view: CompiledView | None = None
     server_view: CompiledView | None = None
 

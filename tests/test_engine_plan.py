@@ -546,10 +546,16 @@ class TestReconfigure:
             engine = _variant(pre_match_timeout=None, post_match_timeout=None)()
             self.send(engine, flags=TCPFlags.SYN, seq=1_000)
             engine.reconfigure(pre_match_timeout=timeout)
-            assert engine._scan_timeouts == callable(timeout)
             self.clock.advance(6.0)
             self.send(engine, payload=b"late")
             assert list(engine._flows.keys()) == []
+        # A lengthened timeout leaves no stale expiry behind.
+        engine = _variant(pre_match_timeout=5.0, post_match_timeout=None)()
+        self.send(engine, flags=TCPFlags.SYN, seq=1_000)
+        engine.reconfigure(pre_match_timeout=120.0)
+        self.clock.advance(6.0)
+        self.send(engine, payload=b"late")
+        assert len(engine._flows) == 1
 
     def test_unknown_and_table_shaping_knobs_raise(self):
         engine = _variant()()

@@ -239,58 +239,6 @@ class TestChurnUnderFaults:
         assert runs["process"] == runs["serial"]
 
 
-class TestHeapMatchesScan:
-    """Timer-heap expiry is a drop-in for the per-packet timeout scan.
-
-    Constant timeouts route expiry through the timer heap; wrapping the same
-    constants in callables forces the legacy per-packet scan.  Driving an
-    identical churn (with idle gaps that batch-expire) through both must
-    leave identical flow sets and counters.
-    """
-
-    def churn(self, engine, flows=900, idle_every=300):
-        config = ScaleConfig(flows=flows, max_flows=128)
-        clock = VirtualClock()
-        sink = []
-        ctx = TransitContext(clock=clock, inject_back=sink.append, inject_forward=sink.append)
-        for index in range(flows):
-            src, sport = _flow_endpoint(index)
-            payload = (
-                MATCH_PAYLOAD if _is_match_flow(index, config.match_every) else NEUTRAL_PAYLOAD
-            )
-            for seq, flags, body in (
-                (1_000, TCPFlags.SYN, b""),
-                (1_001, TCPFlags.ACK | TCPFlags.PSH, payload),
-            ):
-                clock.advance(config.packet_interval)
-                segment = TCPSegment(
-                    sport=sport, dport=SERVER_PORT, seq=seq, ack=1, flags=flags, payload=body
-                )
-                engine.process(
-                    IPPacket(src=src, dst=SERVER, transport=segment),
-                    Direction.CLIENT_TO_SERVER,
-                    ctx,
-                )
-                sink.clear()
-            if (index + 1) % idle_every == 0:
-                clock.advance(45.0)  # past pre-match, short of post-match timeout
-        return {
-            "tracked": sorted(map(str, engine._flows.keys())),
-            "evictions": engine.evictions,
-            "matches": len(engine.match_log),
-        }
-
-    def test_heap_and_scan_agree_under_churn(self):
-        heap_engine, _ = build_engine(ScaleConfig(max_flows=128, pre_match_timeout=30.0))
-        assert not heap_engine._scan_timeouts
-        scan_engine, _ = build_engine(ScaleConfig(max_flows=128))
-        scan_engine.reconfigure(
-            pre_match_timeout=lambda now: 30.0, post_match_timeout=lambda now: 60.0
-        )
-        assert scan_engine._scan_timeouts
-        assert self.churn(heap_engine) == self.churn(scan_engine)
-
-
 class TestInternOverflow:
     """The flow-key intern tables clear on overflow; keys stay correct."""
 
@@ -356,7 +304,7 @@ class TestMemoryFlatness:
 
     Each configuration runs in its own interpreter because ``ru_maxrss``
     is process-lifetime-monotonic.  The baseline sits at 100k flows — the
-    structures (slab, timer heap, caches) are fully warm there; below that the
+    structures (slab, LRU chain, caches) are fully warm there; below that the
     allocator is still filling its arenas and ratios mean nothing.
     """
 
