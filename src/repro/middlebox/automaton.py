@@ -356,7 +356,7 @@ def automaton_for(patterns: Iterable[bytes]) -> PatternAutomaton:
     automaton = _INTERNED.get(key)
     if automaton is None:
         if len(_INTERNED) >= INTERN_LIMIT:
-            del _INTERNED[next(iter(_INTERNED))]
+            _INTERNED.pop(next(iter(_INTERNED)), None)  # racing threads may both evict
         automaton = _INTERNED[key] = PatternAutomaton(key)
     return automaton
 

@@ -309,22 +309,26 @@ class DPIMiddlebox(NetworkElement):
         self._key_of = self._agnostic_key if self._protocol_agnostic_flow_keying else FiveTuple.of
         self._per_packet = self._reassembly is ReassemblyMode.PER_PACKET
         self._all_in_scope = self._ports is None and self._classify_udp
-        #: The RST lane's smallest timeout: a live flow's override set under
-        #: an earlier ``rst_timeout_reduction`` still counts.
+        #: The RST lane's smallest timeout, over its live flows' overrides
+        #: only (None while the lane is empty): an override set under an
+        #: earlier ``rst_timeout_reduction`` still counts, and a reduction
+        #: no flow has received yet does not.  :meth:`_handle_rst` lowers it
+        #: and :meth:`_flow_dropped` clears it when the lane empties.
         overrides = [state.timeout_override for state in self._rst_lane.values()]
-        if self._rst_timeout_reduction is not None:
-            overrides.append(self._rst_timeout_reduction)
         self._rst_floor = min(overrides, default=None)
-        #: The idle-expiry floor, the smallest timeout any flow can have, is
-        #: the least of these; callable specs (GFC time-of-day flushing) are
-        #: evaluated per packet.
+        self._set_idle_floor()
+        blocking = self._endpoint_block_threshold is not None or len(self._endpoint_block_until)
+        self._sweep_blocks = bool(blocking)
+        self._flows.capacity = self._max_flows
+
+    def _set_idle_floor(self) -> None:
+        """Set the idle-expiry floor, the smallest timeout any flow can have:
+        the least of the pre- and post-match specs and the RST lane's floor.
+        Callable specs (GFC time-of-day flushing) are evaluated per packet."""
         specs = (self._pre_match_timeout, self._post_match_timeout, self._rst_floor)
         self._timeout_callables = tuple(spec for spec in specs if callable(spec))
         fixed = [spec for spec in specs if spec is not None and not callable(spec)]
         self._fixed_floor = min(fixed, default=math.inf)
-        blocking = self._endpoint_block_threshold is not None or len(self._endpoint_block_until)
-        self._sweep_blocks = bool(blocking)
-        self._flows.capacity = self._max_flows
 
     # ==================================================================
     # NetworkElement interface
@@ -414,6 +418,8 @@ class DPIMiddlebox(NetworkElement):
         self._pre_lane.clear()
         self._post_lane.clear()
         self._rst_lane.clear()
+        self._rst_floor = None
+        self._set_idle_floor()
         self._fragments.clear()
         self._endpoint_block_counts.clear()
         self._endpoint_block_until.clear()
@@ -611,7 +617,11 @@ class DPIMiddlebox(NetworkElement):
 
     def _flow_dropped(self, normalized: FiveTuple, state: FlowState, reason: str) -> None:
         """Shared teardown for flushed *and* table-evicted flows."""
-        del state.lane[normalized]
+        lane = state.lane
+        del lane[normalized]
+        if lane is self._rst_lane and not lane:
+            self._rst_floor = None
+            self._set_idle_floor()
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
         if obs_trace.TRACER is not None:
@@ -634,8 +644,11 @@ class DPIMiddlebox(NetworkElement):
         elif not matched and self._rst_flush_pre_match:
             self._forget_flow(normalized, reason="rst-pre-match")
         elif self._rst_timeout_reduction is not None:
-            state.timeout_override = self._rst_timeout_reduction
+            reduction = state.timeout_override = self._rst_timeout_reduction
             self._relane(state)
+            if self._rst_floor is None or reduction < self._rst_floor:
+                self._rst_floor = reduction
+                self._set_idle_floor()
             if obs_trace.TRACER is not None:
                 obs_trace.TRACER.emit(
                     "mbx.rst_timeout_reduced",

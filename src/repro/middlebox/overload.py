@@ -15,9 +15,6 @@ ordered, and reproducible*:
    per-flow coin decides whether a *new* flow is tracked at all.  Untracked
    flows forward uninspected (fail-open), exactly like mid-flow traffic for
    which no SYN was seen.
-3. **Scan-buffer caps** — stream scan buffers are bounded per flow; on
-   overflow only the tail window stays scannable (see
-   :mod:`repro.middlebox.proxy`).
 
 Every decision derives from ``(seed, flow key)`` via CRC32 — no wall
 clock, no ``random`` module state — so serial, thread and process runs
@@ -52,9 +49,6 @@ class OverloadPolicy:
         victim_scan_limit: how far from the LRU end the victim search may
             walk (bounds eviction cost; see
             :data:`repro.middlebox.flowtable.DEFAULT_VICTIM_SCAN_LIMIT`).
-        scan_buffer_cap: per-flow scan-buffer byte cap for stream/proxy
-            buffers (None = uncapped); on overflow the scanner degrades to
-            a tail window of this size.
     """
 
     seed: int = 0x5EED
@@ -62,7 +56,6 @@ class OverloadPolicy:
     shed_max: float = 0.5
     prefer_finished_victims: bool = True
     victim_scan_limit: int = 8
-    scan_buffer_cap: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.shed_start <= 1.0:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.middlebox.flowtable import FlowTable
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.shaper import PolicyState
-from repro.obs import metrics as obs_metrics
 from repro.packets.flow import Direction, FiveTuple
 from repro.packets.fragment import reassemble_fragments
 from repro.packets.ip import IPPacket
@@ -37,24 +36,20 @@ class _ProxiedConnection:
     expected_seq: int
     emit_seq: int
     ooo: dict[int, bytes] = field(default_factory=dict)
+    # Scan windows: the stream bytes a keyword not yet found could still
+    # span.  After each scan a window keeps its last (longest keyword - 1)
+    # bytes, or none once its side has found every keyword, and a matched
+    # side is fed no more.  The client window is kept whole until four
+    # bytes are seen, when ``anchored`` is settled.
     client_buffer: bytearray = field(default_factory=bytearray)
     server_buffer: bytearray = field(default_factory=bytearray)
+    client_found: set[bytes] = field(default_factory=set)
+    server_found: set[bytes] = field(default_factory=set)
+    anchored: bool | None = None
     client_matched: bool = False
     server_matched: bool = False
     throttled: bool = False
     closed: bool = False
-    # Scan watermarks: keywords already found, and how far each buffer has
-    # been searched, so classification never rescans bytes it has seen
-    # (matches stay monotonic — buffers only grow).
-    client_found: set[bytes] = field(default_factory=set)
-    server_found: set[bytes] = field(default_factory=set)
-    client_scan_pos: int = 0
-    server_scan_pos: int = 0
-    # Tail-scan degrade mode: bytes trimmed from each buffer's head under a
-    # scan-buffer cap, and the anchor decision cached before the head went.
-    trimmed_client: int = 0
-    trimmed_server: int = 0
-    anchored: bool = False
 
 
 class TransparentHTTPProxy(NetworkElement):
@@ -68,12 +63,8 @@ class TransparentHTTPProxy(NetworkElement):
         throttle_rate_bps: shaping rate applied once both sides match.
         max_connections: bound on tracked proxied connections; beyond it
             the least-recently-active connection is evicted (closed ones
-            preferred).
-        scan_buffer_cap: per-direction scan-buffer byte cap.  On overflow
-            the head is trimmed and only the tail window stays scannable —
-            keywords wholly inside the trimmed region are missed (degraded,
-            counted in ``mbx.shed.scan_trimmed_bytes``) but memory per
-            connection stays bounded.  None (the default) never trims.
+            preferred).  Each connection buffers at most its scan windows:
+            max(4, longest keyword - 1) bytes a side after a scan.
         fragment_capacity: bound on concurrently-reassembling fragment
             groups.
     """
@@ -87,18 +78,17 @@ class TransparentHTTPProxy(NetworkElement):
         throttle_rate_bps: float = 1_500_000.0,
         name: str = "transparent-proxy",
         max_connections: int | None = 65536,
-        scan_buffer_cap: int | None = None,
         fragment_capacity: int | None = 4096,
     ) -> None:
-        if scan_buffer_cap is not None and scan_buffer_cap < 64:
-            raise ValueError("scan_buffer_cap must be >= 64 bytes")
         self.name = name
         self.policy_state = policy_state
         self.ports = frozenset(ports)
         self.client_keywords = tuple(client_keywords)
         self.server_keywords = tuple(server_keywords)
         self.throttle_rate_bps = throttle_rate_bps
-        self.scan_buffer_cap = scan_buffer_cap
+        # A window's tail: enough to hold all but the last byte of any keyword.
+        self._client_keep = max(map(len, self.client_keywords), default=1) - 1
+        self._server_keep = max(map(len, self.server_keywords), default=1) - 1
         self._connections: FlowTable[tuple[str, int, str, int], _ProxiedConnection] = FlowTable(
             capacity=max_connections,
             prefer_victim=lambda conn: conn.closed,
@@ -176,9 +166,9 @@ class TransparentHTTPProxy(NetworkElement):
         if tcp.payload:
             fresh = self._reassemble(conn, tcp)
             if fresh:
-                conn.client_buffer.extend(fresh)
+                if not conn.client_matched:
+                    conn.client_buffer.extend(fresh)
                 self._classify(conn)
-                self._cap_buffer(conn, "client")
                 forwarded.extend(self._normalized_packets(packet, conn, fresh))
         else:
             forwarded.append(packet)  # bare ACKs keep the far handshake moving
@@ -198,34 +188,10 @@ class TransparentHTTPProxy(NetworkElement):
         key = (packet.dst, tcp.dport, packet.src, tcp.sport)
         conn = self._connections.get(key)  # touches the LRU chain
         if conn is not None and tcp.payload:
-            conn.server_buffer.extend(tcp.payload)
+            if not conn.server_matched:
+                conn.server_buffer.extend(tcp.payload)
             self._classify(conn)
-            self._cap_buffer(conn, "server")
         return [packet]
-
-    def _cap_buffer(self, conn: _ProxiedConnection, side: str) -> None:
-        """Tail-scan degrade: trim a capped buffer's head after scanning it.
-
-        The scanner has already walked everything up to the current
-        watermark, so trimming only forfeits *future* matches that would
-        span bytes older than the retained tail window.
-        """
-        cap = self.scan_buffer_cap
-        if cap is None:
-            return
-        buffer = conn.client_buffer if side == "client" else conn.server_buffer
-        excess = len(buffer) - cap
-        if excess <= 0:
-            return
-        del buffer[:excess]
-        if side == "client":
-            conn.trimmed_client += excess
-            conn.client_scan_pos = max(0, conn.client_scan_pos - excess)
-        else:
-            conn.trimmed_server += excess
-            conn.server_scan_pos = max(0, conn.server_scan_pos - excess)
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.shed.scan_trimmed_bytes", excess)
 
     # ------------------------------------------------------------------
     # host-grade validation: the proxy is an endpoint
@@ -299,21 +265,22 @@ class TransparentHTTPProxy(NetworkElement):
         if conn.throttled:
             return
         if not conn.client_matched:
-            if conn.trimmed_client == 0:
-                # Head intact: judge (and cache) the anchor from live bytes.
-                conn.anchored = bytes(conn.client_buffer[:4]).startswith(ANCHORS)
+            buffer = conn.client_buffer
             anchored = conn.anchored
-            conn.client_scan_pos = self._scan_keywords(
-                conn.client_buffer, self.client_keywords, conn.client_found, conn.client_scan_pos
-            )
-            if anchored and len(conn.client_found) == len(self.client_keywords):
-                conn.client_matched = True
+            if anchored is None:  # the head is still in the window
+                anchored = bytes(buffer[:4]).startswith(ANCHORS)
+                if len(buffer) >= 4:
+                    conn.anchored = anchored
+            done = self._scan_window(buffer, self.client_keywords, conn.client_found)
+            conn.client_matched = anchored and done
+            if conn.anchored is not None:
+                self._trim_window(buffer, done, self._client_keep)
         if not conn.server_matched:
-            conn.server_scan_pos = self._scan_keywords(
-                conn.server_buffer, self.server_keywords, conn.server_found, conn.server_scan_pos
+            buffer = conn.server_buffer
+            conn.server_matched = done = self._scan_window(
+                buffer, self.server_keywords, conn.server_found
             )
-            if len(conn.server_found) == len(self.server_keywords):
-                conn.server_matched = True
+            self._trim_window(buffer, done, self._server_keep)
         if conn.client_matched and conn.server_matched:
             conn.throttled = True
             key = FiveTuple(
@@ -326,22 +293,25 @@ class TransparentHTTPProxy(NetworkElement):
             self.policy_state.throttle(key, self.throttle_rate_bps)
 
     @staticmethod
-    def _scan_keywords(
-        buffer: bytearray, keywords: tuple[bytes, ...], found: set[bytes], pos: int
-    ) -> int:
-        """Search bytes past watermark *pos* for keywords not yet found.
+    def _scan_window(buffer: bytearray, keywords: tuple[bytes, ...], found: set[bytes]) -> bool:
+        """Add the keywords in *buffer* to *found*; True once all are found.
 
-        Rewinds by ``len(keyword) - 1`` so matches spanning the old boundary
-        are still caught; returns the new watermark.  Equivalent to
-        ``k in buffer`` over the full buffer because found-ness is monotonic
-        (the buffer only grows), without the quadratic rescans.
+        Equivalent to ``k in stream`` over the whole stream so far: a
+        keyword not yet found occurs nowhere in the bytes already scanned,
+        so any occurrence ends in the fresh bytes and starts at most
+        ``len(k) - 1`` bytes before them, inside the window's kept tail.
         """
         for keyword in keywords:
-            if keyword not in found:
-                start = pos - len(keyword) + 1
-                if buffer.find(keyword, start if start > 0 else 0) != -1:
-                    found.add(keyword)
-        return len(buffer)
+            if keyword not in found and keyword in buffer:
+                found.add(keyword)
+        return len(found) == len(keywords)
+
+    @staticmethod
+    def _trim_window(buffer: bytearray, done: bool, keep: int) -> None:
+        """Empty a finished window; otherwise keep its last *keep* bytes."""
+        excess = len(buffer) if done else len(buffer) - keep
+        if excess > 0:
+            del buffer[:excess]
 
     def _feed_fragment(self, packet: IPPacket) -> IPPacket | None:
         key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)

@@ -289,7 +289,7 @@ class CompiledRuleSet:
         compiled = cls._shared.get(key)
         if compiled is None:
             if len(cls._shared) >= INTERN_LIMIT:
-                del cls._shared[next(iter(cls._shared))]
+                cls._shared.pop(next(iter(cls._shared)), None)  # racing threads may both evict
             compiled = cls._shared[key] = cls(rules)
         return compiled
 

@@ -1,5 +1,8 @@
 """AT&T and Sprint environment behaviour (§6.3, §6.4)."""
 
+import pytest
+
+from repro.envs import make_att
 from repro.replay.session import ReplaySession
 from repro.traffic.video import video_stream_trace
 
@@ -14,14 +17,31 @@ def att_video(port=80, name=None):
 
 
 class TestStreamSaver:
-    def test_http_video_throttled_to_1_5mbps(self, att):
-        outcome = ReplaySession(att, att_video()).run()
-        assert outcome.differentiated
-        assert outcome.throughput_bps == __import__("pytest").approx(1_500_000, rel=0.15)
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        """One baseline replay of the 300 KB video, shared by the tests reading it."""
+        att = make_att()
+        return att, ReplaySession(att, att_video()).run()
 
-    def test_delivery_intact_through_proxy(self, att):
-        outcome = ReplaySession(att, att_video()).run()
+    def test_http_video_throttled_to_1_5mbps(self, baseline):
+        _att, outcome = baseline
+        assert outcome.differentiated
+        assert outcome.throughput_bps == pytest.approx(1_500_000, rel=0.15)
+
+    def test_delivery_intact_through_proxy(self, baseline):
+        _att, outcome = baseline
         assert outcome.delivered_ok and outcome.server_response_ok
+
+    def test_proxy_buffers_only_scan_windows(self, baseline):
+        """The proxy keeps per connection only the bytes a keyword could still
+        span, not the 300 KB response it streamed."""
+        att, _outcome = baseline
+        proxy = att.middlebox
+        connections = list(proxy._connections.values())
+        keywords = proxy.client_keywords + proxy.server_keywords
+        window = max(4, max(map(len, keywords)) - 1)
+        held = sum(len(conn.client_buffer) + len(conn.server_buffer) for conn in connections)
+        assert connections and held <= len(connections) * window
 
     def test_port_change_evades(self, att):
         """Stream Saver only proxies port 80 — the paper's trivial escape."""

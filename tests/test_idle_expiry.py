@@ -37,6 +37,7 @@ from repro.experiments.scale import (
     _is_match_flow,
     build_engine,
 )
+from repro.envs import make_testbed
 from repro.middlebox.engine import DPIMiddlebox, ReassemblyMode
 from repro.middlebox.policy import RulePolicy
 from repro.middlebox.rules import MatchRule
@@ -273,3 +274,38 @@ class TestWalkMatchesScan:
                 run.clock.advance(45.0)  # past pre-match, short of post-match timeout
         run.finish()
         assert run.timeouts > 0 and run.engine.evictions > 0 and run.engine.matches_logged > 0
+
+
+class TestRstFloor:
+    def test_testbed_engine_walks_only_for_live_rst_overrides(self):
+        """The RST reduction counts toward the expiry floor only while a flow
+        carries it: testbed flows idle 10-120 s without an RST never walk."""
+        engine = make_testbed().middlebox  # 120 s timeouts, 10 s RST reduction
+        walks: list[float] = []
+        expire = engine._expire_idle
+
+        def counted(now: float) -> None:
+            walks.append(now)
+            expire(now)
+
+        engine._expire_idle = counted
+        clock = VirtualClock()
+        ctx = TransitContext(
+            clock=clock, inject_back=lambda p: None, inject_forward=lambda p: None
+        )
+
+        def send(kind: str, flow: int, gap: float) -> None:
+            clock.advance(gap)
+            engine.process(_packet(kind, flow), Direction.CLIENT_TO_SERVER, ctx)
+
+        for flow in range(FLOWS):
+            send("syn", flow, 15.0)
+        for flow in range(FLOWS):
+            send("data", flow, 15.0)  # the oldest flow is 90 s idle here
+        assert walks == [] and len(engine._flows) == FLOWS
+
+        send("rst", 0, 1.0)
+        send("data", 1, 11.0)  # flow 0 is 11 s past its RST: the walk flushes it
+        assert len(walks) == 1 and len(engine._flows) == FLOWS - 1
+        send("data", 2, 11.0)  # the RST lane is empty again: no walk
+        assert len(walks) == 1 and engine._rst_floor is None
