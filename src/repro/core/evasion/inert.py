@@ -13,7 +13,7 @@ from repro.core.evasion.base import EvasionContext, EvasionTechnique, Overhead, 
 from repro.endpoint.rawclient import SegmentPlan
 from repro.packets.options import deprecated_ip_option, invalid_ip_option
 from repro.packets.tcp import TCPFlags
-from repro.replay.runner import ReplayRunner, make_inert_payload
+from repro.replay.runner import ReplayRunner
 
 INERT_PAYLOAD_SIZE = 64
 
@@ -35,7 +35,7 @@ class InertTCPTechnique(EvasionTechnique):
         for index, message in enumerate(runner.client_messages):
             if index == target:
                 for _ in range(max(ctx.inert_packet_count, 1)):
-                    plan = SegmentPlan(payload=make_inert_payload(INERT_PAYLOAD_SIZE, self.name))
+                    plan = SegmentPlan(payload=runner.inert_payload(INERT_PAYLOAD_SIZE, self.name))
                     self.plan_overrides(ctx, plan)
                     runner.send_inert(plan)
             runner.send_message(message)
@@ -63,7 +63,7 @@ class LowTTLInert(InertTCPTechnique):
             for index, message in enumerate(runner.client_messages):
                 if index == target:
                     runner.send_inert_datagram(
-                        make_inert_payload(INERT_PAYLOAD_SIZE, self.name),
+                        runner.inert_payload(INERT_PAYLOAD_SIZE, self.name),
                         ttl=ctx.ttl_to_reach_classifier(),
                     )
                 runner.send_datagram(message)
@@ -159,7 +159,7 @@ class WrongTCPSequence(InertTCPTechnique):
                 for _ in range(max(ctx.inert_packet_count, 1)):
                     runner.send_inert(
                         SegmentPlan(
-                            payload=make_inert_payload(INERT_PAYLOAD_SIZE, self.name),
+                            payload=runner.inert_payload(INERT_PAYLOAD_SIZE, self.name),
                             seq=wild_seq,
                         )
                     )
@@ -220,7 +220,7 @@ class InertUDPTechnique(EvasionTechnique):
         for index, message in enumerate(runner.client_messages):
             if index == target:
                 runner.send_inert_datagram(
-                    make_inert_payload(INERT_PAYLOAD_SIZE, self.name),
+                    runner.inert_payload(INERT_PAYLOAD_SIZE, self.name),
                     checksum=self.checksum,
                     length_delta=self.length_delta,
                 )

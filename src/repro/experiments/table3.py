@@ -17,7 +17,9 @@ payload was delivered intact.
 
 from __future__ import annotations
 
+import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.core.evasion import ALL_TECHNIQUES
@@ -42,7 +44,7 @@ from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
 from repro.packets.udp import UDPDatagram
 from repro.packets.ip import IPPacket
-from repro.replay.runner import make_inert_payload
+from repro.replay.runner import inert_payload
 from repro.replay.session import ReplayOutcome, ReplaySession
 from repro.runtime import RetryPolicy, TaskFailure, WorkerPool
 
@@ -305,19 +307,20 @@ def run_os_matrix(
 ) -> dict[str, tuple[str, str, str]]:
     """The rightmost Table 3 columns: how each OS treats each technique."""
     result: dict[str, tuple[str, str, str]] = {}
+    serials = itertools.count(1)  # inert payload numbers, restarted per matrix
     for technique in techniques:
-        cells = tuple(_os_cell(technique, profile) for profile in ALL_OS_PROFILES)
+        cells = tuple(_os_cell(technique, profile, serials) for profile in ALL_OS_PROFILES)
         result[technique.name] = cells  # type: ignore[assignment]
     return result
 
 
-def _os_cell(technique: EvasionTechnique, profile: OSProfile) -> str:
+def _os_cell(technique: EvasionTechnique, profile: OSProfile, serials: Iterator[int]) -> str:
     if technique.name == "ip-low-ttl":
         return "-"  # TTL-limited packets never reach the server at all
     if technique.category == "flushing" and "rst" in technique.name:
         return "Y"  # a stray out-of-context RST is dropped by every OS
     if isinstance(technique, InertUDPTechnique):
-        datagram = UDPDatagram(sport=40_000, dport=3478, payload=make_inert_payload(32))
+        datagram = UDPDatagram(sport=40_000, dport=3478, payload=inert_payload(next(serials), 32))
         if technique.checksum is not None:
             datagram.checksum = technique.checksum
         if technique.length_delta is not None:
@@ -328,7 +331,9 @@ def _os_cell(technique: EvasionTechnique, profile: OSProfile) -> str:
             verdict = profile.verdict_for_udp(packet, datagram)
         return _verdict_label(verdict)
     if isinstance(technique, InertTCPTechnique) and not isinstance(technique, WrongTCPSequence):
-        plan = SegmentPlan(payload=make_inert_payload(INERT_PAYLOAD_SIZE, technique.name))
+        plan = SegmentPlan(
+            payload=inert_payload(next(serials), INERT_PAYLOAD_SIZE, technique.name)
+        )
         technique.plan_overrides(EvasionContext(), plan)
         packet = packet_from_plan(
             plan,

@@ -20,16 +20,15 @@ from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.traffic.trace import Trace
 
-_marker_counter = itertools.count(1)
 
-
-def make_inert_payload(size: int = 64, tag: str = "inert") -> bytes:
-    """An innocuous, uniquely tagged payload for inert packets.
+def inert_payload(serial: int, size: int = 64, tag: str = "inert") -> bytes:
+    """An innocuous payload for inert packets, tagged with *tag* and *serial*.
 
     The tag makes the payload recognizable in the server's raw arrivals
     (the RS? measurement) without ever matching a classification keyword.
+    The serial is fixed-width, so payload sizes never depend on it.
     """
-    marker = f"--{tag}-{next(_marker_counter):06d}--".encode("ascii")
+    marker = f"--{tag}-{serial:06d}--".encode("ascii")
     if size <= len(marker):
         return marker[: max(size, 8)]
     filler = b"\x5a" * (size - len(marker))
@@ -67,6 +66,7 @@ class ReplayRunner:
         self.overhead_packets = 0
         self.overhead_bytes = 0
         self.overhead_seconds = 0.0
+        self._serials = itertools.count(1)
 
     # ------------------------------------------------------------------
     # message/timing views
@@ -92,6 +92,14 @@ class ReplayRunner:
         else:
             for message in self.client_messages:
                 self.send_datagram(message)
+
+    def inert_payload(self, size: int = 64, tag: str = "inert") -> bytes:
+        """The next inert payload of this replay, unique within it.
+
+        Numbered per runner, so replaying one technique twice sends the
+        same bytes.
+        """
+        return inert_payload(next(self._serials), size, tag)
 
     # ------------------------------------------------------------------
     # TCP emission

@@ -33,11 +33,10 @@ class InertTTL(EvasionTechnique):
 
     def apply(self, runner):
         from repro.endpoint.rawclient import SegmentPlan
-        from repro.replay.runner import make_inert_payload
 
         ctx = runner.context
         runner.send_inert(
-            SegmentPlan(payload=make_inert_payload(32), ttl=ctx.ttl_to_reach_classifier())
+            SegmentPlan(payload=runner.inert_payload(32), ttl=ctx.ttl_to_reach_classifier())
         )
         runner.send_default()
 

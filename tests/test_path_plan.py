@@ -17,7 +17,6 @@ batched random filler are checked against the code they replace.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -41,7 +40,6 @@ from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
 from repro.packets.ip import IPPacket
 from repro.packets.udp import UDPDatagram
-from repro.replay import runner as runner_module
 from repro.replay.session import ReplaySession
 
 CLIENT = "10.9.0.2"
@@ -146,10 +144,7 @@ FACTORIES = _env_factories()
 REPLAYS = {"clean": None, "low-ttl": LowTTLInert, "fragmentation": IPFragmentation}
 
 
-def _replay(env_name: str, replay: str, path_cls: type, traced: bool, monkeypatch):
-    # Inert payloads carry a process-wide serial number: restart it so both
-    # walks replay the same bytes.
-    monkeypatch.setattr(runner_module, "_marker_counter", itertools.count(1))
+def _replay(env_name: str, replay: str, path_cls: type, traced: bool):
     env = FACTORIES[env_name]()
     old = env.path
     env.path = path_cls(old.clock, old.elements, old.max_depth, old.scheduler)
@@ -190,20 +185,20 @@ def _replay(env_name: str, replay: str, path_cls: type, traced: bool, monkeypatc
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("replay", sorted(REPLAYS))
 @pytest.mark.parametrize("env_name", sorted(FACTORIES))
-def test_compiled_loop_equals_reference_walk(env_name, replay, traced, monkeypatch):
-    compiled = _replay(env_name, replay, _RecordingPath, traced, monkeypatch)
-    reference = _replay(env_name, replay, _ReferencePath, traced, monkeypatch)
+def test_compiled_loop_equals_reference_walk(env_name, replay, traced):
+    compiled = _replay(env_name, replay, _RecordingPath, traced)
+    reference = _replay(env_name, replay, _ReferencePath, traced)
     assert compiled["deliveries"], "nothing reached an endpoint"
     for key in compiled:
         assert compiled[key] == reference[key], key
 
 
-def test_cases_exercise_injection_and_expiry(monkeypatch):
+def test_cases_exercise_injection_and_expiry():
     """The cases above are not vacuous: the censor injects, routers expire."""
-    gfc = _replay("gfc", "clean", _RecordingPath, False, monkeypatch)
+    gfc = _replay("gfc", "clean", _RecordingPath, False)
     assert gfc["outcome"].rst_count > 0
     assert gfc["outcome"].classification.startswith("gfc:")
-    low_ttl = _replay("testbed", "low-ttl", _RecordingPath, False, monkeypatch)
+    low_ttl = _replay("testbed", "low-ttl", _RecordingPath, False)
     assert any(reasons.get("ttl-expired") for _name, reasons in low_ttl["routers"])
 
 

@@ -31,8 +31,7 @@ from repro.experiments.scale import (
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import TransitContext
 from repro.netsim.faults import FaultElement, chaos_profile
-from repro.packets import flow
-from repro.packets.flow import Direction, FiveTuple
+from repro.packets.flow import Direction
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.runtime import WorkerPool
@@ -239,66 +238,6 @@ class TestChurnUnderFaults:
         assert runs["process"] == runs["serial"]
 
 
-class TestInternOverflow:
-    """The flow-key intern tables clear on overflow; keys stay correct."""
-
-    @staticmethod
-    def packet(index: int, reverse: bool = False, payload: bytes = b"") -> IPPacket:
-        src, sport = _flow_endpoint(index)
-        if reverse:
-            segment = TCPSegment(sport=SERVER_PORT, dport=sport, flags=TCPFlags.ACK)
-            return IPPacket(src=SERVER, dst=src, transport=segment)
-        flags = TCPFlags.ACK | TCPFlags.PSH if payload else TCPFlags.SYN
-        segment = TCPSegment(
-            sport=sport, dport=SERVER_PORT, seq=1, ack=1, flags=flags, payload=payload
-        )
-        return IPPacket(src=src, dst=SERVER, transport=segment)
-
-    @staticmethod
-    def fresh(index: int) -> FiveTuple:
-        src, sport = _flow_endpoint(index)
-        return FiveTuple(src, sport, SERVER, SERVER_PORT, 6)
-
-    def test_overflow_keeps_keys_equal_and_flows_found(self):
-        limit = flow._INTERN_LIMIT
-        engine, _ = build_engine(ScaleConfig(max_flows=256))
-        clock = VirtualClock()
-        sink = []
-        ctx = TransitContext(clock=clock, inject_back=sink.append, inject_forward=sink.append)
-        tracked = limit + 1_000  # a flow index outside the overflow range
-        engine.process(self.packet(tracked), Direction.CLIENT_TO_SERVER, ctx)
-        state = engine._flows.peek(self.fresh(tracked).normalized())
-        assert state is not None and state.client_packets == 0
-        (stored,) = engine._flows.keys()
-
-        keys = []
-        for index in range(limit + 100):
-            key = FiveTuple.of(self.packet(index))
-            key.normalized()
-            keys.append(key)
-            assert len(flow._KEY_INTERN) <= limit
-            assert len(flow._NORMALIZED_INTERN) <= limit
-
-        for index in (0, 1, limit - 1, limit, limit + 99):
-            fresh = self.fresh(index)
-            for key in (keys[index], FiveTuple.of(self.packet(index))):
-                assert key == fresh and hash(key) == hash(fresh)
-            reverse = FiveTuple.of(self.packet(index, reverse=True))
-            assert reverse.normalized() == keys[index].normalized() == fresh.normalized()
-            assert hash(reverse.normalized()) == hash(fresh.normalized())
-
-        clock.advance(0.001)
-        packet = self.packet(tracked, payload=NEUTRAL_PAYLOAD)
-        # The tracked flow's interned key was dropped: the table lookup
-        # below goes through __eq__, not the identity fast path.
-        assert FiveTuple.of(packet).normalized() is not stored
-        engine.process(packet, Direction.CLIENT_TO_SERVER, ctx)
-        assert len(engine._flows) == 1
-        assert engine._flows.peek(self.fresh(tracked).normalized()) is state
-        assert state.client_packets == 1  # the payload packet reached the old state
-
-
-@pytest.mark.slow
 class TestMemoryFlatness:
     """Peak RSS saturates: 2x the flows must not move it beyond noise.
 

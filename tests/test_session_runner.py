@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.evasion.base import EvasionContext
+from repro.core.evasion.inert import WrongTCPChecksum
 from repro.endpoint.rawclient import SegmentPlan
-from repro.replay.runner import make_inert_payload
 from repro.replay.session import ReplaySession
 from repro.traffic.http import http_get_trace
 from repro.traffic.stun import stun_trace
@@ -74,7 +74,7 @@ class TestRunnerPrimitives:
             name = "one-inert"
 
             def apply(self, runner):
-                runner.send_inert(SegmentPlan(payload=make_inert_payload(32)))
+                runner.send_inert(SegmentPlan(payload=runner.inert_payload(32)))
                 runner.send_default()
 
         outcome = ReplaySession(testbed, classified_trace).run(technique=_OneInert())
@@ -93,11 +93,30 @@ class TestRunnerPrimitives:
         assert outcome.overhead_seconds == 33.0
         assert outcome.elapsed >= 33.0
 
-    def test_inert_marker_uniqueness(self):
-        first = make_inert_payload(64, "x")
-        second = make_inert_payload(64, "x")
+    def test_inert_marker_uniqueness(self, testbed, neutral_trace):
+        runner = self.make_runner(testbed, neutral_trace)
+        first = runner.inert_payload(64, "x")
+        second = runner.inert_payload(64, "x")
         assert first != second
-        assert len(first) == 64
+        assert len(first) == len(second) == 64
+
+    def test_rerun_of_inert_technique_sends_identical_bytes(self, testbed, classified_trace):
+        """Markers are numbered per replay, not per process."""
+        sent = []
+
+        class _Recorded(WrongTCPChecksum):
+            def apply(self, runner):
+                super().apply(runner)
+                sent.append(runner.inert_markers)
+
+        context = EvasionContext(protocol="tcp", inert_packet_count=2)
+        outcomes = [
+            ReplaySession(testbed, classified_trace).run(technique=_Recorded(), context=context)
+            for _ in range(2)
+        ]
+        assert len(sent[0]) == 2 and sent[0][0] != sent[0][1]
+        assert sent[0] == sent[1]
+        assert outcomes[0].inert_reached_server == outcomes[1].inert_reached_server
 
     def test_send_pieces_preserves_stream(self, testbed, neutral_trace):
         class _Pieces:
