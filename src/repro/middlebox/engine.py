@@ -702,8 +702,9 @@ class DPIMiddlebox(NetworkElement):
     ) -> None:
         if not self._ip_check(packet):
             return
-        client = state.client_tuple
-        direction = "client" if key.src == client.src and key.sport == client.sport else "server"
+        # Every key of one flow normalizes alike (protocol included), so it
+        # equals the client tuple exactly when its source endpoint does.
+        direction = "client" if key == state.client_tuple else "server"
         if key.protocol == 6 and tcp is not None:
             expected = state.expected_seq if direction == "client" else None
             if not self._tcp_check(packet, tcp, expected):

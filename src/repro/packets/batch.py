@@ -5,7 +5,9 @@ packets at once — usually long runs of plain TCP/UDP packets that share the
 same (src, dst) pair.  :func:`serialize_batch` exploits that shape: the
 pseudo-header prefix and address bytes are computed once per endpoint pair,
 checksums are folded over memo-warm zero-wires, and every result is written
-back into the per-object wire caches so later ``to_bytes()`` calls hit.
+back into the per-object wire memos, in the shape ``to_bytes()`` writes them
+(keyed on the fields and the zero-wire or transport bytes they were built
+from), so later ``to_bytes()`` calls hit.
 
 Exact-equivalence contract: for every packet, the produced bytes are
 byte-identical to ``packet.to_bytes()`` — anything whose shape the fast path
@@ -86,13 +88,14 @@ def serialize_batch(
             if (src, dst) != pair_key:
                 addr_bytes = ip_to_bytes(src) + ip_to_bytes(dst)
                 pair_key = (src, dst)
-            # Transport bytes: reuse the per-(src, dst) memo, else compute
-            # over the shared pseudo-header prefix and warm the memo.
+            # Transport bytes: reuse the per-(src, dst) memo built on the
+            # current zero-wire, else compute over the shared pseudo-header
+            # prefix and warm the memo.
+            zero = transport._wire_zero()
             cached = transport._wire_cache
-            if cached is not None and cached[0] == pair_key:
-                seg = cached[1]
+            if cached is not None and cached[1] is zero and cached[0] == pair_key:
+                seg = cached[2]
             else:
-                zero = transport._wire_zero()
                 csum = internet_checksum(
                     addr_bytes + _PACK_BBH(0, proto, len(zero)) + zero
                 )
@@ -102,7 +105,7 @@ def serialize_batch(
                     if csum == 0:
                         csum = 0xFFFF  # RFC 768: zero means "no checksum"
                     seg = zero[:6] + _PACK_H(csum) + zero[8:]
-                object.__setattr__(transport, "_wire_cache", (pair_key, seg))
+                transport._wire_cache = (pair_key, zero, seg)
         except (ValueError, OverflowError):
             if not lenient:
                 raise
@@ -126,7 +129,7 @@ def serialize_batch(
             + addr_bytes
         )
         wire = header0[:10] + _PACK_H(internet_checksum(header0)) + header0[12:] + seg
-        object.__setattr__(packet, "_wire_cache", (seg, wire))
+        packet._wire_cache = (packet._header_key(), type(transport), seg, wire)
         out.append(wire)
         encoded += 1
     metrics = obs_metrics.METRICS

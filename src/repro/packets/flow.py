@@ -47,18 +47,29 @@ class FiveTuple(NamedTuple):
         """Extract the five-tuple of *packet*, or None for non-TCP/UDP packets.
 
         The result is memoized on the packet (every element along a path
-        asks for the same packet's flow key).  The memo is keyed on the
-        transport object's identity and re-checked against its ports, so
-        replacing or mutating the transport can never surface a stale key;
-        any IP-level field assignment clears it via ``__setattr__``.
+        asks for the same packet's flow key) as ``(transport, declared
+        protocol, key, src, dst, sport, dport)``.  The memo is checked on
+        read: it is used only while the packet carries the same transport
+        object with the same declared protocol, and a hit re-checks the
+        addresses and ports the key was built from, so no field assignment,
+        transport swap or in-place port change can surface a stale key.
+        The checks are identity tests on the memo's plain-tuple items (a
+        ``FiveTuple`` index read is not specialized); an equal but distinct
+        value only costs a recompute.
         """
         transport = packet.transport
         cached = packet._flow_cache
-        if cached is not None and cached[0] is transport:
-            hit = cached[1]
-            # Index reads: a NamedTuple field read is a descriptor call.
-            if hit is None or (hit[1] == transport.sport and hit[3] == transport.dport):
-                return hit
+        if cached is not None and cached[0] is transport and cached[1] is packet.protocol:
+            key = cached[2]
+            if key is None or (
+                cached[3] is packet.src
+                and cached[4] is packet.dst
+                and cached[5] is transport.sport
+                and cached[6] is transport.dport
+            ):
+                return key
+        src = packet.src
+        dst = packet.dst
         sport = getattr(transport, "sport", None)
         dport = getattr(transport, "dport", None)
         if sport is None or dport is None:
@@ -75,8 +86,8 @@ class FiveTuple(NamedTuple):
                     proto = 17
                 else:
                     proto = packet.effective_protocol
-            key = _new(cls, (packet.src, sport, packet.dst, dport, proto))
-        object.__setattr__(packet, "_flow_cache", (transport, key))
+            key = _new(cls, (src, sport, dst, dport, proto))
+        packet._flow_cache = (transport, packet.protocol, key, src, dst, sport, dport)
         return key
 
     @property

@@ -8,9 +8,8 @@ TTL expires, which lib·erate's localization phase (traceroute-style probing,
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import internet_checksum
 
 ICMP_PROTO = 1
@@ -19,9 +18,17 @@ ICMP_DEST_UNREACHABLE = 3
 ICMP_ECHO_REQUEST = 8
 ICMP_TIME_EXCEEDED = 11
 
+_new = object.__new__
 
-@dataclass(init=False)
-class ICMPMessage:
+
+class _ICMPMemos:
+    """Memo slot of :class:`ICMPMessage`: ``(its four fields, wire)``."""
+
+    __slots__ = ("_wire_cache",)
+
+
+@dataclass(init=False, slots=True)
+class ICMPMessage(_ICMPMemos):
     """An ICMP message.
 
     Attributes:
@@ -42,27 +49,28 @@ class ICMPMessage:
         self, icmp_type: int = ICMP_ECHO_REQUEST, code: int = 0,
         rest: bytes = b"\x00\x00\x00\x00", payload: bytes = b"",
     ) -> None:
-        # Validate, then store the instance dict in one write (construction
-        # skips the wire-cache __setattr__ hook).
         if len(rest) != 4:
             raise ValueError("ICMP 'rest of header' must be exactly 4 bytes")
-        object.__setattr__(self, "__dict__", {
-            "icmp_type": icmp_type, "code": code, "rest": rest, "payload": payload,
-        })
+        self.icmp_type = icmp_type
+        self.code = code
+        self.rest = rest
+        self.payload = payload
+        self._wire_cache = None
 
     def to_bytes(self, src: str | None = None, dst: str | None = None) -> bytes:
         """Serialize with a correct checksum (src/dst accepted for API symmetry).
 
         ICMP checksums do not involve a pseudo-header, so the full wire form
-        is memoized directly (invalidated on field mutation).
+        is memoized directly, keyed on the four fields.
         """
+        key = (self.icmp_type, self.code, self.rest, self.payload)
         cached = self._wire_cache
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] == key:
+            return cached[1]
         body = struct.pack("!BBH", self.icmp_type, self.code, 0) + self.rest + self.payload
         csum = internet_checksum(body)
         wire = body[:2] + struct.pack("!H", csum) + body[4:]
-        object.__setattr__(self, "_wire_cache", wire)
+        self._wire_cache = (key, wire)
         return wire
 
     @classmethod
@@ -82,11 +90,33 @@ class ICMPMessage:
         """Serialized length in bytes."""
         return 8 + len(self.payload)
 
+    def copy(self, **changes: object) -> "ICMPMessage":
+        """Return a copy with *changes* applied (the memo is carried over)."""
+        if changes and not _FIELD_NAMES.issuperset(changes):
+            bad = ", ".join(sorted(set(changes) - _FIELD_NAMES))
+            raise TypeError(f"unknown ICMPMessage field(s): {bad}")
+        new = _new(ICMPMessage)
+        new.icmp_type = self.icmp_type
+        new.code = self.code
+        new.rest = self.rest
+        new.payload = self.payload
+        new._wire_cache = self._wire_cache
+        if changes:
+            for name, value in changes.items():
+                setattr(new, name, value)
+            if "rest" in changes and len(new.rest) != 4:
+                raise ValueError("ICMP 'rest of header' must be exactly 4 bytes")
+        return new
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor: the memo slot exists (empty).
+        return (type(self), (self.icmp_type, self.code, self.rest, self.payload))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ICMP(type={self.icmp_type} code={self.code})"
 
 
-install_wire_cache(ICMPMessage, ("_wire_cache",))
+_FIELD_NAMES = frozenset(f.name for f in fields(ICMPMessage))
 
 
 def icmp_time_exceeded(original_header: bytes) -> ICMPMessage:

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, fields
 
 from repro.obs import metrics as obs_metrics
-from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import bytes_to_ip, internet_checksum, ip_to_bytes
 from repro.packets.icmp import ICMP_PROTO, ICMPMessage
 from repro.packets.options import options_are_wellformed, options_contain_deprecated
@@ -40,9 +39,27 @@ _PROTO_FOR_TYPE: dict[type, int] = {
     ICMPMessage: ICMP_PROTO,
 }
 
+_new = object.__new__
 
-@dataclass(init=False)
-class IPPacket:
+
+class _IPMemos:
+    """Memo slots of :class:`IPPacket`, each checked when read.
+
+    ``_hdr0_cache`` (zero-checksum header) and ``_wire_cache`` (full wire)
+    are ``(header fields, transport type, transport bytes, value)``: used
+    only while the 14 header fields still equal the recorded ones and the
+    transport serializes to the very bytes object they were built from (its
+    own memos return the same object until one of its fields changes).
+    ``_flow_cache`` is ``(transport, declared protocol, FiveTuple or None,
+    src, dst, sport, dport)``, read by
+    :meth:`FiveTuple.of <repro.packets.flow.FiveTuple.of>`.
+    """
+
+    __slots__ = ("_hdr0_cache", "_wire_cache", "_flow_cache")
+
+
+@dataclass(init=False, slots=True)
+class IPPacket(_IPMemos):
     """An IPv4 packet wrapping a transport-layer payload.
 
     Attributes:
@@ -85,14 +102,22 @@ class IPPacket:
         identification: int = 0, df: bool = False, mf: bool = False, frag_offset: int = 0,
         protocol: int | None = None, checksum: int | None = None, options: bytes = b"",
     ) -> None:
-        # One store of the whole instance dict: a fresh packet has no cache
-        # to invalidate, so construction skips the wire-cache __setattr__.
-        object.__setattr__(self, "__dict__", {
-            "src": src, "dst": dst, "transport": transport, "ttl": ttl, "version": version,
-            "ihl": ihl, "tos": tos, "total_length": total_length,
-            "identification": identification, "df": df, "mf": mf, "frag_offset": frag_offset,
-            "protocol": protocol, "checksum": checksum, "options": options,
-        })
+        self.src = src
+        self.dst = dst
+        self.transport = transport
+        self.ttl = ttl
+        self.version = version
+        self.ihl = ihl
+        self.tos = tos
+        self.total_length = total_length
+        self.identification = identification
+        self.df = df
+        self.mf = mf
+        self.frag_offset = frag_offset
+        self.protocol = protocol
+        self.checksum = checksum
+        self.options = options
+        self._hdr0_cache = self._wire_cache = self._flow_cache = None
 
     # ------------------------------------------------------------------
     # derived header fields
@@ -268,42 +293,55 @@ class IPPacket:
             + self.padded_options
         )
 
-    def _header_zero(self) -> bytes:
+    def _header_key(self) -> tuple:
+        """The 14 header fields the header and wire memos are keyed on."""
+        return (
+            self.src, self.dst, self.ttl, self.version, self.ihl, self.tos,
+            self.total_length, self.identification, self.df, self.mf, self.frag_offset,
+            self.protocol, self.checksum, self.options,
+        )
+
+    def _header_zero(self, payload: bytes | None = None, key: tuple | None = None) -> bytes:
         """Serialized header with a zero checksum field (memoized).
 
-        IP header fields live on this object (mutations invalidate via
-        ``__setattr__``), but the total-length field also depends on the
-        transport object, which can be mutated behind our back.  The memo is
-        therefore keyed on the identity of the transport's serialized bytes:
-        the transport's own cache returns the same object until it is
-        mutated, so a stale header can never be observed.
+        The header depends on the transport only through its type (the
+        derived protocol) and its length, so the memo is keyed on the header
+        fields, the transport type and the identity of the transport's
+        serialized bytes: a transport's own memo returns the same bytes
+        object until one of its fields changes.  *payload* and *key* are
+        passed in by :meth:`to_bytes`, which has already computed them.
         """
-        payload = self.payload_bytes
+        if payload is None:
+            payload = self.payload_bytes
+            key = self._header_key()
+        ttype = type(self.transport)
         cached = self._hdr0_cache
-        if cached is not None and cached[0] is payload:
-            return cached[1]
+        if cached is not None and cached[2] is payload and cached[1] is ttype and cached[0] == key:
+            return cached[3]
         header0 = self._header_bytes(checksum=0)
-        object.__setattr__(self, "_hdr0_cache", (payload, header0))
+        self._hdr0_cache = (key, ttype, payload, header0)
         return header0
 
     def to_bytes(self) -> bytes:
         """Serialize the full packet (header + transport) to wire bytes."""
         payload = self.payload_bytes
+        key = self._header_key()
+        ttype = type(self.transport)
         cached = self._wire_cache
         metrics = obs_metrics.METRICS
-        if cached is not None and cached[0] is payload:
+        if cached is not None and cached[2] is payload and cached[1] is ttype and cached[0] == key:
             if metrics is not None:
                 metrics.inc("wirecache.hits")
-            return cached[1]
+            return cached[3]
         if metrics is not None:
             metrics.inc("wirecache.misses")
-        header0 = self._header_zero()
+        header0 = self._header_zero(payload, key)
         if self.checksum is not None:
             csum = self.checksum
         else:
             csum = internet_checksum(header0)
         wire = header0[:10] + struct.pack("!H", csum) + header0[12:] + payload
-        object.__setattr__(self, "_wire_cache", (payload, wire))
+        self._wire_cache = (key, ttype, payload, wire)
         return wire
 
     @classmethod
@@ -361,38 +399,46 @@ class IPPacket:
     def copy(self, **changes: object) -> "IPPacket":
         """Return a copy with *changes* applied.
 
-        The transport object is also copied when it is a dataclass, so the
+        The transport object is also copied (its memos carried over), so the
         copy can be mutated independently.  This is the per-hop hot path, so
-        the copy is a direct instance-dict clone rather than
+        the copy is built slot by slot rather than through
         ``dataclasses.replace`` (``IPPacket.__init__`` validates nothing, and
-        the source's fields already satisfy every invariant).  Cloning the
-        dict also carries the transport's memoized wire bytes — valid on a
-        field-identical copy — while the IP-level header/wire caches are
-        dropped (a copy almost always changes header fields).
+        the source's fields already satisfy every invariant).  The header
+        and wire memos start empty: a copy almost always changes a header
+        field.  The flow-key memo follows the transport onto its clone.
         """
         if changes and not _FIELD_NAMES.issuperset(changes):
             bad = ", ".join(sorted(set(changes) - _FIELD_NAMES))
             raise TypeError(f"unknown IPPacket field(s): {bad}")
-        new = object.__new__(IPPacket)
-        d = new.__dict__
-        d.update(self.__dict__)
-        d.pop("_hdr0_cache", None)
-        d.pop("_wire_cache", None)
-        d.update(changes)
-        transport = d["transport"]
-        if "transport" not in changes and not isinstance(transport, bytes):
-            fresh = object.__new__(type(transport))
-            fresh.__dict__.update(transport.__dict__)
-            d["transport"] = fresh
-        flow = d.get("_flow_cache")
-        if flow is not None:
-            # The memoized flow key survives copies that leave the flow
-            # identity alone (the per-hop TTL decrement), re-keyed onto the
-            # cloned transport; any flow-identity change drops it.
-            if changes and not _FLOW_FIELDS.isdisjoint(changes):
-                del d["_flow_cache"]
-            elif d["transport"] is not flow[0]:
-                d["_flow_cache"] = (d["transport"], flow[1])
+        new = _new(IPPacket)
+        transport = self.transport
+        new.src = self.src
+        new.dst = self.dst
+        new.transport = transport
+        new.ttl = self.ttl
+        new.version = self.version
+        new.ihl = self.ihl
+        new.tos = self.tos
+        new.total_length = self.total_length
+        new.identification = self.identification
+        new.df = self.df
+        new.mf = self.mf
+        new.frag_offset = self.frag_offset
+        new.protocol = self.protocol
+        new.checksum = self.checksum
+        new.options = self.options
+        new._hdr0_cache = new._wire_cache = None
+        flow = self._flow_cache
+        for name, value in changes.items():
+            setattr(new, name, value)
+        if "transport" in changes:
+            flow = None
+        elif not isinstance(transport, bytes):
+            fresh = transport.copy()
+            new.transport = fresh
+            if flow is not None:
+                flow = (fresh,) + flow[1:]
+        new._flow_cache = flow
         return new
 
     def decremented(self, hops: int = 1) -> "IPPacket":
@@ -405,21 +451,37 @@ class IPPacket:
         :meth:`copy`, which clones, first), and sharing keeps one set of
         memoized wire bytes per transport across the whole path.
         """
-        new = object.__new__(IPPacket)
-        d = self.__dict__.copy()
-        d.pop("_hdr0_cache", None)
-        d.pop("_wire_cache", None)
-        d["ttl"] = self.ttl - hops
-        d["checksum"] = None
-        object.__setattr__(new, "__dict__", d)
+        new = _new(IPPacket)
+        new.src = self.src
+        new.dst = self.dst
+        new.transport = self.transport
+        new.ttl = self.ttl - hops
+        new.version = self.version
+        new.ihl = self.ihl
+        new.tos = self.tos
+        new.total_length = self.total_length
+        new.identification = self.identification
+        new.df = self.df
+        new.mf = self.mf
+        new.frag_offset = self.frag_offset
+        new.protocol = self.protocol
+        new.checksum = None
+        new.options = self.options
+        new._hdr0_cache = new._wire_cache = None
+        new._flow_cache = self._flow_cache
         return new
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy.copy rebuild through the constructor, so every
+        # memo slot exists (empty) on the result.
+        return (type(self), (
+            self.src, self.dst, self.transport, self.ttl, self.version, self.ihl, self.tos,
+            self.total_length, self.identification, self.df, self.mf, self.frag_offset,
+            self.protocol, self.checksum, self.options,
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IP({self.src}->{self.dst} ttl={self.ttl} proto={self.effective_protocol} {self.transport!r})"
 
 
-install_wire_cache(IPPacket, ("_hdr0_cache", "_wire_cache", "_flow_cache"))
-
 _FIELD_NAMES = frozenset(f.name for f in fields(IPPacket))
-#: Fields that participate in flow identity (see FiveTuple.of's packet memo).
-_FLOW_FIELDS = frozenset({"src", "dst", "transport", "protocol"})

@@ -12,13 +12,12 @@ import enum
 import struct
 from dataclasses import dataclass, fields
 
-from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import internet_checksum, pseudo_header
 
 TCP_PROTO = 6
 TCP_HEADER_MIN = 20
 
-_EXPLICIT = object()  # _wire_cache key for serializations with an overridden checksum
+_new = object.__new__
 
 
 class TCPFlags(enum.IntFlag):
@@ -54,8 +53,23 @@ class TCPFlags(enum.IntFlag):
         return True
 
 
-@dataclass(init=False)
-class TCPSegment:
+class _TCPMemos:
+    """Memo slots of :class:`TCPSegment`, each checked when read.
+
+    ``_wire0_cache`` is ``(header fields, zero-checksum wire)``, keyed on
+    every header field except the checksum.  ``_wire_cache`` is ``(key,
+    zero-wire, wire)`` and ``_csum_cache`` is ``((src, dst), zero-wire,
+    correct checksum)``; *key* is the address pair, or the explicit checksum
+    when one is set.  Both are used only while the zero-wire they were built
+    from is the current one (an identity test), so assigning any field, in
+    place or through a copy, can never surface a stale memo.
+    """
+
+    __slots__ = ("_wire0_cache", "_wire_cache", "_csum_cache")
+
+
+@dataclass(init=False, slots=True)
+class TCPSegment(_TCPMemos):
     """A TCP segment.
 
     Attributes:
@@ -92,20 +106,24 @@ class TCPSegment:
         options: bytes = b"", payload: bytes = b"", data_offset: int | None = None,
         checksum: int | None = None,
     ) -> None:
-        # Validate as locals, then store the instance dict in one write: a
-        # fresh segment has no cache to invalidate, so construction skips
-        # the wire-cache __setattr__ hook.
         if type(flags) is not TCPFlags:
             flags = TCPFlags(flags)
         if not 0 <= sport <= 0xFFFF:
             raise ValueError(f"sport out of range: {sport}")
         if not 0 <= dport <= 0xFFFF:
             raise ValueError(f"dport out of range: {dport}")
-        object.__setattr__(self, "__dict__", {
-            "sport": sport, "dport": dport, "seq": seq & 0xFFFFFFFF, "ack": ack & 0xFFFFFFFF,
-            "flags": flags, "window": window, "urgent": urgent, "options": options,
-            "payload": payload, "data_offset": data_offset, "checksum": checksum,
-        })
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq & 0xFFFFFFFF
+        self.ack = ack & 0xFFFFFFFF
+        self.flags = flags
+        self.window = window
+        self.urgent = urgent
+        self.options = options
+        self.payload = payload
+        self.data_offset = data_offset
+        self.checksum = checksum
+        self._wire0_cache = self._wire_cache = self._csum_cache = None
 
     @property
     def padded_options(self) -> bytes:
@@ -143,9 +161,13 @@ class TCPSegment:
 
     def _wire_zero(self) -> bytes:
         """Serialized segment with a zero checksum field (memoized)."""
+        key = (
+            self.sport, self.dport, self.seq, self.ack, self.flags, self.window,
+            self.urgent, self.options, self.payload, self.data_offset,
+        )
         cached = self._wire0_cache
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] == key:
+            return cached[1]
         header = struct.pack(
             "!HHIIHHHH",
             self.sport,
@@ -158,7 +180,7 @@ class TCPSegment:
             self.urgent,
         )
         segment = header + self.padded_options + self.payload
-        object.__setattr__(self, "_wire0_cache", segment)
+        self._wire0_cache = (key, segment)
         return segment
 
     def to_bytes(self, src: str | None = None, dst: str | None = None) -> bytes:
@@ -167,27 +189,29 @@ class TCPSegment:
         When *src* and *dst* are given and ``checksum`` is ``None`` the
         correct checksum is computed over the pseudo-header; otherwise a
         checksum of zero (or the explicit override) is emitted.  The result
-        is memoized per (src, dst) and invalidated on field mutation.
+        is memoized per (src, dst), or per explicit checksum, on top of the
+        current zero-checksum wire.
         """
-        if self.checksum is not None:
+        zero = self._wire_zero()
+        checksum = self.checksum
+        if checksum is not None:
             cached = self._wire_cache
-            if cached is not None and cached[0] is _EXPLICIT:
-                return cached[1]
-            segment = self._wire_zero()
-            wire = segment[:16] + struct.pack("!H", self.checksum) + segment[18:]
-            object.__setattr__(self, "_wire_cache", (_EXPLICIT, wire))
+            if cached is not None and cached[1] is zero and cached[0] == checksum:
+                return cached[2]
+            wire = zero[:16] + struct.pack("!H", checksum) + zero[18:]
+            self._wire_cache = (checksum, zero, wire)
             return wire
         if src is not None and dst is not None:
+            pair = (src, dst)
             cached = self._wire_cache
-            if cached is not None and cached[0] == (src, dst):
-                return cached[1]
-            segment = self._wire_zero()
-            pseudo = pseudo_header(src, dst, TCP_PROTO, len(segment))
-            csum = internet_checksum(pseudo + segment)
-            wire = segment[:16] + struct.pack("!H", csum) + segment[18:]
-            object.__setattr__(self, "_wire_cache", ((src, dst), wire))
+            if cached is not None and cached[1] is zero and cached[0] == pair:
+                return cached[2]
+            pseudo = pseudo_header(src, dst, TCP_PROTO, len(zero))
+            csum = internet_checksum(pseudo + zero)
+            wire = zero[:16] + struct.pack("!H", csum) + zero[18:]
+            self._wire_cache = (pair, zero, wire)
             return wire
-        return self._wire_zero()
+        return zero
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "TCPSegment":
@@ -229,46 +253,66 @@ class TCPSegment:
         A ``None`` checksum (not yet serialized) counts as correct since
         serialization would fill in the right value.
         """
-        if self.checksum is None:
+        checksum = self.checksum
+        if checksum is None:
             return True
+        zero = self._wire_zero()
+        pair = (src, dst)
         cached = self._csum_cache
-        if cached is not None and cached[0] == (src, dst):
-            return cached[1]
-        segment = self._wire_zero()
-        pseudo = pseudo_header(src, dst, TCP_PROTO, len(segment))
-        ok = internet_checksum(pseudo + segment) == self.checksum
-        object.__setattr__(self, "_csum_cache", ((src, dst), ok))
-        return ok
+        if cached is not None and cached[1] is zero and cached[0] == pair:
+            return cached[2] == checksum
+        pseudo = pseudo_header(src, dst, TCP_PROTO, len(zero))
+        expected = internet_checksum(pseudo + zero)
+        self._csum_cache = (pair, zero, expected)
+        return expected == checksum
 
     def copy(self, **changes: object) -> "TCPSegment":
         """Return a copy with *changes* applied.
 
-        Equivalent to ``dataclasses.replace`` but built as a direct
-        instance-dict clone (this is the per-packet construction hot path):
-        unchanged fields already satisfy every ``__init__`` invariant,
-        so only the changed ones are re-validated.
+        Equivalent to ``dataclasses.replace`` but built slot by slot (this
+        is a per-packet construction hot path): unchanged fields already
+        satisfy every ``__init__`` invariant, so only the changed ones are
+        re-validated.  The memos are carried over; they are checked on read.
         """
         if changes and not _FIELD_NAMES.issuperset(changes):
             bad = ", ".join(sorted(set(changes) - _FIELD_NAMES))
             raise TypeError(f"unknown TCPSegment field(s): {bad}")
-        new = object.__new__(TCPSegment)
-        d = new.__dict__
-        d.update(self.__dict__)
-        d.pop("_wire0_cache", None)
-        d.pop("_wire_cache", None)
-        d.pop("_csum_cache", None)
+        new = _new(TCPSegment)
+        new.sport = self.sport
+        new.dport = self.dport
+        new.seq = self.seq
+        new.ack = self.ack
+        new.flags = self.flags
+        new.window = self.window
+        new.urgent = self.urgent
+        new.options = self.options
+        new.payload = self.payload
+        new.data_offset = self.data_offset
+        new.checksum = self.checksum
+        new._wire0_cache = self._wire0_cache
+        new._wire_cache = self._wire_cache
+        new._csum_cache = self._csum_cache
         if changes:
-            d.update(changes)
-            if "flags" in changes and type(d["flags"]) is not TCPFlags:
-                d["flags"] = TCPFlags(d["flags"])
+            for name, value in changes.items():
+                setattr(new, name, value)
+            if "flags" in changes and type(new.flags) is not TCPFlags:
+                new.flags = TCPFlags(new.flags)
             for name in ("sport", "dport"):
-                if name in changes and not 0 <= d[name] <= 0xFFFF:
-                    raise ValueError(f"{name} out of range: {d[name]}")
+                if name in changes and not 0 <= changes[name] <= 0xFFFF:
+                    raise ValueError(f"{name} out of range: {changes[name]}")
             if "seq" in changes:
-                d["seq"] &= 0xFFFFFFFF
+                new.seq &= 0xFFFFFFFF
             if "ack" in changes:
-                d["ack"] &= 0xFFFFFFFF
+                new.ack &= 0xFFFFFFFF
         return new
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy.copy rebuild through the constructor, so every
+        # memo slot exists (empty) on the result.
+        return (type(self), (
+            self.sport, self.dport, self.seq, self.ack, self.flags, self.window,
+            self.urgent, self.options, self.payload, self.data_offset, self.checksum,
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -276,7 +320,5 @@ class TCPSegment:
             f"flags={self.flags!r} len={len(self.payload)})"
         )
 
-
-install_wire_cache(TCPSegment, ("_wire0_cache", "_wire_cache", "_csum_cache"))
 
 _FIELD_NAMES = frozenset(f.name for f in fields(TCPSegment))

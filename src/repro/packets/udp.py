@@ -10,17 +10,27 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 
-from repro.packets._wirecache import install_wire_cache
 from repro.packets.checksum import internet_checksum, pseudo_header
 
 UDP_PROTO = 17
 UDP_HEADER_LEN = 8
 
-_EXPLICIT = object()  # _wire_cache key for serializations with an overridden checksum
+_new = object.__new__
 
 
-@dataclass(init=False)
-class UDPDatagram:
+class _UDPMemos:
+    """Memo slots of :class:`UDPDatagram`, shaped and checked as TCP's.
+
+    ``_wire0_cache`` is keyed on every header field except the checksum;
+    ``_wire_cache`` and ``_csum_cache`` on the address pair (or the explicit
+    checksum) plus the identity of the zero-wire they were built from.
+    """
+
+    __slots__ = ("_wire0_cache", "_wire_cache", "_csum_cache")
+
+
+@dataclass(init=False, slots=True)
+class UDPDatagram(_UDPMemos):
     """A UDP datagram.
 
     Attributes:
@@ -43,16 +53,16 @@ class UDPDatagram:
         self, sport: int = 0, dport: int = 0, payload: bytes = b"",
         length: int | None = None, checksum: int | None = None,
     ) -> None:
-        # Validate as locals, then store the instance dict in one write
-        # (construction skips the wire-cache __setattr__ hook).
         if not 0 <= sport <= 0xFFFF:
             raise ValueError(f"sport out of range: {sport}")
         if not 0 <= dport <= 0xFFFF:
             raise ValueError(f"dport out of range: {dport}")
-        object.__setattr__(self, "__dict__", {
-            "sport": sport, "dport": dport, "payload": payload, "length": length,
-            "checksum": checksum,
-        })
+        self.sport = sport
+        self.dport = dport
+        self.payload = payload
+        self.length = length
+        self.checksum = checksum
+        self._wire0_cache = self._wire_cache = self._csum_cache = None
 
     @property
     def effective_length(self) -> int:
@@ -71,41 +81,43 @@ class UDPDatagram:
 
     def _wire_zero(self) -> bytes:
         """Serialized datagram with a zero checksum field (memoized)."""
+        key = (self.sport, self.dport, self.payload, self.length)
         cached = self._wire0_cache
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] == key:
+            return cached[1]
         header = struct.pack("!HHHH", self.sport, self.dport, self.effective_length & 0xFFFF, 0)
         datagram = header + self.payload
-        object.__setattr__(self, "_wire0_cache", datagram)
+        self._wire0_cache = (key, datagram)
         return datagram
 
     def to_bytes(self, src: str | None = None, dst: str | None = None) -> bytes:
         """Serialize the datagram, computing the checksum when possible.
 
-        The result is memoized per (src, dst) and invalidated when any field
-        is assigned.
+        The result is memoized per (src, dst), or per explicit checksum, on
+        top of the current zero-checksum wire.
         """
-        if self.checksum is not None:
+        zero = self._wire_zero()
+        checksum = self.checksum
+        if checksum is not None:
             cached = self._wire_cache
-            if cached is not None and cached[0] is _EXPLICIT:
-                return cached[1]
-            datagram = self._wire_zero()
-            wire = datagram[:6] + struct.pack("!H", self.checksum) + datagram[8:]
-            object.__setattr__(self, "_wire_cache", (_EXPLICIT, wire))
+            if cached is not None and cached[1] is zero and cached[0] == checksum:
+                return cached[2]
+            wire = zero[:6] + struct.pack("!H", checksum) + zero[8:]
+            self._wire_cache = (checksum, zero, wire)
             return wire
         if src is not None and dst is not None:
+            pair = (src, dst)
             cached = self._wire_cache
-            if cached is not None and cached[0] == (src, dst):
-                return cached[1]
-            datagram = self._wire_zero()
-            pseudo = pseudo_header(src, dst, UDP_PROTO, len(datagram))
-            csum = internet_checksum(pseudo + datagram)
+            if cached is not None and cached[1] is zero and cached[0] == pair:
+                return cached[2]
+            pseudo = pseudo_header(src, dst, UDP_PROTO, len(zero))
+            csum = internet_checksum(pseudo + zero)
             if csum == 0:
                 csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-            wire = datagram[:6] + struct.pack("!H", csum) + datagram[8:]
-            object.__setattr__(self, "_wire_cache", ((src, dst), wire))
+            wire = zero[:6] + struct.pack("!H", csum) + zero[8:]
+            self._wire_cache = (pair, zero, wire)
             return wire
-        return self._wire_zero()
+        return zero
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "UDPDatagram":
@@ -123,42 +135,52 @@ class UDPDatagram:
 
     def verify_checksum(self, src: str, dst: str) -> bool:
         """Check the datagram checksum against the pseudo-header for src/dst."""
-        if self.checksum is None or self.checksum == 0:
+        checksum = self.checksum
+        if checksum is None or checksum == 0:
             return True  # zero means "checksum not used" in UDP over IPv4
+        zero = self._wire_zero()
+        pair = (src, dst)
         cached = self._csum_cache
-        if cached is not None and cached[0] == (src, dst):
-            return cached[1]
-        datagram = self._wire_zero()
-        pseudo = pseudo_header(src, dst, UDP_PROTO, len(datagram))
-        expected = internet_checksum(pseudo + datagram)
+        if cached is not None and cached[1] is zero and cached[0] == pair:
+            return cached[2] == checksum
+        pseudo = pseudo_header(src, dst, UDP_PROTO, len(zero))
+        expected = internet_checksum(pseudo + zero)
         if expected == 0:
             expected = 0xFFFF
-        ok = expected == self.checksum
-        object.__setattr__(self, "_csum_cache", ((src, dst), ok))
-        return ok
+        self._csum_cache = (pair, zero, expected)
+        return expected == checksum
 
     def copy(self, **changes: object) -> "UDPDatagram":
-        """Return a copy with *changes* applied (validating changed ports)."""
+        """Return a copy with *changes* applied (validating changed ports).
+
+        The memos are carried over; they are checked on read.
+        """
         if changes and not _FIELD_NAMES.issuperset(changes):
             bad = ", ".join(sorted(set(changes) - _FIELD_NAMES))
             raise TypeError(f"unknown UDPDatagram field(s): {bad}")
-        new = object.__new__(UDPDatagram)
-        d = new.__dict__
-        d.update(self.__dict__)
-        d.pop("_wire0_cache", None)
-        d.pop("_wire_cache", None)
-        d.pop("_csum_cache", None)
+        new = _new(UDPDatagram)
+        new.sport = self.sport
+        new.dport = self.dport
+        new.payload = self.payload
+        new.length = self.length
+        new.checksum = self.checksum
+        new._wire0_cache = self._wire0_cache
+        new._wire_cache = self._wire_cache
+        new._csum_cache = self._csum_cache
         if changes:
-            d.update(changes)
+            for name, value in changes.items():
+                setattr(new, name, value)
             for name in ("sport", "dport"):
-                if name in changes and not 0 <= d[name] <= 0xFFFF:
-                    raise ValueError(f"{name} out of range: {d[name]}")
+                if name in changes and not 0 <= changes[name] <= 0xFFFF:
+                    raise ValueError(f"{name} out of range: {changes[name]}")
         return new
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor: every memo slot exists (empty).
+        return (type(self), (self.sport, self.dport, self.payload, self.length, self.checksum))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UDP({self.sport}->{self.dport} len={len(self.payload)})"
 
-
-install_wire_cache(UDPDatagram, ("_wire0_cache", "_wire_cache", "_csum_cache"))
 
 _FIELD_NAMES = frozenset(f.name for f in fields(UDPDatagram))

@@ -1,11 +1,14 @@
 """Equivalence tests for the packet fast path.
 
-The vectorized checksum, the memoized wire caches, the one-store packet
+The vectorized checksum, the memoized wire caches, the slotted packet
 constructors, and the fragment reassembly shortcut must be observably
 identical to the original scalar / recompute-everything implementations.
 """
 
+import copy
+import dataclasses
 import inspect
+import pickle
 from dataclasses import MISSING, fields
 
 import pytest
@@ -49,6 +52,23 @@ BUILDERS = {
     ),
 }
 WIRE_CACHED = list(BUILDERS)
+
+#: The memo slots each class declares besides its fields.
+MEMO_SLOTS = {
+    IPPacket: ("_hdr0_cache", "_wire_cache", "_flow_cache"),
+    TCPSegment: ("_wire0_cache", "_wire_cache", "_csum_cache"),
+    UDPDatagram: ("_wire0_cache", "_wire_cache", "_csum_cache"),
+    ICMPMessage: ("_wire_cache",),
+}
+
+#: Every way to make a packet object from another one.
+CLONES = {
+    "copy": lambda obj: obj.copy(),
+    "decremented": lambda obj: obj.decremented(0),
+    "replace": dataclasses.replace,
+    "copy.copy": copy.copy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
 
 payloads = st.binary(min_size=0, max_size=1024)
 
@@ -207,23 +227,39 @@ class TestWireCacheInvalidation:
 
 
 class TestOneStoreConstruction:
-    """Constructors store the instance dict in one write, bypassing the hook."""
+    """Slotted packets: fields plus named memo slots, and nothing else."""
 
     @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
-    def test_construction_never_goes_through_the_hook(self, cls, monkeypatch):
-        hook = cls.__setattr__
-        calls = []
+    def test_no_instance_dict(self, cls):
+        obj = BUILDERS[cls][0]()
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
 
-        def counting(self, name, value):
-            calls.append(name)
-            hook(self, name, value)
+    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
+    def test_slots_are_the_fields_plus_the_memos(self, cls):
+        slots = [name for klass in cls.__mro__ for name in klass.__dict__.get("__slots__", ())]
+        assert len(slots) == len(set(slots))
+        assert set(slots) == {f.name for f in fields(cls)} | set(MEMO_SLOTS[cls])
 
-        monkeypatch.setattr(cls, "__setattr__", counting)
-        build, name, value = BUILDERS[cls]
-        obj = build()
-        assert calls == []
-        setattr(obj, name, value)  # assignments after construction still go through it
-        assert calls == [name]
+    @pytest.mark.parametrize(
+        "cls, how",
+        [
+            pytest.param(cls, how, id=f"{cls.__name__}-{how}")
+            for cls in WIRE_CACHED
+            for how in CLONES
+            if how != "decremented" or cls is IPPacket
+        ],
+    )
+    def test_every_memo_slot_is_set_on_every_construction_path(self, cls, how):
+        original = BUILDERS[cls][0]()
+        expected = original.to_bytes()  # warm memos ride along on the clones
+        for obj in (BUILDERS[cls][0](), CLONES[how](original)):
+            assert type(obj) is cls
+            for name in MEMO_SLOTS[cls]:
+                getattr(obj, name)  # AttributeError on an unset slot
+            assert obj == original
+            assert obj.to_bytes() == expected
 
     @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
     def test_signature_matches_fields(self, cls):
@@ -255,13 +291,6 @@ class TestOneStoreConstruction:
     def test_short_icmp_rest_raises(self):
         with pytest.raises(ValueError, match="exactly 4 bytes"):
             ICMPMessage(rest=b"\x00\x00")
-
-    @pytest.mark.parametrize("cls", WIRE_CACHED, ids=lambda c: c.__name__)
-    def test_instance_dict_holds_exactly_the_fields(self, cls):
-        build, name, value = BUILDERS[cls]
-        obj = build()
-        assert list(obj.__dict__) == [f.name for f in fields(cls)]
-        assert obj == build()
 
 
 class TestFragmentShortcut:
