@@ -3,7 +3,7 @@
 Churns ``REPRO_SCALE_FLOWS`` flows (default 100k) through a capacity-bounded
 engine and records packets/second **and peak RSS** in ``BENCH_scale.json``.
 The watchdog tracks both: a throughput drop flags a slow path in the
-slab/LRU/expiry-lane machinery, and a peak-RSS jump flags a structure that
+flow table and expiry-lane machinery, and a peak-RSS jump flags a structure that
 stopped being bounded.  The churn counters (evictions, sheds) are
 seeded-deterministic, so they are also watchdog-checked as exact keys.
 """

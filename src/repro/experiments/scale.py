@@ -6,7 +6,7 @@ resources").  This experiment drives that regime directly: a seeded
 generator churns far more flows through a :class:`DPIMiddlebox` than its
 flow table can hold, so every bounded-state mechanism runs hot —
 
-* slab/LRU capacity eviction (``max_flows``),
+* LRU capacity eviction off the expiry lanes' heads (``max_flows``),
 * byte-budget shedding (``flow_byte_budget``),
 * batch idle expiry (flows aged past their flush timeout, off the expiry lanes),
 * admission load-shedding (an :class:`OverloadPolicy`, when enabled).
@@ -70,7 +70,7 @@ class ScaleConfig:
             byte budget when one is set).
         match_every: one flow in this many carries :data:`MATCH_KEYWORD`.
         revisit_window: after creating flow *i*, flow ``i - window`` gets
-            one more packet — keeps the LRU chain genuinely reordered
+            one more packet — keeps the recency order genuinely reordered
             instead of pure FIFO.
         max_flows: engine flow-table capacity.
         flow_byte_budget: optional scan-buffer byte bound across flows.

@@ -27,9 +27,11 @@ recompiles the plan.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import time
 from collections import OrderedDict, deque
+from itertools import islice
 from operator import attrgetter
 from typing import Callable
 
@@ -87,6 +89,9 @@ def _verdict_name(verdict: MatchRule | str | None) -> str | None:
     if isinstance(verdict, MatchRule):
         return verdict.name
     return verdict
+
+
+_stamp_of = attrgetter("stamp")
 
 
 def _flow_cost(state: FlowState) -> int:
@@ -164,8 +169,8 @@ class DPIMiddlebox(NetworkElement):
             flow is evicted (marks cleared).  This is the mechanism the
             paper hypothesizes behind Figure 4's busy-hour flushing:
             "classification results being flushed due to scarce resources".
-            Backed by the O(1) slab/LRU store in
-            :mod:`repro.middlebox.flowtable`.
+            The victim is the oldest of the idle-expiry lane heads by
+            recency stamp, so eviction is O(1) with no second LRU list.
         flow_byte_budget: optional bound on the summed scan-buffer bytes
             across tracked flows; exceeding it sheds least-recently-active
             flows (reason ``evicted-bytes``) until back under budget.
@@ -217,28 +222,27 @@ class DPIMiddlebox(NetworkElement):
 
         self._compiled: CompiledRuleSet | None = None
         self._now = 0.0  # last packet's clock time, for event timestamps
+        #: The tracked flows by normalized key, in creation order (the
+        #: flush order).  Recency lives in the lanes, not here.
+        self._flows: dict[FiveTuple, FlowState] = {}
         #: Idle-expiry lanes, one per timeout class (pre-match, post-match,
         #: RST override), each holding its tracked flows in last-activity
-        #: order; ``FlowState.lane`` names the flow's lane.
+        #: order; ``FlowState.lane`` names the flow's lane.  Every tracked
+        #: packet stamps its flow from ``_stamp`` and moves it to its lane's
+        #: end, so stamps rise along each lane and the least recently active
+        #: flow is the lane head with the smallest stamp.
         self._pre_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
         self._post_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
         self._rst_lane: OrderedDict[FiveTuple, FlowState] = OrderedDict()
+        self._lanes = (self._pre_lane, self._post_lane, self._rst_lane)
+        self._stamp = 0  # the last recency stamp handed out
+        self._flow_bytes = 0  # summed FlowState.cost (byte budget only)
         self._shedder = LoadShedder(overload) if overload is not None else None
-        prefer_victim = None
-        victim_scan_limit = 1
+        #: Capacity eviction first looks this many flows from the LRU end
+        #: for a finished one (0: strict LRU).
+        self._victim_scan_limit = 0
         if overload is not None and overload.prefer_finished_victims:
-            prefer_victim = _low_value_flow
-            victim_scan_limit = overload.victim_scan_limit
-        cost_of = _flow_cost if flow_byte_budget is not None else None
-        self._flows: FlowTable[FiveTuple, FlowState] = FlowTable(
-            capacity=max_flows,
-            byte_budget=flow_byte_budget,
-            cost_of=cost_of,
-            on_evict=self._flow_evicted,
-            prefer_victim=prefer_victim,
-            victim_scan_limit=victim_scan_limit,
-            name="flows",
-        )
+            self._victim_scan_limit = overload.victim_scan_limit
         self._fragments: FlowTable[tuple[str, str, int, int], list[IPPacket]] = FlowTable(
             capacity=fragment_capacity, name="fragments"
         )
@@ -276,13 +280,13 @@ class DPIMiddlebox(NetworkElement):
         if refused:
             raise TypeError(f"reconfigure() cannot set {', '.join(refused)}: not a knob, "
                             "or fixed at construction")
-        max_flows = changes.get("max_flows")
-        if max_flows is not None and max_flows < 1:
-            raise ValueError("max_flows must be >= 1")
         self._set_knobs(changes)
         self._compile()
 
     def _set_knobs(self, changes: dict[str, object]) -> None:
+        max_flows = changes.get("max_flows")
+        if max_flows is not None and max_flows < 1:  # type: ignore[operator]
+            raise ValueError("max_flows must be >= 1")
         for knob, value in changes.items():
             if knob == "rules":
                 value = tuple(value)  # type: ignore[arg-type]
@@ -319,16 +323,22 @@ class DPIMiddlebox(NetworkElement):
         self._set_idle_floor()
         blocking = self._endpoint_block_threshold is not None or len(self._endpoint_block_until)
         self._sweep_blocks = bool(blocking)
-        self._flows.capacity = self._max_flows
 
     def _set_idle_floor(self) -> None:
         """Set the idle-expiry floor, the smallest timeout any flow can have:
         the least of the pre- and post-match specs and the RST lane's floor.
-        Callable specs (GFC time-of-day flushing) are evaluated per packet."""
+        Callable specs (GFC time-of-day flushing) are evaluated per packet.
+
+        Also drops the cached activity bound (``_oldest_seen``), so the next
+        packet recomputes it: a lower bound on every tracked flow's
+        ``last_packet_time``, which stays valid as activity times only rise
+        and the clock never runs back.
+        """
         specs = (self._pre_match_timeout, self._post_match_timeout, self._rst_floor)
         self._timeout_callables = tuple(spec for spec in specs if callable(spec))
         fixed = [spec for spec in specs if spec is not None and not callable(spec)]
         self._fixed_floor = min(fixed, default=math.inf)
+        self._oldest_seen = -math.inf
 
     # ==================================================================
     # NetworkElement interface
@@ -339,9 +349,9 @@ class DPIMiddlebox(NetworkElement):
         """Observe one packet: update classifier state, apply policies, forward."""
         now = ctx.clock.now
         self._now = now
-        oldest = self._flows.lru_value()
-        if oldest is not None and now - oldest.last_packet_time > self._idle_floor(now):
-            self._expire_idle(now)
+        floor = self._idle_floor(now) if self._timeout_callables else self._fixed_floor
+        if now - self._oldest_seen > floor:
+            self._gate_idle(now, floor)
         if self._sweep_blocks:
             self._lapse_endpoint_blocks(now)
 
@@ -370,13 +380,15 @@ class DPIMiddlebox(NetworkElement):
         transport = inspect_target.transport
         tcp = transport if isinstance(transport, TCPSegment) else None
         normalized = key.normalized()
-        state = self._flows.get(normalized)  # touches the LRU chain
+        state = self._flows.get(normalized)
         if state is None:
             state = self._new_flow(key, normalized, tcp, now)
             if state is None:
                 return [packet]  # untracked mid-flow traffic is invisible to us
-        state.last_packet_time = now
-        state.lane.move_to_end(normalized)
+        else:
+            state.last_packet_time = now
+            state.stamp = self._stamp = self._stamp + 1
+            state.lane.move_to_end(normalized)
 
         if tcp is not None and int(tcp.flags) & 0x04:  # RST
             self._handle_rst(state, normalized)
@@ -392,8 +404,7 @@ class DPIMiddlebox(NetworkElement):
 
         self._inspect(state, inspect_target, key, tcp, now, ctx)
         if self._flow_byte_budget is not None:
-            # Scan buffers may have grown; re-appraise and shed if over.
-            self._flows.recost(normalized)
+            self._appraise(state)  # scan buffers may have grown
         return [packet]
 
     def _agnostic_key(self, packet: IPPacket) -> FiveTuple | None:
@@ -415,9 +426,9 @@ class DPIMiddlebox(NetworkElement):
         if self._overload is not None:
             self._shedder = LoadShedder(self._overload)
         self._flows.clear()
-        self._pre_lane.clear()
-        self._post_lane.clear()
-        self._rst_lane.clear()
+        for lane in self._lanes:
+            lane.clear()
+        self._flow_bytes = 0
         self._rst_floor = None
         self._set_idle_floor()
         self._fragments.clear()
@@ -448,6 +459,7 @@ class DPIMiddlebox(NetworkElement):
             return None  # shed: the flow forwards uninspected
         protocol = "udp" if key.protocol == 17 else "tcp"
         expected_seq = (tcp.seq + 1) & 0xFFFFFFFF if tcp is not None else None
+        stamp = self._stamp = self._stamp + 1
         state = FlowState(
             client_tuple=key,
             normalized=normalized,
@@ -456,13 +468,17 @@ class DPIMiddlebox(NetworkElement):
             created_at=now,
             last_packet_time=now,
             lane=self._pre_lane,
+            stamp=stamp,
+            seq=stamp,
             expected_seq=expected_seq,
         )
-        # Capacity pressure evicts inside insert() (O(1) via the LRU chain),
-        # firing _flow_evicted for the victim before this flow's creation
-        # event — the same event order as the historical evict-then-insert.
-        self._flows.insert(normalized, state)
+        # Capacity and byte pressure evict before this flow's creation event.
+        if self._max_flows is not None and len(self._flows) >= self._max_flows:
+            self._evict(self._capacity_victim(), "evicted")
+        self._flows[normalized] = state
         self._pre_lane[normalized] = state
+        if self._flow_byte_budget is not None:
+            self._appraise(state)
         if obs_trace.TRACER is not None:
             obs_trace.TRACER.emit(
                 "mbx.flow_created",
@@ -523,9 +539,43 @@ class DPIMiddlebox(NetworkElement):
             obs_metrics.METRICS.inc("mbx.shed.flows")
         return False
 
-    def _flow_evicted(self, normalized: FiveTuple, state: FlowState, reason: str) -> None:
+    def _lru_flow(self) -> FlowState:
+        """The least recently active flow: the lane head with the smallest
+        stamp (the table must not be empty)."""
+        return min((next(iter(lane.values())) for lane in self._lanes if lane), key=_stamp_of)
+
+    def _capacity_victim(self) -> FlowState:
+        """The first finished flow among the ``_victim_scan_limit`` least
+        recently active ones (lanes merged by stamp), else the LRU flow."""
+        if self._victim_scan_limit:
+            merged = heapq.merge(*(lane.values() for lane in self._lanes), key=_stamp_of)
+            for state in islice(merged, self._victim_scan_limit):
+                if _low_value_flow(state):
+                    return state
+        return self._lru_flow()
+
+    def _appraise(self, keep: FlowState) -> None:
+        """Re-appraise the byte cost of *keep*, the flow just touched, then
+        evict least recently active flows, strictly in LRU order, until the
+        byte budget holds again.  *keep* is never shed: one oversized flow
+        cannot empty the table."""
+        cost = _flow_cost(keep)
+        self._flow_bytes += cost - keep.cost
+        keep.cost = cost
+        while self._flow_bytes > self._flow_byte_budget:  # type: ignore[operator]
+            victim = self._lru_flow()
+            if victim is keep:
+                break
+            self._evict(victim, "evicted-bytes")
+
+    def _evict(self, state: FlowState, reason: str) -> None:
         """Table-driven eviction (capacity or byte budget): clean up marks."""
-        reason = "evicted" if reason == "evicted" else "evicted-bytes"
+        normalized = state.normalized
+        del self._flows[normalized]
+        metrics = obs_metrics.METRICS
+        if metrics is not None:
+            metrics.inc("mbx.flowtable.flows.evictions")
+            metrics.set_gauge("mbx.flowtable.flows.size", len(self._flows))
         self._flow_dropped(normalized, state, reason)
         self.evictions += 1
         if obs_metrics.METRICS is not None:
@@ -553,6 +603,14 @@ class DPIMiddlebox(NetworkElement):
                 floor = timeout
         return floor
 
+    def _gate_idle(self, now: float, floor: float) -> None:
+        """Walk the lanes if the least recently active flow is idle past
+        *floor*, then set the cached activity bound to the exact oldest
+        activity (its ``last_packet_time``; *now* with no flows)."""
+        if self._flows and now - self._lru_flow().last_packet_time > floor:
+            self._expire_idle(now)
+        self._oldest_seen = self._lru_flow().last_packet_time if self._flows else now
+
     def _expire_idle(self, now: float) -> None:
         """Flush every flow idle past its own timeout, walking each lane.
 
@@ -561,8 +619,8 @@ class DPIMiddlebox(NetworkElement):
         lane only on one of its own packets, and the clock never runs back.
         So each lane's walk stops at the first flow idle no longer than the
         lane's timeout: every flow after it is younger still.  Stale flows
-        flush in flow-table insertion order, the order of a scan over the
-        table.
+        flush in creation order (``FlowState.seq``), the order of a scan
+        over the flow table.
         """
         pre, post = self._pre_match_timeout, self._post_match_timeout
         lanes = (
@@ -570,7 +628,7 @@ class DPIMiddlebox(NetworkElement):
             (self._post_lane, post(now) if callable(post) else post),
             (self._rst_lane, self._rst_floor),
         )
-        stale: list[tuple[int | None, FiveTuple]] = []
+        stale: list[tuple[int, FiveTuple]] = []
         for lane, floor in lanes:
             if floor is None:
                 continue
@@ -579,7 +637,7 @@ class DPIMiddlebox(NetworkElement):
                 if idle <= floor:
                     break
                 if idle > self._timeout_for(state, now):  # type: ignore[operator]
-                    stale.append((self._flows.seq_of(normalized), normalized))
+                    stale.append((state.seq, normalized))
         stale.sort()
         for _seq, normalized in stale:
             self._forget_flow(normalized, reason="timeout")
@@ -610,7 +668,7 @@ class DPIMiddlebox(NetworkElement):
             state.lane = lane
 
     def _forget_flow(self, normalized: FiveTuple, reason: str = "flush") -> None:
-        state = self._flows.pop(normalized)
+        state = self._flows.pop(normalized, None)
         if state is None:
             return
         self._flow_dropped(normalized, state, reason)
@@ -619,6 +677,7 @@ class DPIMiddlebox(NetworkElement):
         """Shared teardown for flushed *and* table-evicted flows."""
         lane = state.lane
         del lane[normalized]
+        self._flow_bytes -= state.cost
         if lane is self._rst_lane and not lane:
             self._rst_floor = None
             self._set_idle_floor()
@@ -1018,9 +1077,7 @@ class DPIMiddlebox(NetworkElement):
         elif action in (PolicyAction.BLOCK_RST, PolicyAction.BLOCK_PAGE):
             self._inject_block(rule, key, packet, ctx)
 
-    def _endpoint_block_evicted(
-        self, endpoint: tuple[str, int], until: float, reason: str
-    ) -> None:
+    def _endpoint_block_evicted(self, endpoint: tuple[str, int], until: float) -> None:
         """Endpoint-block capacity pressure: the block simply lapses early."""
         self.policy_state.blocked_endpoints.discard(endpoint)
         self._endpoint_block_counts.pop(endpoint)
@@ -1123,7 +1180,7 @@ class DPIMiddlebox(NetworkElement):
             lookup = FiveTuple(
                 src=client, sport=sport, dst=server, dport=dport, protocol=protocol
             ).normalized()
-            state = self._flows.peek(lookup)  # readout must not disturb LRU
+            state = self._flows.get(lookup)
             if state is not None:
                 if isinstance(state.verdict, MatchRule):
                     return state.verdict.name

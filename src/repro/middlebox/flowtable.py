@@ -1,32 +1,28 @@
-"""Bounded slab/LRU flow store: O(1) insert, touch, evict and pop.
+"""Bounded slab/LRU store: O(1) insert, get, evict and pop.
 
-Every stateful table in the middlebox layer (engine flow table, normalizer
-flow dict, proxy connection map, fragment buckets, endpoint block counters)
-historically used a plain ``dict`` — unbounded, and evicted by an O(n)
-min-scan over last-activity times.  :class:`FlowTable` replaces them with a
-slab allocator threaded by an intrusive doubly-linked LRU list:
+The middlebox layer's bounded side tables (the engine's fragment buckets
+and endpoint block counters, the normalizer's flow and fragment tables, the
+proxy's connection and fragment maps) replaced plain, unbounded ``dict``\\ s
+with :class:`FlowTable`: a slab allocator threaded by an intrusive
+doubly-linked LRU list.  The engine's own flow table is a plain ``dict``
+whose recency comes from its idle-expiry lanes.
 
 * **slab slots** — entries live in preallocated parallel arrays (key, value,
-  insertion sequence, LRU links, byte cost).  Slots are recycled through a
-  free list; the arrays grow geometrically up to ``capacity`` and never
-  shrink, so steady-state churn allocates nothing.
-* **intrusive LRU** — ``get``/``touch`` splice the entry to the MRU end and
-  eviction unlinks the LRU end, all by integer index surgery: no heap, no
-  scan, no per-entry wrapper objects.  The LRU-end value is the
-  least-recently-active entry, which the engine's idle-expiry gate reads.
-* **bounds** — a ``capacity`` entry bound (LRU-evict on insert) and an
-  optional ``byte_budget`` enforced through a caller-supplied ``cost_of``
-  function (re-appraised via :meth:`recost` as buffers grow).
-* **determinism** — iteration order over :meth:`items`/:meth:`keys` is the
+  LRU links).  Slots are recycled through a free list; the arrays grow
+  geometrically up to ``capacity`` and never shrink, so steady-state churn
+  allocates nothing.
+* **intrusive LRU** — ``get`` splices the entry to the MRU end and eviction
+  unlinks the LRU end, all by integer index surgery: no heap, no scan, no
+  per-entry wrapper objects.
+* **determinism** — iteration order over :meth:`items` is the
   key-insertion order of the underlying index dict, exactly the semantics
   of the plain ``dict`` tables this replaces, so flush/evict event ordering
-  in traces is byte-identical.  Victim selection breaks activity ties by
-  insertion order for the same reason.
+  in traces is byte-identical.
 
-Eviction victims can be biased toward *low-value* entries (e.g. flows whose
-inspection already finished) by a ``prefer_victim`` predicate examined over
-a bounded window from the LRU end — the walk is capped by
-``victim_scan_limit`` so eviction stays O(1).
+Eviction victims can be biased toward *low-value* entries (e.g. closed
+connections) by a ``prefer_victim`` predicate examined over a bounded window
+from the LRU end — the walk is capped by ``victim_scan_limit`` so eviction
+stays O(1).
 """
 
 from __future__ import annotations
@@ -53,14 +49,9 @@ class FlowTable(Generic[K, V]):
     Args:
         capacity: maximum entry count (None = unbounded; the slab still
             recycles slots, there is just no forced eviction).
-        byte_budget: optional bound on ``sum(cost_of(value))``; exceeding it
-            evicts from the LRU end until back under budget.
-        cost_of: appraises one value's byte cost (required with
-            ``byte_budget``; entries cost 0 without it).
-        on_evict: called as ``on_evict(key, value, reason)`` for entries the
-            table itself removes (capacity / byte-budget pressure), *not*
-            for explicit :meth:`pop`.  Reasons: ``"evicted"`` (capacity),
-            ``"evicted-bytes"`` (byte budget).
+        on_evict: called as ``on_evict(key, value)`` for entries the table
+            itself removes under capacity pressure, *not* for explicit
+            :meth:`pop`.
         prefer_victim: optional predicate marking low-value entries; capacity
             eviction scans up to ``victim_scan_limit`` entries from the LRU
             end for one before falling back to the strict LRU victim.
@@ -72,8 +63,6 @@ class FlowTable(Generic[K, V]):
 
     __slots__ = (
         "capacity",
-        "byte_budget",
-        "_cost_of",
         "_on_evict",
         "prefer_victim",
         "victim_scan_limit",
@@ -81,38 +70,24 @@ class FlowTable(Generic[K, V]):
         "_index",
         "_key",
         "_value",
-        "_seq",
-        "_cost",
         "_prev",
         "_next",
         "_free",
         "_head",
         "_tail",
-        "_next_seq",
-        "total_cost",
-        "hits",
-        "misses",
-        "evictions",
-        "inserts",
     )
 
     def __init__(
         self,
         capacity: int | None = None,
-        byte_budget: int | None = None,
-        cost_of: Callable[[V], int] | None = None,
-        on_evict: Callable[[K, V, str], None] | None = None,
+        on_evict: Callable[[K, V], None] | None = None,
         prefer_victim: Callable[[V], bool] | None = None,
         victim_scan_limit: int = DEFAULT_VICTIM_SCAN_LIMIT,
         name: str | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if byte_budget is not None and cost_of is None:
-            raise ValueError("byte_budget requires cost_of")
         self.capacity = capacity
-        self.byte_budget = byte_budget
-        self._cost_of = cost_of
         self._on_evict = on_evict
         self.prefer_victim = prefer_victim
         self.victim_scan_limit = victim_scan_limit
@@ -121,19 +96,11 @@ class FlowTable(Generic[K, V]):
         size = _INITIAL_SLOTS if capacity is None else min(capacity, _INITIAL_SLOTS)
         self._key: list[K | None] = [None] * size
         self._value: list[V | None] = [None] * size
-        self._seq: list[int] = [0] * size
-        self._cost: list[int] = [0] * size
         self._prev: list[int] = [_NIL] * size
         self._next: list[int] = [_NIL] * size
         self._free: list[int] = list(range(size - 1, -1, -1))
         self._head = _NIL  # MRU end
         self._tail = _NIL  # LRU end
-        self._next_seq = 0
-        self.total_cost = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.inserts = 0
 
     # ------------------------------------------------------------------
     # slab plumbing
@@ -146,8 +113,6 @@ class FlowTable(Generic[K, V]):
         extra = new - old
         self._key.extend([None] * extra)
         self._value.extend([None] * extra)
-        self._seq.extend([0] * extra)
-        self._cost.extend([0] * extra)
         self._prev.extend([_NIL] * extra)
         self._next.extend([_NIL] * extra)
         self._free.extend(range(new - 1, old - 1, -1))
@@ -185,10 +150,8 @@ class FlowTable(Generic[K, V]):
         key = self._key[slot]
         value = self._value[slot]
         del self._index[key]  # type: ignore[arg-type]
-        self.total_cost -= self._cost[slot]
         self._key[slot] = None
         self._value[slot] = None
-        self._cost[slot] = 0
         self._free.append(slot)
         return value  # type: ignore[return-value]
 
@@ -198,16 +161,11 @@ class FlowTable(Generic[K, V]):
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, key: K) -> bool:
-        return key in self._index
-
     def get(self, key: K, touch: bool = True) -> V | None:
         """The value for *key* (None when absent); touches LRU by default."""
         slot = self._index.get(key)
         if slot is None:
-            self.misses += 1
             return None
-        self.hits += 1
         if touch:
             self._touch_slot(slot)
         return self._value[slot]
@@ -216,51 +174,28 @@ class FlowTable(Generic[K, V]):
         """Read without disturbing LRU order (readout paths)."""
         return self.get(key, touch=False)
 
-    def touch(self, key: K) -> bool:
-        """Mark *key* most-recently-used; False when absent."""
-        slot = self._index.get(key)
-        if slot is None:
-            return False
-        self._touch_slot(slot)
-        return True
-
     def insert(self, key: K, value: V) -> None:
         """Insert (or replace) *key*, evicting under pressure.
 
-        A replaced key keeps its slot but is re-stamped with a fresh
-        insertion sequence and touched to MRU, mirroring
-        ``dict.pop`` + re-insert ordering semantics.
+        A replaced key keeps its slot but moves to the back of iteration
+        order and to the MRU end, mirroring ``dict.pop`` + re-insert.
         """
         slot = self._index.get(key)
         if slot is not None:
-            self.total_cost -= self._cost[slot]
             self._value[slot] = value
-            self._cost[slot] = self._cost_of(value) if self._cost_of is not None else 0
-            self.total_cost += self._cost[slot]
-            self._seq[slot] = self._next_seq
-            self._next_seq += 1
-            # Match dict pop+insert: the key moves to the back of iteration
-            # order as well as to the MRU end.
             del self._index[key]
             self._index[key] = slot
             self._touch_slot(slot)
-            self._maybe_shed_bytes(keep=slot)
             return
         if self.capacity is not None and len(self._index) >= self.capacity:
-            self.evict(reason="evicted")
+            self.evict()
         if not self._free:
             self._grow()
         slot = self._free.pop()
         self._key[slot] = key
         self._value[slot] = value
-        self._cost[slot] = self._cost_of(value) if self._cost_of is not None else 0
-        self.total_cost += self._cost[slot]
-        self._seq[slot] = self._next_seq
-        self._next_seq += 1
         self._index[key] = slot
         self._link_front(slot)
-        self.inserts += 1
-        self._maybe_shed_bytes(keep=slot)
 
     def pop(self, key: K, default: V | None = None) -> V | None:
         """Remove *key* and return its value (no eviction callback)."""
@@ -274,16 +209,10 @@ class FlowTable(Generic[K, V]):
         for slot in list(self._index.values()):
             self._key[slot] = None
             self._value[slot] = None
-            self._cost[slot] = 0
             self._prev[slot] = self._next[slot] = _NIL
             self._free.append(slot)
         self._index.clear()
         self._head = self._tail = _NIL
-        self.total_cost = 0
-
-    def keys(self) -> Iterator[K]:
-        """Keys in insertion order (plain-dict iteration semantics)."""
-        return iter(self._index)
 
     def items(self) -> Iterator[tuple[K, V]]:
         """(key, value) pairs in insertion order."""
@@ -293,22 +222,6 @@ class FlowTable(Generic[K, V]):
     def values(self) -> Iterator[V]:
         for slot in self._index.values():
             yield self._value[slot]  # type: ignore[misc]
-
-    # ------------------------------------------------------------------
-    # ordering
-    # ------------------------------------------------------------------
-    def seq_of(self, key: K) -> int | None:
-        """The entry's insertion sequence (monotonic; reassigned on replace)."""
-        slot = self._index.get(key)
-        if slot is None:
-            return None
-        return self._seq[slot]
-
-    def lru_value(self) -> V | None:
-        """The value at the LRU end (the eviction candidate), untouched."""
-        if self._tail == _NIL:
-            return None
-        return self._value[self._tail]
 
     # ------------------------------------------------------------------
     # eviction
@@ -325,63 +238,16 @@ class FlowTable(Generic[K, V]):
             scanned += 1
         return slot
 
-    def evict(self, reason: str = "evicted") -> tuple[K, V] | None:
+    def evict(self) -> tuple[K, V] | None:
         """Evict one entry (preferring low-value victims near the LRU end)."""
         slot = self._pick_victim()
         if slot == _NIL:
             return None
         key = self._key[slot]
         value = self._release(slot)
-        self.evictions += 1
         if self.name is not None and obs_metrics.METRICS is not None:
             obs_metrics.METRICS.inc(f"mbx.flowtable.{self.name}.evictions")
             obs_metrics.METRICS.set_gauge(f"mbx.flowtable.{self.name}.size", len(self._index))
         if self._on_evict is not None:
-            self._on_evict(key, value, reason)  # type: ignore[arg-type]
+            self._on_evict(key, value)  # type: ignore[arg-type]
         return key, value  # type: ignore[return-value]
-
-    def recost(self, key: K) -> None:
-        """Re-appraise *key*'s byte cost after its value grew or shrank."""
-        if self._cost_of is None:
-            return
-        slot = self._index.get(key)
-        if slot is None:
-            return
-        self.total_cost -= self._cost[slot]
-        self._cost[slot] = self._cost_of(self._value[slot])  # type: ignore[arg-type]
-        self.total_cost += self._cost[slot]
-        self._maybe_shed_bytes(keep=slot)
-
-    def _maybe_shed_bytes(self, keep: int) -> None:
-        """Evict from the LRU end until back under the byte budget.
-
-        The entry in *keep* (the one just inserted / re-appraised) is never
-        chosen — a single oversized flow cannot empty the whole table.
-        """
-        if self.byte_budget is None:
-            return
-        while self.total_cost > self.byte_budget and len(self._index) > 1:
-            if self._tail == keep:
-                break
-            victim = self.prefer_victim
-            self.prefer_victim = None  # byte pressure evicts strictly LRU
-            try:
-                self.evict(reason="evicted-bytes")
-            finally:
-                self.prefer_victim = victim
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        """Counters for metrics/bench payloads (cheap, allocation-light)."""
-        return {
-            "size": len(self._index),
-            "capacity": self.capacity if self.capacity is not None else -1,
-            "slots": len(self._key),
-            "hits": self.hits,
-            "misses": self.misses,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-            "total_cost": self.total_cost,
-        }

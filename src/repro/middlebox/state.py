@@ -28,6 +28,15 @@ class FlowState:
             expiry compares ``last_packet_time`` with the flow's timeout.
         lane: the engine's idle-expiry lane for the flow's timeout class
             (pre-match, post-match or RST override).
+        stamp: the engine's recency stamp, from a counter that rises on
+            every tracked packet (set at creation and on each later packet
+            of the flow); stamps rise along each lane, so the lane head
+            with the smallest stamp is the least recently active flow, the
+            capacity and byte-budget eviction victim.
+        seq: the stamp the flow was created with; stale flows flush in
+            ``seq`` order, the order of the engine's flow table.
+        cost: the flow's appraised heap bytes under a ``flow_byte_budget``
+            (0 without one); the engine keeps their sum.
         verdict: None while inspecting, a :class:`MatchRule` after a match,
             or :data:`UNCLASSIFIED_FINAL` once the window closed.
         match_time: when the verdict was reached.
@@ -54,6 +63,9 @@ class FlowState:
     created_at: float
     last_packet_time: float
     lane: OrderedDict[FiveTuple, FlowState]
+    stamp: int
+    seq: int
+    cost: int = 0
     verdict: MatchRule | str | None = None
     match_time: float | None = None
     client_packets: int = 0

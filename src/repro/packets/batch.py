@@ -106,28 +106,28 @@ def serialize_batch(
                         csum = 0xFFFF  # RFC 768: zero means "no checksum"
                     seg = zero[:6] + _PACK_H(csum) + zero[8:]
                 transport._wire_cache = (pair_key, zero, seg)
-        except (ValueError, OverflowError):
+            # IP header: pristine shape means IHL 5, version 4, derived
+            # protocol, computed total length and checksum.
+            flags_frag = (0x4000 if packet.df else 0) | (0x2000 if packet.mf else 0)
+            flags_frag |= packet.frag_offset & 0x1FFF
+            header0 = (
+                _PACK_IP(
+                    0x45,
+                    packet.tos,
+                    (20 + len(seg)) & 0xFFFF,
+                    packet.identification & 0xFFFF,
+                    flags_frag,
+                    packet.ttl & 0xFF,
+                    proto,
+                    0,
+                )
+                + addr_bytes
+            )
+        except (ValueError, OverflowError, struct.error):
             if not lenient:
                 raise
             out.append(None)
             continue
-        # IP header: pristine shape means IHL 5, version 4, derived
-        # protocol, computed total length and checksum.
-        flags_frag = (0x4000 if packet.df else 0) | (0x2000 if packet.mf else 0)
-        flags_frag |= packet.frag_offset & 0x1FFF
-        header0 = (
-            _PACK_IP(
-                0x45,
-                packet.tos,
-                (20 + len(seg)) & 0xFFFF,
-                packet.identification,
-                flags_frag,
-                packet.ttl & 0xFF,
-                proto,
-                0,
-            )
-            + addr_bytes
-        )
         wire = header0[:10] + _PACK_H(internet_checksum(header0)) + header0[12:] + seg
         packet._wire_cache = (packet._header_key(), type(transport), seg, wire)
         out.append(wire)
@@ -141,7 +141,7 @@ def serialize_batch(
 def _serialize_one(packet: IPPacket, lenient: bool) -> bytes | None:
     try:
         return packet.to_bytes()
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, struct.error):
         if not lenient:
             raise
         return None

@@ -207,7 +207,7 @@ packet_st = st.builds(
     transport=st.one_of(plain_tcp_st, plain_udp_st, crafted_tcp_st, st.just(b"raw-bytes")),
     ttl=st.integers(0, 255),
     tos=st.integers(0, 255),
-    identification=st.integers(0, 0xFFFF),
+    identification=st.integers(0, 0x2FFFF),  # past 16 bits: masked on the wire
     df=st.booleans(),
     mf=st.booleans(),
     frag_offset=st.integers(0, 0x1FFF),
@@ -285,6 +285,18 @@ class TestSerializeBatchDifferential:
         assert serialize_batch([good, bad], lenient=True) == [good.copy().to_bytes(), None]
         with pytest.raises(ValueError):
             serialize_batch([good, bad])
+
+    def test_identification_past_16_bits_encodes_like_to_bytes(self):
+        packet = IPPacket(
+            "10.0.0.1", "10.0.0.2", TCPSegment(sport=1, dport=2), identification=70000
+        )
+        wire = packet.copy().to_bytes()
+        assert len(wire) == 40
+        assert serialize_batch([packet], lenient=True) == [wire]
+        assert serialize_batch([packet.copy()]) == [wire]
+        # A header field that does not fit fails to_bytes(): lenient is None.
+        unfit = packet.copy(tos=300)
+        assert serialize_batch([unfit, packet], lenient=True) == [None, wire]
 
     def test_shared_pair_state_does_not_leak_across_pairs(self):
         # Alternating endpoint pairs force the per-pair pseudo-header prefix

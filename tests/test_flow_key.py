@@ -83,7 +83,7 @@ class TestKeyChurn:
         sink = []
         ctx = TransitContext(clock=clock, inject_back=sink.append, inject_forward=sink.append)
         engine.process(self.packet(self.TRACKED), Direction.CLIENT_TO_SERVER, ctx)
-        state = engine._flows.peek(self.fresh(self.TRACKED).normalized())
+        state = engine._flows.get(self.fresh(self.TRACKED).normalized())
         assert state is not None and state.client_packets == 0
         module_before = _grows(vars(flow))
         class_before = _grows(vars(FiveTuple))
@@ -100,7 +100,7 @@ class TestKeyChurn:
 
         assert _grows(vars(flow)) == module_before
         assert _grows(vars(FiveTuple)) == class_before
-        assert engine._flows.evictions > 0
+        assert engine.evictions > 0
         assert len(engine._flows) <= 256
 
         for index in (0, 1, 16_383, 16_384, self.FLOWS - 1):
@@ -111,7 +111,7 @@ class TestKeyChurn:
             assert reverse.normalized() == keys[index].normalized() == fresh.normalized()
             assert hash(reverse.normalized()) == hash(fresh.normalized())
 
-        assert engine._flows.peek(self.fresh(self.TRACKED).normalized()) is state
+        assert engine._flows.get(self.fresh(self.TRACKED).normalized()) is state
         assert state.client_packets > 0  # the payload packets reached the old state
         assert state.last_packet_time == clock.now
 

@@ -5,10 +5,11 @@ contract is "exactly a bounded dict with LRU eviction": iteration order is
 key-insertion order, and recency only affects *victim choice* and the
 LRU-end walk.  The property test drives random op sequences through both
 the slab and a dict-plus-recency-list reference and demands identical
-contents, iteration order, victims and LRU order.
+contents, iteration order, victims and LRU order.  (The engine's flow table
+is not a FlowTable; ``tests/test_engine_eviction.py`` holds its eviction
+order, byte budget included, to a model of its own.)
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,12 +40,6 @@ class ModelLRU:
             self._touch(key)
         return self.data[key]
 
-    def touch(self, key):
-        if key not in self.data:
-            return False
-        self._touch(key)
-        return True
-
     def insert(self, key, value):
         if key in self.data:
             # dict pop+reinsert: back of iteration order, MRU end.
@@ -69,7 +64,6 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(0, 15), st.integers(0, 1_000)),
         st.tuples(st.just("get"), st.integers(0, 15), st.booleans()),
-        st.tuples(st.just("touch"), st.integers(0, 15), st.none()),
         st.tuples(st.just("pop"), st.integers(0, 15), st.none()),
     ),
     max_size=80,
@@ -82,7 +76,7 @@ class TestAgainstReferenceModel:
     def test_contents_order_and_victims_match_naive_lru(self, ops, capacity):
         evicted = []
         table = FlowTable(
-            capacity=capacity, on_evict=lambda k, v, reason: evicted.append((k, v))
+            capacity=capacity, on_evict=lambda k, v: evicted.append((k, v))
         )
         model = ModelLRU(capacity)
         for op, key, arg in ops:
@@ -91,16 +85,13 @@ class TestAgainstReferenceModel:
                 model.insert(key, arg)
             elif op == "get":
                 assert table.get(key, touch=arg) == model.get(key, touch=arg)
-            elif op == "touch":
-                assert table.touch(key) == model.touch(key)
             else:
                 assert table.pop(key) == model.pop(key)
             assert len(table) == len(model.data)
-        assert dict(table.items()) == model.data
-        assert list(table.keys()) == list(model.data)
+        assert list(table.items()) == list(model.data.items())
         assert evicted == model.evicted
-        assert table.lru_value() == (model.data[model.recency[0]] if model.recency else None)
-        assert sorted(table.keys(), key=table.seq_of) == list(table.keys())
+        # Draining the table evicts in LRU order.
+        assert [table.evict()[0] for _ in range(len(table))] == model.recency
 
     @settings(**settings_kwargs)
     @given(ops=OPS)
@@ -115,64 +106,9 @@ class TestAgainstReferenceModel:
                 model[key] = arg
             elif op == "get":
                 assert table.get(key, touch=arg) == model.get(key)
-            elif op == "touch":
-                assert table.touch(key) == (key in model)
             else:
                 assert table.pop(key) == model.pop(key, None)
-        assert dict(table.items()) == model
-        assert list(table.keys()) == list(model)
-
-
-class TestByteBudget:
-    def make(self, budget, **kwargs):
-        evicted = []
-        table = FlowTable(
-            byte_budget=budget,
-            cost_of=len,
-            on_evict=lambda k, v, reason: evicted.append((k, reason)),
-            **kwargs,
-        )
-        return table, evicted
-
-    def test_budget_requires_cost_function(self):
-        with pytest.raises(ValueError):
-            FlowTable(byte_budget=100)
-
-    def test_exceeding_budget_evicts_from_lru_end(self):
-        table, evicted = self.make(10)
-        table.insert("a", b"xxxx")
-        table.insert("b", b"xxxx")
-        table.insert("c", b"xxxx")  # 12 bytes > 10: "a" goes
-        assert evicted == [("a", "evicted-bytes")]
-        assert table.total_cost == 8
-
-    def test_recost_reappraises_and_sheds(self):
-        table, evicted = self.make(10)
-        table.insert("a", bytearray(b"xx"))
-        grown = bytearray(b"xx")
-        table.insert("b", grown)
-        grown.extend(b"x" * 10)
-        table.recost("b")
-        assert evicted == [("a", "evicted-bytes")]
-        assert table.total_cost == 12  # single oversized entry is kept
-
-    def test_single_oversized_entry_never_self_evicts(self):
-        table, evicted = self.make(4)
-        table.insert("big", b"x" * 100)
-        assert len(table) == 1
-        assert evicted == []
-
-    @settings(**settings_kwargs)
-    @given(
-        sizes=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30),
-        budget=st.integers(min_value=1, max_value=64),
-    )
-    def test_total_cost_invariant_under_churn(self, sizes, budget):
-        table, _ = self.make(budget)
-        for i, size in enumerate(sizes):
-            table.insert(i, b"x" * size)
-            assert table.total_cost == sum(len(v) for v in table.values())
-            assert table.total_cost <= budget or len(table) == 1
+        assert list(table.items()) == list(model.items())
 
 
 class TestVictimPreference:
@@ -182,14 +118,14 @@ class TestVictimPreference:
         table.insert("b", "done")
         table.insert("c", "live")
         table.insert("d", "live")  # capacity hit: "b" preferred over LRU "a"
-        assert "b" not in table
-        assert "a" in table
+        assert table.peek("b") is None
+        assert table.peek("a") == "live"
 
     def test_falls_back_to_strict_lru_without_candidates(self):
         table = FlowTable(capacity=3, prefer_victim=lambda v: False)
         for key in "abcd":
             table.insert(key, "live")
-        assert "a" not in table
+        assert table.peek("a") is None
 
     def test_scan_limit_bounds_the_walk(self):
         table = FlowTable(capacity=4, prefer_victim=lambda v: v == "done", victim_scan_limit=2)
@@ -198,8 +134,8 @@ class TestVictimPreference:
         table.insert("c", "live")
         table.insert("d", "done")  # MRU, beyond the 2-entry scan window
         table.insert("e", "live")
-        assert "d" in table  # out of scan reach: strict LRU victim instead
-        assert "a" not in table
+        assert table.peek("d") == "done"  # out of scan reach: strict LRU victim instead
+        assert table.peek("a") is None
 
 
 class TestSlab:
@@ -207,21 +143,20 @@ class TestSlab:
         table = FlowTable(capacity=16)
         for i in range(10_000):
             table.insert(i, i)
-        assert table.stats()["slots"] <= 16
+        assert len(table._key) <= 16
         assert len(table) == 16
 
     def test_slab_growth_is_geometric_and_bounded(self):
         table = FlowTable(capacity=10_000)
         for i in range(200):
             table.insert(i, i)
-        slots = table.stats()["slots"]
+        slots = len(table._key)
         assert 200 <= slots <= max(_INITIAL_SLOTS, 512)
 
     def test_eviction_counters(self):
-        table = FlowTable(capacity=8)
+        evicted = []
+        table = FlowTable(capacity=8, on_evict=lambda k, v: evicted.append(k))
         for i in range(20):
             table.insert(i, i)
-        stats = table.stats()
-        assert stats["evictions"] == 12
-        assert stats["inserts"] == 20
-        assert stats["size"] == 8
+        assert evicted == list(range(12))
+        assert len(table) == 8

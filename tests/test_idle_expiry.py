@@ -10,19 +10,18 @@ whose idle time is strictly greater than its own timeout (``_timeout_for``)
 flushes.
 
 A reference engine with the same knobs runs that scan in place of the walk
-(its floor reads infinity, so its own walk never starts).  The same stream
+(its walk is switched off).  The same stream
 of SYN, data, matching data, RST and idle-gap packets goes through both.
 Per packet, the timeout flushes must agree key for key and in order, and so
 must the tracked flow keys; per run, evictions and the match log must agree.
-After every packet the premises of the walk and its gate are checked: each
-flow sits in the lane of its class, ``last_packet_time`` never decreases
-along a lane, and the flow table's LRU end is the least recently active
-flow.
+After every packet the premises of the walk, its gate and the engine's
+eviction order are checked: each flow sits in the lane of its class,
+``last_packet_time`` never decreases and the recency stamp rises along a
+lane, the gate's cached bound (``_oldest_seen``) is at most the least
+``last_packet_time``, and a lane head holds that least value.
 """
 
 from __future__ import annotations
-
-import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -129,7 +128,7 @@ class Differential:
     def __init__(self, build) -> None:
         self.engine = build()
         self.reference = build()
-        self.reference._idle_floor = lambda now: math.inf  # the walk never starts
+        self.reference._expire_idle = lambda now: None  # the walk never runs
         self.flushed = _record_timeout_flushes(self.engine)
         self.timeouts = 0  # flows flushed idle, over the run
         self.clock = VirtualClock()
@@ -170,8 +169,10 @@ class Differential:
         for lane in lanes:
             times = [state.last_packet_time for state in lane.values()]
             assert times == sorted(times), "lane out of last-activity order"
+            stamps = [state.stamp for state in lane.values()]
+            assert stamps == sorted(stamps), "lane out of stamp order"
             for normalized, state in lane.items():
-                assert state.lane is lane and engine._flows.peek(normalized) is state
+                assert state.lane is lane and engine._flows.get(normalized) is state
                 if state.timeout_override is not None:
                     assert lane is engine._rst_lane
                 elif state.verdict is None:
@@ -179,8 +180,10 @@ class Differential:
                 else:
                     assert lane is engine._post_lane
         if len(engine._flows):
-            oldest = engine._flows.lru_value().last_packet_time
-            assert oldest == min(state.last_packet_time for state in engine._flows.values())
+            oldest = min(state.last_packet_time for state in engine._flows.values())
+            assert engine._oldest_seen <= oldest
+            heads = [next(iter(lane.values())) for lane in lanes if lane]
+            assert min(head.last_packet_time for head in heads) == oldest
 
     def run(self, events) -> None:
         for kind, arg in events:
@@ -274,6 +277,26 @@ class TestWalkMatchesScan:
                 run.clock.advance(45.0)  # past pre-match, short of post-match timeout
         run.finish()
         assert run.timeouts > 0 and run.engine.evictions > 0 and run.engine.matches_logged > 0
+
+
+class TestGateFloatEdge:
+    def test_idle_past_timeout_only_by_rounding_flushes(self):
+        """The gate subtracts as the walk does: with floats, a flow last seen
+        at 0.1 is idle past a 0.2 s timeout at 0.1 + 0.2, although that time
+        is not past a precomputed 0.1 + 0.2 deadline."""
+        engine = _engine(pre_match_timeout=0.2)
+        flushed = _record_timeout_flushes(engine)
+        clock = VirtualClock()
+        ctx = TransitContext(
+            clock=clock, inject_back=lambda p: None, inject_forward=lambda p: None
+        )
+        clock.advance(0.1)
+        engine.process(_packet("syn", 0), Direction.CLIENT_TO_SERVER, ctx)
+        clock.advance(0.2)
+        assert clock.now == 0.1 + 0.2 and clock.now - 0.1 > 0.2
+        engine.process(_packet("syn", 1), Direction.CLIENT_TO_SERVER, ctx)
+        assert [key.sport for key in flushed] == [40_000]
+        assert len(engine._flows) == 1
 
 
 class TestRstFloor:
