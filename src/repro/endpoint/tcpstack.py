@@ -14,6 +14,7 @@ from typing import Protocol
 
 from repro.endpoint.osmodel import LINUX, OSProfile, Verdict
 from repro.packets.flow import FiveTuple
+from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 
@@ -98,18 +99,7 @@ class TCPServerStack:
         self.rst_sent: list[IPPacket] = []
         self.delivered_junk = False
         self._connections: dict[tuple[str, int, int], _Connection] = {}
-        self._fragments: dict[tuple[str, str, int, int], list[IPPacket]] = {}
-
-    def _assemble_fragment(self, packet: IPPacket) -> IPPacket | None:
-        from repro.packets.fragment import reassemble_fragments
-
-        key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
-        bucket = self._fragments.setdefault(key, [])
-        bucket.append(packet)
-        whole = reassemble_fragments(bucket)
-        if whole is not None:
-            del self._fragments[key]
-        return whole
+        self._fragments = FragmentBuffer()
 
     # ------------------------------------------------------------------
     # endpoint interface
@@ -121,7 +111,7 @@ class TCPServerStack:
             return []
         if packet.mf or packet.frag_offset > 0:
             # Every mainstream OS reassembles IP fragments in the IP layer.
-            whole = self._assemble_fragment(packet)
+            whole, _fragments = self._fragments.feed(packet)
             if whole is None:
                 return []
             packet = whole

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.endpoint.osmodel import LINUX, OSProfile, Verdict
+from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.udp import UDP_HEADER_LEN, UDPDatagram
 
@@ -45,7 +46,7 @@ class UDPServerStack:
         self.ports = ports
         self.raw_arrivals: list[IPPacket] = []
         self.delivered: list[tuple[int, int, bytes]] = []
-        self._fragments: dict[tuple[str, str, int, int], list[IPPacket]] = {}
+        self._fragments = FragmentBuffer()
 
     def receive(self, packet: IPPacket) -> list[IPPacket]:
         """Validate and deliver one datagram; return response packets."""
@@ -54,15 +55,9 @@ class UDPServerStack:
             return []
         if packet.is_fragment:
             # The OS IP layer reassembles fragments before UDP sees them.
-            from repro.packets.fragment import reassemble_fragments
-
-            key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
-            bucket = self._fragments.setdefault(key, [])
-            bucket.append(packet)
-            whole = reassemble_fragments(bucket)
+            whole, _fragments = self._fragments.feed(packet)
             if whole is None:
                 return []
-            del self._fragments[key]
             packet = whole
         if self.os_profile.verdict_for_ip(packet) is not Verdict.DELIVER:
             return []

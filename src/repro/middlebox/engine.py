@@ -50,7 +50,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import ops as obs_ops
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction, FiveTuple
-from repro.packets.fragment import reassemble_fragments
+from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.packets.udp import UDPDatagram
@@ -61,6 +61,9 @@ PROTOCOL_ANCHORS: tuple[bytes, ...] = (b"GET", b"POST", b"HEAD", b"PUT", b"HTTP/
 #: Stream-reassembling classifiers wait for this many contiguous bytes
 #: before judging the protocol anchor.
 ANCHOR_MIN_BYTES = 5
+
+#: Bound on tracked (server, port) block counters and on active blocks.
+ENDPOINT_BLOCK_CAPACITY = 65536
 
 TimeoutSpec = float | None | Callable[[float], float | None]
 
@@ -177,10 +180,6 @@ class DPIMiddlebox(NetworkElement):
         overload: optional :class:`~repro.middlebox.overload.OverloadPolicy`
             enabling deterministic load-shedding (victim preference and
             admission shedding); None keeps historical behaviour exactly.
-        fragment_capacity: bound on concurrently-reassembling fragment
-            groups (oldest group dropped beyond it).
-        endpoint_block_capacity: bound on tracked (server, port) block
-            counters / active blocks.
     """
 
     def __init__(
@@ -210,8 +209,6 @@ class DPIMiddlebox(NetworkElement):
         max_flows: int | None = None,
         flow_byte_budget: int | None = None,
         overload: OverloadPolicy | None = None,
-        fragment_capacity: int | None = 4096,
-        endpoint_block_capacity: int | None = 65536,
     ) -> None:
         self.name = name
         self.policy_state = policy_state
@@ -243,14 +240,12 @@ class DPIMiddlebox(NetworkElement):
         self._victim_scan_limit = 0
         if overload is not None and overload.prefer_finished_victims:
             self._victim_scan_limit = overload.victim_scan_limit
-        self._fragments: FlowTable[tuple[str, str, int, int], list[IPPacket]] = FlowTable(
-            capacity=fragment_capacity, name="fragments"
-        )
+        self._fragments = FragmentBuffer(name="fragments")
         self._endpoint_block_counts: FlowTable[tuple[str, int], int] = FlowTable(
-            capacity=endpoint_block_capacity, name="endpoint_counts"
+            capacity=ENDPOINT_BLOCK_CAPACITY, name="endpoint_counts"
         )
         self._endpoint_block_until: FlowTable[tuple[str, int], float] = FlowTable(
-            capacity=endpoint_block_capacity,
+            capacity=ENDPOINT_BLOCK_CAPACITY,
             name="endpoint_blocks",
             on_evict=self._endpoint_block_evicted,
         )
@@ -359,9 +354,23 @@ class DPIMiddlebox(NetworkElement):
         if packet.mf or packet.frag_offset > 0:
             if not self._reassemble_ip_fragments:
                 return [packet]  # cannot attribute a fragment to a flow
-            whole = self._feed_fragment(packet)
+            whole, fragments = self._fragments.feed(packet, now)
             if whole is None:
                 return [packet]
+            if obs_trace.TRACER is not None:
+                # Provenance: which on-the-wire fragments produced the packet
+                # the matcher actually saw.  Flow fields are not yet known
+                # (the reassembled transport header carries them), so the
+                # fragment key identifies the group.
+                obs_trace.TRACER.emit(
+                    "mbx.frag_reassembled",
+                    now,
+                    element=self.name,
+                    src=packet.src,
+                    dst=packet.dst,
+                    ident=packet.identification,
+                    fragments=fragments,
+                )
             inspect_target = whole
 
         key = self._key_of(inspect_target)
@@ -472,9 +481,11 @@ class DPIMiddlebox(NetworkElement):
             seq=stamp,
             expected_seq=expected_seq,
         )
-        # Capacity and byte pressure evict before this flow's creation event.
-        if self._max_flows is not None and len(self._flows) >= self._max_flows:
-            self._evict(self._capacity_victim(), "evicted")
+        # Capacity and byte pressure evict before this flow's creation event;
+        # a capacity lowered by ``reconfigure`` is reached here at once.
+        if self._max_flows is not None:
+            while len(self._flows) >= self._max_flows:
+                self._evict(self._capacity_victim(), "evicted")
         self._flows[normalized] = state
         self._pre_lane[normalized] = state
         if self._flow_byte_budget is not None:
@@ -716,36 +727,6 @@ class DPIMiddlebox(NetworkElement):
                     flow=_flow_fields(state.client_tuple),
                     timeout=self._rst_timeout_reduction,
                 )
-
-    # ==================================================================
-    # fragment handling (virtual reassembly for inspection only)
-    # ==================================================================
-    def _feed_fragment(self, packet: IPPacket) -> IPPacket | None:
-        key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
-        bucket = self._fragments.get(key)
-        if bucket is None:
-            bucket = []
-            self._fragments.insert(key, bucket)  # bounds evict oldest group
-        bucket.append(packet)
-        whole = reassemble_fragments(bucket)
-        if whole is not None:
-            fragment_count = len(bucket)
-            self._fragments.pop(key)
-            if obs_trace.TRACER is not None:
-                # Provenance: which on-the-wire fragments produced the packet
-                # the matcher actually saw.  Flow fields are not yet known
-                # (the reassembled transport header carries them), so the
-                # fragment key identifies the group.
-                obs_trace.TRACER.emit(
-                    "mbx.frag_reassembled",
-                    self._now,
-                    element=self.name,
-                    src=packet.src,
-                    dst=packet.dst,
-                    ident=packet.identification,
-                    fragments=fragment_count,
-                )
-        return whole
 
     # ==================================================================
     # inspection

@@ -22,13 +22,17 @@ from repro.middlebox.flowtable import FlowTable
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
-from repro.packets.fragment import reassemble_fragments
+from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 
 _ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
 
 NORMALIZED_MSS = 1460
+#: Bound on concurrently-coalescing flows; beyond it the least recently
+#: active flow's reassembly state is evicted (its later segments pass
+#: through un-coalesced, a safe degradation).
+MAX_FLOWS = 65536
 
 
 @dataclass
@@ -46,12 +50,7 @@ class TrafficNormalizer(NetworkElement):
             that the packet then reaches the server).
         strip_ip_options: remove all IP options (defeats the options rows).
         coalesce: reassemble and re-emit in-order MSS segments (defeats
-            splitting and reordering).
-        max_flows: bound on concurrently-coalescing flows; beyond it the
-            least-recently-active flow's reassembly state is evicted (its
-            later segments pass through un-coalesced, a safe degradation).
-        fragment_capacity: bound on concurrently-reassembling fragment
-            groups.
+            splitting and reordering) for up to :data:`MAX_FLOWS` flows.
     """
 
     def __init__(
@@ -60,8 +59,6 @@ class TrafficNormalizer(NetworkElement):
         strip_ip_options: bool = True,
         coalesce: bool = True,
         name: str = "normalizer",
-        max_flows: int | None = 65536,
-        fragment_capacity: int | None = 4096,
     ) -> None:
         self.name = name
         self.min_ttl = min_ttl
@@ -69,11 +66,9 @@ class TrafficNormalizer(NetworkElement):
         self.coalesce = coalesce
         self.dropped: list[IPPacket] = []
         self._flows: FlowTable[tuple[str, int, str, int], _NormalizedFlow] = FlowTable(
-            capacity=max_flows, name="normalizer"
+            capacity=MAX_FLOWS, name="normalizer"
         )
-        self._fragments: FlowTable[tuple[str, str, int, int], list[IPPacket]] = FlowTable(
-            capacity=fragment_capacity, name="normalizer_fragments"
-        )
+        self._fragments = FragmentBuffer(name="normalizer_fragments")
 
     # ------------------------------------------------------------------
     # element interface
@@ -86,7 +81,7 @@ class TrafficNormalizer(NetworkElement):
             return [packet]
         now = ctx.clock.now
         if packet.is_fragment:
-            whole = self._feed_fragment(packet)
+            whole, _fragments = self._fragments.feed(packet, now)
             if whole is None:
                 return []
             packet = whole
@@ -116,18 +111,6 @@ class TrafficNormalizer(NetworkElement):
         self.dropped.clear()
         self._flows.clear()
         self._fragments.clear()
-
-    def _feed_fragment(self, packet: IPPacket) -> IPPacket | None:
-        key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
-        bucket = self._fragments.get(key)
-        if bucket is None:
-            bucket = []
-            self._fragments.insert(key, bucket)  # bounds evict oldest group
-        bucket.append(packet)
-        whole = reassemble_fragments(bucket)
-        if whole is not None:
-            self._fragments.pop(key)
-        return whole
 
     # ------------------------------------------------------------------
     # the norm rule set

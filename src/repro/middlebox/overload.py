@@ -47,8 +47,8 @@ class OverloadPolicy:
         prefer_finished_victims: bias capacity evictions toward flows whose
             inspection already finished (lowest-value state first).
         victim_scan_limit: how far from the LRU end the victim search may
-            walk (bounds eviction cost; see
-            :data:`repro.middlebox.flowtable.DEFAULT_VICTIM_SCAN_LIMIT`).
+            walk (bounds eviction cost; the side tables' fixed bound is
+            :data:`repro.middlebox.flowtable.VICTIM_SCAN_LIMIT`).
     """
 
     seed: int = 0x5EED

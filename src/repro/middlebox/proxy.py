@@ -16,7 +16,7 @@ from repro.middlebox.flowtable import FlowTable
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.shaper import PolicyState
 from repro.packets.flow import Direction, FiveTuple
-from repro.packets.fragment import reassemble_fragments
+from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 
@@ -24,6 +24,9 @@ _FIN_ACK = TCPFlags.FIN | TCPFlags.ACK
 _ACK_PSH = TCPFlags.ACK | TCPFlags.PSH
 
 PROXY_MSS = 1460
+#: Bound on tracked proxied connections; beyond it the least recently
+#: active connection is evicted (closed ones preferred).
+MAX_CONNECTIONS = 65536
 ANCHORS = (b"GET", b"POST", b"HEAD", b"PUT")
 
 
@@ -61,12 +64,10 @@ class TransparentHTTPProxy(NetworkElement):
         client_keywords: patterns that must all appear in the client stream.
         server_keywords: patterns that must all appear in the server stream.
         throttle_rate_bps: shaping rate applied once both sides match.
-        max_connections: bound on tracked proxied connections; beyond it
-            the least-recently-active connection is evicted (closed ones
-            preferred).  Each connection buffers at most its scan windows:
-            max(4, longest keyword - 1) bytes a side after a scan.
-        fragment_capacity: bound on concurrently-reassembling fragment
-            groups.
+
+    Each of at most :data:`MAX_CONNECTIONS` tracked connections buffers at
+    most its scan windows: max(4, longest keyword - 1) bytes a side after
+    a scan.
     """
 
     def __init__(
@@ -77,8 +78,6 @@ class TransparentHTTPProxy(NetworkElement):
         server_keywords: tuple[bytes, ...] = (b"Content-Type: video",),
         throttle_rate_bps: float = 1_500_000.0,
         name: str = "transparent-proxy",
-        max_connections: int | None = 65536,
-        fragment_capacity: int | None = 4096,
     ) -> None:
         self.name = name
         self.policy_state = policy_state
@@ -90,13 +89,11 @@ class TransparentHTTPProxy(NetworkElement):
         self._client_keep = max(map(len, self.client_keywords), default=1) - 1
         self._server_keep = max(map(len, self.server_keywords), default=1) - 1
         self._connections: FlowTable[tuple[str, int, str, int], _ProxiedConnection] = FlowTable(
-            capacity=max_connections,
+            capacity=MAX_CONNECTIONS,
             prefer_victim=lambda conn: conn.closed,
             name="proxy",
         )
-        self._fragments: FlowTable[tuple[str, str, int, int], list[IPPacket]] = FlowTable(
-            capacity=fragment_capacity, name="proxy_fragments"
-        )
+        self._fragments = FragmentBuffer(name="proxy_fragments")
         self.dropped: list[IPPacket] = []
 
     # ------------------------------------------------------------------
@@ -107,7 +104,7 @@ class TransparentHTTPProxy(NetworkElement):
     ) -> list[IPPacket]:
         """Terminate in-scope flows; forward everything else untouched."""
         if packet.mf or packet.frag_offset > 0:
-            whole = self._feed_fragment(packet)
+            whole, _fragments = self._fragments.feed(packet, ctx.clock.now)
             if whole is None:
                 return []  # the proxy host buffers fragments; nothing forwards yet
             packet = whole
@@ -312,15 +309,3 @@ class TransparentHTTPProxy(NetworkElement):
         excess = len(buffer) if done else len(buffer) - keep
         if excess > 0:
             del buffer[:excess]
-
-    def _feed_fragment(self, packet: IPPacket) -> IPPacket | None:
-        key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
-        bucket = self._fragments.get(key)
-        if bucket is None:
-            bucket = []
-            self._fragments.insert(key, bucket)  # bounds evict oldest group
-        bucket.append(packet)
-        whole = reassemble_fragments(bucket)
-        if whole is not None:
-            self._fragments.pop(key)
-        return whole

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.netsim.clock import VirtualClock
 from repro.packets.flow import Direction
 from repro.packets.ip import IPPacket
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler → path)
-    from repro.netsim.scheduler import EventScheduler
 
 
 @dataclass
@@ -26,16 +23,11 @@ class TransitContext:
         inject_forward: call to send an extra packet onward toward the
             current packet's destination (e.g. a censor RST toward the
             server).
-        scheduler: the path's event scheduler, or None in direct-call mode.
-            Elements may arm timers on it (fragment-reassembly expiry);
-            they must re-check their condition when the timer fires, since
-            the per-packet scan may have beaten them to it.
     """
 
     clock: VirtualClock
     inject_back: Callable[[IPPacket], None]
     inject_forward: Callable[[IPPacket], None]
-    scheduler: "EventScheduler | None" = None
 
 
 class NetworkElement(ABC):

@@ -20,8 +20,7 @@ completion on the spot.  :meth:`Path.schedule_from_client` instead defers a
 frame to a future virtual time on the path's
 :class:`~repro.netsim.scheduler.EventScheduler`, so thousands of flows
 interleave in ``(deadline, seq)`` order — congestion scenarios a synchronous
-send cannot express.  While a scheduler is bound, elements arm their timers
-(fragment-reassembly expiry) on it.
+send cannot express.
 """
 
 from __future__ import annotations
@@ -78,9 +77,10 @@ class Path:
         clock: shared virtual clock.
         elements: processing stages, client side first.
         max_depth: recursion guard against response loops.
-        scheduler: an event scheduler for deferred frames and element
-            timers.  ``None`` until :meth:`bind_scheduler` or the first
-            :meth:`schedule_from_client` call.
+
+    Attributes:
+        scheduler: the event scheduler for deferred frames; ``None`` until
+            :meth:`bind_scheduler` or the first :meth:`schedule_from_client`.
     """
 
     def __init__(
@@ -88,14 +88,13 @@ class Path:
         clock: VirtualClock,
         elements: list[NetworkElement],
         max_depth: int = 50,
-        scheduler: EventScheduler | None = None,
     ) -> None:
         self.clock = clock
         self.elements = list(elements)
         self.client_endpoint: Endpoint = _SinkEndpoint()
         self.server_endpoint: Endpoint = _SinkEndpoint()
         self.max_depth = max_depth
-        self.scheduler = scheduler
+        self.scheduler: EventScheduler | None = None
         self._planned: tuple[NetworkElement, ...] = ()
         self._plans: tuple[list[_Step], list[_Step]] = ([], [])
 
@@ -103,7 +102,7 @@ class Path:
     # public API — synchronous sends
     # ------------------------------------------------------------------
     def bind_scheduler(self, scheduler: EventScheduler) -> EventScheduler:
-        """Attach *scheduler* for deferred frames and element timers."""
+        """Attach *scheduler* for deferred frames."""
         self.scheduler = scheduler
         return scheduler
 
@@ -133,29 +132,17 @@ class Path:
     # ------------------------------------------------------------------
     def schedule_from_client(
         self, packet: IPPacket, delay: float = 0.0, at: float | None = None
-    ) -> int:
+    ) -> None:
         """Schedule a client-edge frame for a future virtual time.
 
         Unlike :meth:`send_from_client`, the frame does **not** run now; it
         fires when :meth:`run` (or the scheduler) drains past its deadline,
         interleaving with every other scheduled flow in ``(deadline, seq)``
-        order.  Returns the scheduler event id (cancellable).
+        order.
         """
         sched = self._require_scheduler()
         deadline = at if at is not None else sched.now + delay
-        return sched.at(deadline, self._propagate, packet, Direction.CLIENT_TO_SERVER, 0)
-
-    def schedule_from_server(
-        self, packet: IPPacket, delay: float = 0.0, at: float | None = None
-    ) -> int:
-        """Schedule a server-edge frame for a future virtual time.
-
-        The server edge is resolved when the frame fires, so it starts at
-        the last element of the chain as it is then.
-        """
-        sched = self._require_scheduler()
-        deadline = at if at is not None else sched.now + delay
-        return sched.at(deadline, self._propagate, packet, Direction.SERVER_TO_CLIENT)
+        sched.at(deadline, self._propagate, packet, Direction.CLIENT_TO_SERVER, 0)
 
     def run(self, until: float | None = None) -> int:
         """Drain scheduled frames in virtual-time order; returns events fired."""
@@ -172,13 +159,6 @@ class Path:
     def insert_element(self, element: NetworkElement, index: int = 0) -> None:
         """Insert *element* into the chain at *index* (0 = client edge)."""
         self.elements.insert(index, element)
-
-    def element_named(self, name: str) -> NetworkElement:
-        """Look an element up by name (raises KeyError when absent)."""
-        for element in self.elements:
-            if element.name == name:
-                return element
-        raise KeyError(name)
 
     def reset(self) -> None:
         """Reset every element's per-flow state (between independent replays)."""
@@ -367,18 +347,17 @@ class _FrameContext:
     """The propagation loop's transit context: one per frame, not per hop.
 
     Duck-typed stand-in for :class:`TransitContext` (same ``clock`` /
-    ``inject_back`` / ``inject_forward`` / ``scheduler`` surface).  The
+    ``inject_back`` / ``inject_forward`` surface).  The
     owning frame sets ``direction``, ``depth``, ``step`` and ``index`` as it
     takes agenda items and advances; elements only inject synchronously from
     ``process``, so they are current when read, and each injection runs
     as a frame with its own context.
     """
 
-    __slots__ = ("clock", "scheduler", "index", "direction", "depth", "step", "_path")
+    __slots__ = ("clock", "index", "direction", "depth", "step", "_path")
 
     def __init__(self, path: Path) -> None:
         self.clock = path.clock
-        self.scheduler = path.scheduler
         self._path = path
 
     def inject_back(self, injected: IPPacket) -> None:

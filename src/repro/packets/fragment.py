@@ -4,16 +4,32 @@ The *payload splitting/reordering via IP fragments* techniques (Table 3)
 split one IP datagram into several fragments.  Fragments carry raw transport
 bytes (a receiver cannot parse half a TCP header), so reassembly restores the
 original typed packet.
+
+Every hop that reassembles (the in-network reassembler, the DPI engine's
+virtual reassembly, the transparent proxy, the normalizer and the endpoint
+stacks) holds fragments in a :class:`FragmentBuffer`: one bound, one
+eviction order and one optional timeout, the parameter set by which Xue et
+al. tell such devices apart.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from repro.middlebox.flowtable import FlowTable
 from repro.packets.icmp import ICMP_PROTO, ICMPMessage
 from repro.packets.ip import IPPacket, Transport
 from repro.packets.tcp import TCP_PROTO, TCPSegment
 from repro.packets.udp import UDP_PROTO, UDPDatagram
 
 FRAGMENT_UNIT = 8  # fragment offsets are expressed in 8-byte units
+
+#: Fragment groups one buffer holds at once; a new group beyond it drops
+#: the oldest.
+FRAGMENT_GROUPS = 4096
+
+#: A fragment group: (src, dst, identification, protocol).
+FragmentKey = tuple[str, str, int, int]
 
 
 def fragment_packet(
@@ -115,3 +131,77 @@ def reassemble_fragments(fragments: list[IPPacket]) -> IPPacket | None:
         total_length=None,
         checksum=None,
     )
+
+
+class FragmentBuffer:
+    """Fragments held by group until their datagram reassembles.
+
+    Groups are keyed by :data:`FragmentKey` and kept in creation order,
+    at most :data:`FRAGMENT_GROUPS` of them: a new group beyond the bound
+    drops the oldest.  A group whose fragments never reassemble (a hole,
+    an overlap) stays until the bound or the timeout drops it.
+
+    Args:
+        name: metrics label of the underlying
+            :class:`~repro.middlebox.flowtable.FlowTable` (None: no metrics).
+        timeout: seconds after its first fragment beyond which (strictly)
+            a group is dropped, checked from the oldest group on each
+            arrival; None keeps groups until the bound drops them.
+        on_expire: called as ``on_expire(key, fragments, now)`` for each
+            group the timeout drops.
+    """
+
+    __slots__ = ("timeout", "_on_expire", "_groups")
+
+    def __init__(
+        self,
+        name: str | None = None,
+        timeout: float | None = None,
+        on_expire: Callable[[FragmentKey, list[IPPacket], float], None] | None = None,
+    ) -> None:
+        self.timeout = timeout
+        self._on_expire = on_expire
+        #: key -> (first arrival time, fragments in arrival order)
+        self._groups: FlowTable[FragmentKey, tuple[float, list[IPPacket]]] = FlowTable(
+            capacity=FRAGMENT_GROUPS, name=name
+        )
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def feed(self, packet: IPPacket, now: float = 0.0) -> tuple[IPPacket | None, int]:
+        """Add the fragment *packet* to its group.
+
+        Returns the reassembled datagram once the group completes (None
+        before) and the number of fragments the group has received,
+        duplicates included.
+        """
+        if self.timeout is not None:
+            self._expire(now)
+        groups = self._groups
+        key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
+        group = groups.peek(key)
+        if group is None:
+            group = (now, [])
+            groups.insert(key, group)
+        fragments = group[1]
+        fragments.append(packet)
+        whole = reassemble_fragments(fragments)
+        if whole is not None:
+            groups.pop(key)
+        return whole, len(fragments)
+
+    def _expire(self, now: float) -> None:
+        expired = []
+        for key, (first, fragments) in self._groups.items():
+            if now - first <= self.timeout:  # type: ignore[operator]
+                break
+            expired.append((key, fragments))
+        for key, fragments in expired:
+            self._groups.pop(key)
+            if self._on_expire is not None:
+                self._on_expire(key, fragments, now)
+
+    def clear(self) -> None:
+        """Drop every group."""
+        self._groups.clear()

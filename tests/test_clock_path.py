@@ -136,13 +136,6 @@ class TestPath:
         assert client.received[0].src == "9.9.9.9"
         assert len(server.received) == 1
 
-    def test_element_named(self):
-        tap = PacketTap("mytap")
-        path = Path(VirtualClock(), [tap])
-        assert path.element_named("mytap") is tap
-        with pytest.raises(KeyError):
-            path.element_named("absent")
-
     def test_reset_clears_elements(self):
         tap = PacketTap()
         path = Path(VirtualClock(), [tap])

@@ -2,15 +2,16 @@
 
 The engine keeps no recency list of its own: the least recently active flow
 is the oldest of its idle-expiry lane heads.  This suite drives streams of
-SYNs, payloads, bare revisits, RSTs and idle gaps through small-``max_flows``
-engines in three configurations (plain, ``flow_byte_budget``, and
+SYNs, payloads, bare revisits, RSTs, idle gaps and ``max_flows`` changes
+through small-``max_flows`` engines in three configurations (plain, ``flow_byte_budget``, and
 ``OverloadPolicy(prefer_finished_victims=True)``) and compares the flows the
 engine evicts, in order and with their reasons, against a model that keeps
 one global last-touch list:
 
 * a capacity victim is the first finished flow (``_low_value_flow``) among
   the ``victim_scan_limit`` least recently touched, or else the least
-  recently touched flow;
+  recently touched flow, and a new flow evicts until the table is below
+  its (possibly just lowered) capacity;
 * byte-budget shedding evicts strictly in last-touch order until the summed
   flow cost is back under budget, skipping the flow the packet touched.
 
@@ -53,7 +54,11 @@ PACKET = st.tuples(
     st.integers(0, FLOWS - 1),
 )
 IDLE = st.tuples(st.just("idle"), st.sampled_from((0.5, 1.5, 3.0, 6.0)))
-EVENTS = st.lists(st.one_of(PACKET, PACKET, PACKET, IDLE), max_size=70)
+CAPACITY = st.tuples(st.just("capacity"), st.integers(1, MAX_FLOWS))
+EVENTS = st.lists(
+    st.one_of(PACKET, PACKET, PACKET, PACKET, PACKET, PACKET, IDLE, IDLE, CAPACITY),
+    max_size=70,
+)
 
 property_settings = settings(
     deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow]
@@ -133,7 +138,7 @@ class Model:
             self.recency.remove(key)
             self.recency.append(key)
         elif opens and not shed:
-            if self.capacity is not None and len(self.states) >= self.capacity:
+            while self.capacity is not None and len(self.states) >= self.capacity:
                 self.evict(self.capacity_victim(), "evicted", out)
             self.recency.append(key)
             self.states[key] = state_after
@@ -206,13 +211,19 @@ class Harness:
         assert set(model.states) == set(dict(engine._flows.items()))
         self.evicted.extend(evictions)
 
+    def step(self, kind: str, arg) -> None:
+        if kind == "idle":
+            self.clock.advance(arg)
+        elif kind == "capacity":
+            self.engine.reconfigure(max_flows=arg)
+            self.model.capacity = arg
+        else:
+            self.clock.advance(TICK)
+            self.send(kind, arg)
+
     def run(self, events) -> None:
         for kind, arg in events:
-            if kind == "idle":
-                self.clock.advance(arg)
-            else:
-                self.clock.advance(TICK)
-                self.send(kind, arg)
+            self.step(kind, arg)
         assert self.engine.evictions == len(self.evicted)
 
 
@@ -238,6 +249,8 @@ class TestEvictionOrder:
     @example(events=_syns(0, 1, 2) + [("match", 1), ("revisit", 0), ("revisit", 1)] + _syns(3, 4))
     # A RST moves a flow to the RST lane; its stamp still orders it.
     @example(events=_syns(0, 1, 2, 3) + [("rst", 0), ("revisit", 1)] + _syns(4, 5))
+    # A capacity lowered below the live count: the next SYN evicts down to it.
+    @example(events=_syns(0, 1, 2, 3) + [("capacity", 2)] + _syns(4, 5, 6))
     def test_plain_capacity_victims(self, events):
         _run("plain", events)
 
@@ -288,10 +301,6 @@ class TestByteBudget:
     def test_total_cost_invariant_under_churn(self, events):
         harness = Harness(CONFIGS["byte-budget"])
         for kind, arg in events:
-            if kind == "idle":
-                harness.clock.advance(arg)
-                continue
-            harness.clock.advance(TICK)
-            harness.send(kind, arg)
+            harness.step(kind, arg)
             states = [state for _key, state in harness.engine._flows.items()]
             assert sum(map(_flow_cost, states)) <= BUDGET or len(states) == 1

@@ -106,34 +106,43 @@ class TestFigure4:
 
 
 class TestEfficiency:
+    """Each characterization's exact rounds and replay bytes (deterministic
+    simulation), beside the paper-shape bounds."""
+
     def test_testbed_http_rounds(self):
         result = run_testbed_http()
         assert result.rounds <= 90  # paper: <=70, same order
+        assert (result.rounds, result.bytes_used) == (61, 70_574)
         assert any("video.example.com" in f for f in result.matching_fields)
 
     def test_testbed_skype(self):
         result = run_testbed_skype()
         assert result.rounds <= 150  # paper: 115
+        assert (result.rounds, result.bytes_used) == (44, 9_557)
         assert result.matching_fields  # binary STUN fields found
 
     def test_tmobile(self):
         result = run_tmobile()
         assert 30 <= result.rounds <= 120  # paper: 80-95
+        assert (result.rounds, result.bytes_used) == (55, 13_766_586)
         assert any("cloudfront.net" in f for f in result.matching_fields)
         assert result.bytes_used > 5_000_000  # megabytes of replay data (paper: 18 MB)
 
     def test_att_server_side(self):
         result = run_att()
+        assert (result.rounds, result.bytes_used) == (92, 27_626_945)
         assert any("Content-Type: video" in f for f in result.server_side_fields)
 
     def test_gfc(self):
         result = run_gfc()
         assert result.rounds <= 120  # paper: 86
+        assert (result.rounds, result.bytes_used) == (48, 61_461)
         assert any("economist.com" in f for f in result.matching_fields)
 
     def test_iran_inspects_all(self):
         result = run_iran()
         assert result.inspects_all_packets
+        assert (result.rounds, result.bytes_used) == (43, 119_344)
         assert any("facebook.com" in f for f in result.matching_fields)
 
 

@@ -1,19 +1,27 @@
-"""FlowTable: slab/LRU semantics checked against a naive reference model.
+"""FlowTable: LRU semantics checked against a naive model and the slab table.
 
-The slab table replaced plain dicts across the middlebox layer, so its
-contract is "exactly a bounded dict with LRU eviction": iteration order is
-key-insertion order, and recency only affects *victim choice* and the
-LRU-end walk.  The property test drives random op sequences through both
-the slab and a dict-plus-recency-list reference and demands identical
-contents, iteration order, victims and LRU order.  (The engine's flow table
-is not a FlowTable; ``tests/test_engine_eviction.py`` holds its eviction
-order, byte budget included, to a model of its own.)
+``FlowTable`` keeps its entries in one ``OrderedDict`` whose order is
+recency: ``get`` and a replacing ``insert`` move an entry to the recent end,
+eviction takes the oldest end, ``peek`` moves nothing.  The property tests
+drive random op sequences through it and through
+
+* a dict-plus-recency-list model, demanding identical contents, victims
+  and LRU order (which is also ``items()`` order);
+* the slab/LRU table it replaced (``tests/reference_flowtable.py``), with
+  capacities and a ``prefer_victim`` predicate, demanding identical
+  results, victims and LRU drain order, and identical ``items()`` order
+  whenever no ``get`` reordered the table (the slab iterates in insertion
+  order whatever the recency).
+
+The engine's flow table is not a FlowTable; ``tests/test_engine_eviction.py``
+holds its eviction order, byte budget included, to a model of its own.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.middlebox.flowtable import _INITIAL_SLOTS, FlowTable
+from repro.middlebox.flowtable import VICTIM_SCAN_LIMIT, FlowTable
+from tests.reference_flowtable import FlowTable as SlabFlowTable
 
 settings_kwargs = dict(
     deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -25,7 +33,7 @@ class ModelLRU:
 
     def __init__(self, capacity):
         self.capacity = capacity
-        self.data = {}  # insertion-ordered contents
+        self.data = {}
         self.recency = []  # LRU end first
         self.evicted = []
 
@@ -42,8 +50,6 @@ class ModelLRU:
 
     def insert(self, key, value):
         if key in self.data:
-            # dict pop+reinsert: back of iteration order, MRU end.
-            del self.data[key]
             self.data[key] = value
             self._touch(key)
             return
@@ -59,6 +65,9 @@ class ModelLRU:
         self.recency.remove(key)
         return self.data.pop(key)
 
+    def items(self):
+        return [(key, self.data[key]) for key in self.recency]
+
 
 OPS = st.lists(
     st.one_of(
@@ -68,6 +77,23 @@ OPS = st.lists(
     ),
     max_size=80,
 )
+
+# insert, get, peek, pop and evict over 24 keys, so the 8-entry victim scan
+# has room to miss.
+SLAB_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 23), st.integers(0, 1_000)),
+        st.tuples(st.just("get"), st.integers(0, 23), st.none()),
+        st.tuples(st.just("peek"), st.integers(0, 23), st.none()),
+        st.tuples(st.just("pop"), st.integers(0, 23), st.none()),
+        st.tuples(st.just("evict"), st.none(), st.none()),
+    ),
+    max_size=120,
+)
+
+
+def _read(table, touch, key):
+    return table.get(key) if touch else table.peek(key)
 
 
 class TestAgainstReferenceModel:
@@ -84,31 +110,82 @@ class TestAgainstReferenceModel:
                 table.insert(key, arg)
                 model.insert(key, arg)
             elif op == "get":
-                assert table.get(key, touch=arg) == model.get(key, touch=arg)
+                assert _read(table, arg, key) == model.get(key, touch=arg)
             else:
                 assert table.pop(key) == model.pop(key)
             assert len(table) == len(model.data)
-        assert list(table.items()) == list(model.data.items())
+        assert list(table.items()) == model.items()
         assert evicted == model.evicted
         # Draining the table evicts in LRU order.
         assert [table.evict()[0] for _ in range(len(table))] == model.recency
+        assert table.evict() is None
 
     @settings(**settings_kwargs)
     @given(ops=OPS)
     def test_unbounded_table_is_a_plain_dict(self, ops):
+        """Unbounded and read through ``peek``, the table is a plain dict;
+        ``get`` only moves the key to the end."""
         table = FlowTable()
         model = {}
         for op, key, arg in ops:
             if op == "insert":
                 table.insert(key, arg)
-                if key in model:
-                    del model[key]
+                model.pop(key, None)
                 model[key] = arg
             elif op == "get":
-                assert table.get(key, touch=arg) == model.get(key)
+                assert _read(table, arg, key) == model.get(key)
+                if arg and key in model:
+                    model[key] = model.pop(key)
             else:
                 assert table.pop(key) == model.pop(key, None)
         assert list(table.items()) == list(model.items())
+
+
+class TestAgainstSlabTable:
+    @settings(**settings_kwargs)
+    @given(
+        ops=SLAB_OPS,
+        capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+        prefer=st.sampled_from([None, 2, 3, 7]),
+    )
+    def test_matches_the_slab_table(self, ops, capacity, prefer):
+        prefer_victim = None if prefer is None else (lambda v: v % prefer == 0)
+        victims, slab_victims = [], []
+        table = FlowTable(
+            capacity=capacity,
+            on_evict=lambda k, v: victims.append((k, v)),
+            prefer_victim=prefer_victim,
+        )
+        slab = SlabFlowTable(
+            capacity=capacity,
+            on_evict=lambda k, v: slab_victims.append((k, v)),
+            prefer_victim=prefer_victim,
+            victim_scan_limit=VICTIM_SCAN_LIMIT,
+        )
+        reordered = False
+        for op, key, value in ops:
+            if op == "insert":
+                table.insert(key, value)
+                slab.insert(key, value)
+            elif op == "get":
+                reordered = reordered or table.peek(key) is not None
+                assert table.get(key) == slab.get(key)
+            elif op == "peek":
+                assert table.peek(key) == slab.peek(key)
+            elif op == "pop":
+                assert table.pop(key) == slab.pop(key)
+            else:
+                assert table.evict() == slab.evict()
+            assert len(table) == len(slab)
+            assert victims == slab_victims
+        assert dict(table.items()) == dict(slab.items())
+        if not reordered:
+            assert list(table.items()) == list(slab.items())
+        # Both drain in the same order: LRU, preferred victims first.
+        assert [table.evict() for _ in range(len(table))] == [
+            slab.evict() for _ in range(len(slab))
+        ]
+        assert table.evict() is None and slab.evict() is None
 
 
 class TestVictimPreference:
@@ -128,30 +205,26 @@ class TestVictimPreference:
         assert table.peek("a") is None
 
     def test_scan_limit_bounds_the_walk(self):
-        table = FlowTable(capacity=4, prefer_victim=lambda v: v == "done", victim_scan_limit=2)
-        table.insert("a", "live")
-        table.insert("b", "live")
-        table.insert("c", "live")
-        table.insert("d", "done")  # MRU, beyond the 2-entry scan window
-        table.insert("e", "live")
-        assert table.peek("d") == "done"  # out of scan reach: strict LRU victim instead
-        assert table.peek("a") is None
+        # The flagged entry is the last one inside the scan window, then the
+        # first one past it (where the strict LRU victim goes instead).
+        for position, found in ((VICTIM_SCAN_LIMIT - 1, True), (VICTIM_SCAN_LIMIT, False)):
+            table = FlowTable(capacity=position + 1, prefer_victim=lambda v: v == "done")
+            for key in range(position):
+                table.insert(key, "live")
+            table.insert("done", "done")
+            table.insert("next", "live")
+            assert (table.peek("done") is None) is found
+            assert (table.peek(0) is None) is not found
 
 
 class TestSlab:
+    """The store holds at most ``capacity`` entries and reports evictions."""
+
     def test_slab_never_exceeds_capacity_slots(self):
         table = FlowTable(capacity=16)
         for i in range(10_000):
             table.insert(i, i)
-        assert len(table._key) <= 16
-        assert len(table) == 16
-
-    def test_slab_growth_is_geometric_and_bounded(self):
-        table = FlowTable(capacity=10_000)
-        for i in range(200):
-            table.insert(i, i)
-        slots = len(table._key)
-        assert 200 <= slots <= max(_INITIAL_SLOTS, 512)
+        assert len(table._entries) == len(table) == 16
 
     def test_eviction_counters(self):
         evicted = []

@@ -35,6 +35,7 @@ from repro.netsim.clock import VirtualClock
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.hop import RouterHop
 from repro.netsim.path import Path, packets_propagated
+from repro.netsim.scheduler import EventScheduler
 from repro.netsim.shaper import PolicyState, TokenBucket, TokenBucketShaper
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
@@ -95,7 +96,6 @@ class _ReferencePath(_RecordingPath):
                     p, direction.reversed, i - step, depth + 1
                 ),
                 inject_forward=lambda p, i=i: self._propagate(p, direction, i + step, depth + 1),
-                scheduler=self.scheduler,
             )
             outputs = element.process(current, direction, ctx)
             tracer = obs_trace.TRACER
@@ -147,7 +147,7 @@ REPLAYS = {"clean": None, "low-ttl": LowTTLInert, "fragmentation": IPFragmentati
 def _replay(env_name: str, replay: str, path_cls: type, traced: bool):
     env = FACTORIES[env_name]()
     old = env.path
-    env.path = path_cls(old.clock, old.elements, old.max_depth, old.scheduler)
+    env.path = path_cls(old.clock, old.elements, old.max_depth)
     if env.name.startswith("neutral-"):
         trace = tcp_workload("testbed")
         context = EvasionContext(protocol="tcp", middlebox_hops=0)
@@ -327,7 +327,8 @@ def test_next_frame_walks_the_edited_chain(edit):
 def test_scheduled_server_frame_starts_at_the_edge_it_fires_at():
     log: list[str] = []
     path = Path(VirtualClock(), [_Marker("a", log), RouterHop("r1")])
-    path.schedule_from_server(_packet(SERVER, CLIENT), delay=1.0)
+    scheduler = path.bind_scheduler(EventScheduler(path.clock))
+    scheduler.at(1.0, path.send_from_server, _packet(SERVER, CLIENT))
     path.elements.append(_Marker("edge", log))
     path.run()
     assert log == ["edge", "a"]

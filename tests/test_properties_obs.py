@@ -161,7 +161,7 @@ class TestRuleMatchAgreement:
         trace = http_get_trace(host, response_body=b"v" * body)
         with obs_trace.tracing() as tracer:
             ReplaySession(env, trace).run()
-        engine = env.path.element_named("testbed-dpi")
+        engine = env.middlebox
         matches = tracer.events("mbx.rule_match")
         assert len(matches) == len(engine.match_log)
         assert [e.fields["rule"] for e in matches] == [
