@@ -15,11 +15,12 @@ import asyncio
 
 from conftest import BenchProbe, save_bench_json
 
+from repro import obs
 from repro.core.pipeline import Liberate
 from repro.core.proxy_server import ProxyServer, drive_clients
 from repro.envs import ENVIRONMENT_FACTORIES
-from repro.obs import flight as obs_flight
 from repro.obs import ops as obs_ops
+from repro.obs.flight import FlightRecorder
 from repro.traffic.http import http_get_trace
 
 FLOWS = 400
@@ -33,9 +34,9 @@ def test_bench_serve(results_dir):
     server = ProxyServer(ladder, server_port=base.server_port)
     payloads = [base.client_payloads()[0]] * FLOWS
 
-    registry = obs_ops.enable_ops()
-    obs_flight.enable_flight(out_dir=str(results_dir))  # idle: serving config
-    try:
+    registry = obs_ops.OpsRegistry()
+    flight = FlightRecorder(out_dir=str(results_dir))  # idle: serving config
+    with obs.installed(OPS=registry, FLIGHT=flight):
 
         async def drive() -> None:
             await server.start()
@@ -53,18 +54,15 @@ def test_bench_serve(results_dir):
         with BenchProbe() as probe:
             asyncio.run(drive())
 
-        verdict = registry.recorder("proxy.verdict")
-        assert verdict is not None and verdict.count == FLOWS
-        assert server.stats.evaded == FLOWS
-        save_bench_json(
-            results_dir,
-            "serve",
-            probe,
-            flows=FLOWS,
-            flows_per_second=round(FLOWS / probe.seconds, 1),
-            verdict_p50_ms=round(verdict.percentile(50) * 1000, 3),
-            verdict_p99_ms=round(verdict.percentile(99) * 1000, 3),
-        )
-    finally:
-        obs_ops.disable_ops()
-        obs_flight.disable_flight()
+    verdict = registry.recorder("proxy.verdict")
+    assert verdict is not None and verdict.count == FLOWS
+    assert server.stats.evaded == FLOWS
+    save_bench_json(
+        results_dir,
+        "serve",
+        probe,
+        flows=FLOWS,
+        flows_per_second=round(FLOWS / probe.seconds, 1),
+        verdict_p50_ms=round(verdict.percentile(50) * 1000, 3),
+        verdict_p99_ms=round(verdict.percentile(99) * 1000, 3),
+    )

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.netsim.path import packets_propagated
 from repro.obs import history as obs_history
 from repro.obs import profiling as obs_profiling
@@ -83,8 +84,8 @@ def save_bench_json(
     if peak_rss is not None:
         payload["peak_rss_kb"] = peak_rss
     payload.update(metrics)
-    if obs_profiling.PROFILER is not None and obs_profiling.PROFILER.stages:
-        payload["profile"] = obs_profiling.PROFILER.snapshot()
+    if obs.PROFILER is not None and obs.PROFILER.stages:
+        payload["profile"] = obs.PROFILER.snapshot()
     path = results_dir / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\n=== BENCH_{name}.json ===\n{path.read_text()}")

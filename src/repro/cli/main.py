@@ -171,56 +171,55 @@ _LIVE_VIEW = None
 
 
 def _setup_obs(args: argparse.Namespace) -> None:
-    """Install the requested observability facilities before dispatch."""
+    """Install the requested recorders before dispatch."""
     global _LIVE_VIEW
-    from repro.obs.coverage import enable_coverage
-    from repro.obs.live import enable_bus
-    from repro.obs.metrics import enable_metrics
-    from repro.obs.profiling import enable_profiling
-    from repro.obs.trace import enable_tracing
+    from repro import obs
 
     if getattr(args, "flow_trace", False) or getattr(args, "trace_out", None):
-        enable_tracing()
+        from repro.obs.trace import FlowTracer
+
+        obs.TRACER = FlowTracer()
     if getattr(args, "coverage", None):
-        enable_coverage()
+        from repro.obs.coverage import CoverageRecorder
+
+        obs.COVERAGE = CoverageRecorder()
     dashboard = getattr(args, "dashboard", None)
     if getattr(args, "metrics", False) or dashboard:
         # --dashboard implies --metrics: the headline tiles need a snapshot.
-        enable_metrics()
+        from repro.obs.metrics import MetricsRegistry
+
+        obs.METRICS = MetricsRegistry()
     if getattr(args, "profile", False):
-        enable_profiling()
+        from repro.obs.profiling import Profiler
+
+        obs.PROFILER = Profiler()
     live = getattr(args, "live", False)
     if live or dashboard or getattr(args, "events_out", None):
-        bus = enable_bus()
-        if live:
-            from repro.obs.live import LiveProgressView
+        from repro.obs.live import LiveProgressView, TelemetryBus
 
+        bus = obs.BUS = TelemetryBus()
+        if live:
             _LIVE_VIEW = LiveProgressView(stream=sys.stderr).attach(bus)
             bus.enable_streaming()
 
 
 def _dashboard_model(title: str):
     """Build the report model from whatever recorders this run installed."""
-    from repro.obs import coverage as obs_coverage
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import live as obs_live
-    from repro.obs import ops as obs_ops
-    from repro.obs import profiling as obs_profiling
-    from repro.obs import trace as obs_trace
+    from repro import obs
     from repro.obs.report_html import build_model
 
     trace_summary = None
-    if isinstance(obs_trace.TRACER, obs_trace.FlowTracer):
+    if obs.TRACER is not None:
         from repro.obs.analyze import summarize_tracer
 
-        trace_summary = summarize_tracer(obs_trace.TRACER)
+        trace_summary = summarize_tracer(obs.TRACER)
     return build_model(
         trace_summary=trace_summary,
-        metrics=obs_metrics.METRICS.snapshot() if obs_metrics.METRICS else None,
-        profile=obs_profiling.PROFILER.snapshot() if obs_profiling.PROFILER else None,
-        events=obs_live.BUS.tally() if obs_live.BUS else None,
-        ops=obs_ops.OPS.snapshot() if obs_ops.OPS else None,
-        coverage=obs_coverage.COVERAGE.snapshot() if obs_coverage.COVERAGE else None,
+        metrics=obs.METRICS.snapshot() if obs.METRICS else None,
+        profile=obs.PROFILER.snapshot() if obs.PROFILER else None,
+        events=obs.BUS.tally() if obs.BUS else None,
+        ops=obs.OPS.snapshot() if obs.OPS else None,
+        coverage=obs.COVERAGE.snapshot() if obs.COVERAGE else None,
         title=title,
     )
 
@@ -228,18 +227,13 @@ def _dashboard_model(title: str):
 def _finish_obs(args: argparse.Namespace) -> None:
     """Export/print whatever observability was collected, then tear it down."""
     global _LIVE_VIEW
-    from repro.obs import coverage as obs_coverage
-    from repro.obs import live as obs_live
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import observability_off
-    from repro.obs import profiling as obs_profiling
-    from repro.obs import trace as obs_trace
+    from repro import obs
 
     try:
         if _LIVE_VIEW is not None:
             _LIVE_VIEW.finish()
             _LIVE_VIEW = None
-        tracer = obs_trace.TRACER
+        tracer = obs.TRACER
         if tracer is not None:
             out = getattr(args, "trace_out", None) or "trace.jsonl"
             if out == "-":
@@ -248,20 +242,20 @@ def _finish_obs(args: argparse.Namespace) -> None:
                 count = tracer.export_jsonl(out)
                 print(f"wrote {count} trace events to {out}", file=sys.stderr)
         events_out = getattr(args, "events_out", None)
-        if events_out and obs_live.BUS is not None:
+        if events_out and obs.BUS is not None:
             if events_out == "-":
-                obs_live.BUS.export_jsonl(sys.stdout)
+                obs.BUS.export_jsonl(sys.stdout)
             else:
-                count = obs_live.BUS.export_jsonl(events_out)
+                count = obs.BUS.export_jsonl(events_out)
                 print(
                     f"wrote {count} telemetry events to {events_out}", file=sys.stderr
                 )
         coverage_out = getattr(args, "coverage", None)
-        if coverage_out and obs_coverage.COVERAGE is not None:
+        if coverage_out and obs.COVERAGE is not None:
             import json
 
             with open(coverage_out, "w", encoding="utf-8") as handle:
-                json.dump(obs_coverage.COVERAGE.snapshot(), handle, indent=2, sort_keys=True)
+                json.dump(obs.COVERAGE.snapshot(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"wrote coverage snapshot to {coverage_out}", file=sys.stderr)
         dashboard = getattr(args, "dashboard", None)
@@ -273,14 +267,14 @@ def _finish_obs(args: argparse.Namespace) -> None:
                 _dashboard_model(f"lib*erate {command} dashboard"), dashboard
             )
             print(f"wrote dashboard to {dashboard}", file=sys.stderr)
-        if obs_metrics.METRICS is not None:
+        if obs.METRICS is not None:
             print("\n--- metrics ---")
-            print(obs_metrics.METRICS.render())
-        if obs_profiling.PROFILER is not None:
+            print(obs.METRICS.render())
+        if obs.PROFILER is not None:
             print("\n--- profile ---")
-            print(obs_profiling.PROFILER.render())
+            print(obs.PROFILER.render())
     finally:
-        observability_off()
+        obs.observability_off()
 
 
 def cmd_envs(_args: argparse.Namespace) -> int:
@@ -499,8 +493,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.pipeline import Liberate
     from repro.core.proxy_server import ProxyServer, drive_clients
-    from repro.obs import flight as obs_flight
+    from repro import obs
     from repro.obs import ops as obs_ops
+    from repro.obs.flight import FlightRecorder
     from repro.traffic.trace import invert_bits
 
     env = _make_env(args.env, faults=_fault_profile(args))
@@ -534,11 +529,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # cost one bisect per sample, and the flight recorder keeps sampled
     # evidence so a degradation mid-serve leaves a dump behind.  Both live
     # in the segregated ops namespace — experiment determinism is untouched.
-    obs_ops.enable_ops()
+    obs.OPS = obs_ops.OpsRegistry()
     if not args.no_flight:
-        obs_flight.enable_flight(
-            out_dir=args.flight_dir, sample_every=args.flight_sample
-        )
+        obs.FLIGHT = FlightRecorder(args.flight_dir, sample_every=args.flight_sample)
     slo = obs_ops.SLOPolicy(verdict_p99_ms=args.slo_p99_ms)
     ops_server = (
         obs_ops.OpsServer(server, host=args.bind, port=args.ops_port, slo=slo)

@@ -19,10 +19,10 @@ from functools import partial
 
 import logging
 
+from repro import obs
 from repro.core.characterization import Characterizer
 from repro.core.report import CharacterizationReport
 from repro.envs.base import Environment
-from repro.obs import live as obs_live
 from repro.runtime import RetryPolicy, TaskFailure, WorkerPool
 from repro.traffic.trace import Trace
 
@@ -127,8 +127,8 @@ def speedup_from_distribution(
         partial(_distributed_task, (env_factory, trace, users)),
         partial(_reference_fields_task, (env_factory, trace)),
     ]
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
+    if obs.BUS is not None:
+        obs.BUS.emit(
             "exp.start", experiment="distribution", users=users, tasks=len(thunks)
         )
     results = pool.run_all(thunks, retry=retry)
@@ -141,13 +141,13 @@ def speedup_from_distribution(
                 result.error_type,
                 result.attempts,
             )
-            if obs_live.BUS is not None:
-                obs_live.BUS.emit(
+            if obs.BUS is not None:
+                obs.BUS.emit(
                     "pool.serial_fallback", task=index, error_type=result.error_type
                 )
             results[index] = thunks[index]()
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("exp.finish", experiment="distribution", tasks=len(results))
+    if obs.BUS is not None:
+        obs.BUS.emit("exp.finish", experiment="distribution", tasks=len(results))
     solo_rounds, (total_rounds, user_rounds, dist_fields), reference_fields = results
     busiest = max(user_rounds)
     return {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro import obs
 from repro.core.cache import RuleCache
 from repro.core.characterization import CharacterizationError, Characterizer
 from repro.core.deployment import FallbackLadder, LiberateProxy
@@ -12,10 +13,7 @@ from repro.core.evasion.base import EvasionContext, EvasionTechnique
 from repro.core.localization import locate_middlebox
 from repro.core.report import CharacterizationReport, LiberateReport
 from repro.envs.base import Environment
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
-from repro.obs import trace as obs_trace
 from repro.traffic.trace import Trace
 
 
@@ -109,30 +107,30 @@ class Liberate:
 
     def _phase(self, name: str, trace: Trace):
         """Time one pipeline phase and mark its boundaries in the trace."""
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "pipeline.phase",
                 self.env.clock.now,
                 env=self.env.name,
                 trace_name=trace.name,
                 phase_name=name,
             )
-        if obs_live.BUS is not None:
-            obs_live.BUS.emit(
+        if obs.BUS is not None:
+            obs.BUS.emit(
                 "pipeline.phase", env=self.env.name, phase_name=name
             )
         return obs_profiling.stage(f"pipeline.{name}")
 
     def _finish(self, report: LiberateReport) -> LiberateReport:
         """Attach observability snapshots (when collecting) and store the report."""
-        if obs_metrics.METRICS is not None:
-            report.metrics = obs_metrics.METRICS.snapshot()
-        if obs_profiling.PROFILER is not None:
-            report.profile = obs_profiling.PROFILER.snapshot()
-        if isinstance(obs_trace.TRACER, obs_trace.FlowTracer):
+        if obs.METRICS is not None:
+            report.metrics = obs.METRICS.snapshot()
+        if obs.PROFILER is not None:
+            report.profile = obs.PROFILER.snapshot()
+        if obs.TRACER is not None:
             from repro.obs.analyze import summarize_tracer
 
-            report.trace_summary = summarize_tracer(obs_trace.TRACER)
+            report.trace_summary = summarize_tracer(obs.TRACER)
         self.last_report = report
         return report
 

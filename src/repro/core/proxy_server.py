@@ -36,11 +36,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro import obs
 from repro.core.deployment import FallbackLadder
-from repro.obs import flight as obs_flight
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import ops as obs_ops
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.packets.flow import Direction
 from repro.traffic.trace import Trace, TracePacket
@@ -241,7 +238,7 @@ class ProxyServer:
             verdict = await self._verdict_for(flow_id, reader)
             writer.write(json.dumps(verdict, sort_keys=True).encode("ascii") + b"\n")
             await writer.drain()
-            ops = obs_ops.OPS
+            ops = obs.OPS
             if ops is not None:
                 # End-to-end: accept → verdict line flushed.
                 ops.record("proxy.verdict", time.perf_counter() - accepted)
@@ -279,8 +276,8 @@ class ProxyServer:
         return b"".join(chunks)
 
     async def _verdict_for(self, flow_id: int, reader: asyncio.StreamReader) -> dict:
-        ops = obs_ops.OPS
-        flight = obs_flight.FLIGHT
+        ops = obs.OPS
+        flight = obs.FLIGHT
         fullness = self._active / self.max_active
         if self.shedder is not None and not self.shedder.admit(("proxy", flow_id), fullness):
             # Fail-open: drain the payload so the client's write completes,
@@ -375,23 +372,23 @@ class ProxyServer:
         if transition is not None:
             self.stats.overload_transitions += 1
             self._emit_bus("proxy.overload", edge=transition, active=self._active)
-            if transition == "exit" and obs_flight.FLIGHT is not None:
+            if transition == "exit" and obs.FLIGHT is not None:
                 # The overload episode is over: re-arm the shed trigger so
                 # the *next* storm produces its own dump.
-                obs_flight.FLIGHT.recover("overload")
+                obs.FLIGHT.recover("overload")
 
     # ------------------------------------------------------------------
     # telemetry plumbing (all no-ops when obs is off)
     # ------------------------------------------------------------------
     @staticmethod
     def _emit_bus(kind: str, **fields: object) -> None:
-        if obs_live.BUS is not None:
-            obs_live.BUS.emit(kind, **fields)
+        if obs.BUS is not None:
+            obs.BUS.emit(kind, **fields)
 
     @staticmethod
     def _inc(name: str) -> None:
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(name)
+        if obs.METRICS is not None:
+            obs.METRICS.inc(name)
 
     def snapshot(self) -> dict[str, object]:
         """Aggregate server + ladder state for reports and the CLI.
@@ -409,10 +406,10 @@ class ProxyServer:
         report["ladder"] = self.ladder.health_snapshot()
         if self.shedder is not None:
             report["shedder"] = self.shedder.stats()
-        ops = obs_ops.OPS
+        ops = obs.OPS
         if ops is not None:
             report["latency"] = ops.latency_summaries(prefix="proxy.")
-        flight = obs_flight.FLIGHT
+        flight = obs.FLIGHT
         if flight is not None:
             report["flight"] = flight.stats()
         return report

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.endpoint.osmodel import LINUX, OSProfile
 from repro.middlebox.accounting import UsageCounter
 from repro.middlebox.engine import DPIMiddlebox
@@ -13,8 +14,6 @@ from repro.netsim.clock import VirtualClock
 from repro.netsim.faults import FaultElement, FaultProfile
 from repro.netsim.path import Path
 from repro.netsim.shaper import PolicyState
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 
 CLIENT_ADDR = "10.1.0.2"
 SERVER_ADDR = "203.0.113.50"
@@ -117,8 +116,8 @@ def install_faults(env: Environment, profile: FaultProfile | None) -> Environmen
         restart_targets.append(env.middlebox)
     env.path.insert_element(FaultElement(profile, restart_targets=tuple(restart_targets)), 0)
     env.fault_profile = profile
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(
+    if obs.TRACER is not None:
+        obs.TRACER.emit(
             "env.install_faults",
             env.clock.now,
             env=env.name,
@@ -130,8 +129,8 @@ def install_faults(env: Environment, profile: FaultProfile | None) -> Environmen
 
 def _record_env(env: Environment) -> None:
     """Mark an environment's birth in the trace (every factory ends here)."""
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(
+    if obs.TRACER is not None:
+        obs.TRACER.emit(
             "env.created",
             env.clock.now,
             env=env.name,
@@ -139,6 +138,6 @@ def _record_env(env: Environment) -> None:
             signal=env.signal.value,
             faulty=env.fault_profile is not None,
         )
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc("env.created")
-        obs_metrics.METRICS.inc(f"env.created.{env.name}")
+    if obs.METRICS is not None:
+        obs.METRICS.inc("env.created")
+        obs.METRICS.inc(f"env.created.{env.name}")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.characterization import Characterizer
 from repro.envs import ENVIRONMENT_FACTORIES
 from repro.experiments import paper_expectations
 from repro.experiments.workloads import tcp_workload, udp_workload
-from repro.obs import live as obs_live
 from repro.runtime import WorkerPool
 
 #: Seconds per replay round, from the paper's per-environment methodology.
@@ -116,13 +116,13 @@ def run_all(pool: WorkerPool | None = None) -> list[EfficiencyResult]:
     """
     if pool is None:
         pool = WorkerPool()
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
+    if obs.BUS is not None:
+        obs.BUS.emit(
             "exp.start", experiment="efficiency", cases=list(ALL_CASES)
         )
     results = pool.map(_run_case, list(ALL_CASES))
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("exp.finish", experiment="efficiency", cases=len(results))
+    if obs.BUS is not None:
+        obs.BUS.emit("exp.finish", experiment="efficiency", cases=len(results))
     return results
 
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
 from repro.core.evasion.base import EvasionContext
 from repro.core.evasion.flushing import PauseBeforeMatch
 from repro.envs.gfc import make_gfc
 from repro.netsim.faults import FaultProfile
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
-from repro.obs import trace as obs_trace
 from repro.replay.session import ReplaySession
 from repro.runtime import WorkerPool, derive_seed
 from repro.traffic.http import http_get_trace
@@ -62,14 +60,14 @@ def _sample_task(
         if _probe(hour, trial, delay, faults):
             found = delay
             break
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(
+    if obs.TRACER is not None:
+        obs.TRACER.emit(
             "figure4.sample", hour=hour, trial=trial, min_delay=found
         )
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc("figure4.samples")
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("figure4.sample", hour=hour, trial=trial, min_delay=found)
+    if obs.METRICS is not None:
+        obs.METRICS.inc("figure4.samples")
+    if obs.BUS is not None:
+        obs.BUS.emit("figure4.sample", hour=hour, trial=trial, min_delay=found)
     return FlushSample(hour=hour, trial=trial, min_successful_delay=found)
 
 
@@ -102,8 +100,8 @@ def run_figure4(
         for hour in hours
         for trial in range(trials)
     ]
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
+    if obs.BUS is not None:
+        obs.BUS.emit(
             "exp.start",
             experiment="figure4",
             hours=list(hours),
@@ -113,8 +111,8 @@ def run_figure4(
         )
     with obs_profiling.stage("figure4.sweep"):
         samples = pool.map(_sample_task, tasks)
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("exp.finish", experiment="figure4", samples=len(samples))
+    if obs.BUS is not None:
+        obs.BUS.emit("exp.finish", experiment="figure4", samples=len(samples))
     return samples
 
 

@@ -22,6 +22,7 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.evasion import ALL_TECHNIQUES
 from repro.core.evasion.base import EvasionContext, EvasionTechnique
 from repro.core.evasion.inert import (
@@ -37,11 +38,7 @@ from repro.envs.base import Environment
 from repro.experiments import paper_expectations
 from repro.experiments.workloads import PreparedEnvironment, prepare
 from repro.netsim.faults import FaultProfile
-from repro.obs import coverage as obs_coverage
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
-from repro.obs import trace as obs_trace
 from repro.packets.udp import UDPDatagram
 from repro.packets.ip import IPPacket
 from repro.replay.runner import inert_payload
@@ -115,8 +112,8 @@ def run_table3(
     if cell_trials is None:
         cell_trials = 5 if faults is not None and not faults.is_zero() else 1
     tasks = [(name, techniques, characterize, faults, cell_trials) for name in env_names]
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
+    if obs.BUS is not None:
+        obs.BUS.emit(
             "exp.start",
             experiment="table3",
             envs=list(env_names),
@@ -152,8 +149,8 @@ def run_table3(
             os_rows = run_os_matrix(techniques)
         for row in rows:
             row.os_cells = os_rows[row.technique]
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(
+    if obs.BUS is not None:
+        obs.BUS.emit(
             "exp.finish",
             experiment="table3",
             cells=sum(len(row.cells) for row in rows),
@@ -166,12 +163,12 @@ def _measure_env_column(
 ) -> tuple[str, list[Table3Cell]]:
     """One environment's full Table 3 column (a worker-pool task)."""
     name, techniques, characterize, faults, cell_trials = task
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("cell.start", env=name, phase="prepare")
+    if obs.BUS is not None:
+        obs.BUS.emit("cell.start", env=name, phase="prepare")
     prep = prepare(ENVIRONMENT_FACTORIES[name](faults=faults), characterize=characterize)
     cells = []
     for technique in techniques:
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None:
             # Attribute this cell's rule hits to the (env, technique) matrix
             # slot; the context is thread-local, so parallel env columns on
@@ -180,8 +177,8 @@ def _measure_env_column(
                 cell = _measure_cell(prep, technique, trials=cell_trials)
         else:
             cell = _measure_cell(prep, technique, trials=cell_trials)
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "table3.cell",
                 prep.env.clock.now,
                 env=name,
@@ -189,10 +186,10 @@ def _measure_env_column(
                 cc=cell.cc,
                 rs=cell.rs,
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("table3.cells")
-        if obs_live.BUS is not None:
-            obs_live.BUS.emit(
+        if obs.METRICS is not None:
+            obs.METRICS.inc("table3.cells")
+        if obs.BUS is not None:
+            obs.BUS.emit(
                 "table3.cell",
                 env=name,
                 technique=technique.name,
@@ -201,8 +198,8 @@ def _measure_env_column(
                 rs=cell.rs,
             )
         cells.append(cell)
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit("cell.finish", env=name, cells=len(cells))
+    if obs.BUS is not None:
+        obs.BUS.emit("cell.finish", env=name, cells=len(cells))
     return name, cells
 
 

@@ -41,8 +41,8 @@ import re
 import time
 from typing import Iterable, Sequence
 
+from repro import obs
 from repro.obs import coverage as obs_coverage
-from repro.obs import metrics as obs_metrics
 
 Buffer = bytes | bytearray | memoryview
 
@@ -236,7 +236,7 @@ class PatternAutomaton:
             return 0
         if end is None:
             end = len(buffer)
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None:
             # A window scan from the root is the automaton's own definition
             # of "occurs within the window" (the differential suites pin
@@ -298,7 +298,7 @@ class StreamScan:
         if max_len == 0:
             self.watermark = end
             return self.mask
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None:
             # Counted walk: each appended byte visits the automaton exactly
             # once, so state/edge tallies are exact per stream byte.  The
@@ -346,7 +346,7 @@ _INTERNED: dict[tuple[bytes, ...], PatternAutomaton] = {}
 
 def automaton_for(patterns: Iterable[bytes]) -> PatternAutomaton:
     """The shared automaton for *patterns* (built once per process)."""
-    metrics = obs_metrics.METRICS
+    metrics = obs.METRICS
     if metrics is not None:
         # Unlike builds (memoized, so whether one happens depends on intern
         # state), lookups fire on every compiled-view construction — the
@@ -369,7 +369,7 @@ def _record_build(automaton: PatternAutomaton, seconds: float) -> None:
     are process-local facts, excluded from the cross-process snapshot
     identity contract (see ``tests/test_obs_live.py``).
     """
-    metrics = obs_metrics.METRICS
+    metrics = obs.METRICS
     if metrics is None:
         return
     metrics.inc("mbx.automaton.builds")

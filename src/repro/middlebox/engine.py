@@ -35,6 +35,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Callable
 
+from repro import obs
 from repro.middlebox.flowtable import FlowTable
 from repro.middlebox.overload import LoadShedder, OverloadPolicy
 from repro.middlebox.policy import PolicyAction
@@ -45,10 +46,6 @@ from repro.middlebox.validation import MiddleboxValidation
 from repro.netsim.element import NetworkElement, TransitContext
 from repro.netsim.shaper import PolicyState
 from repro.obs import coverage as obs_coverage
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import ops as obs_ops
-from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction, FiveTuple
 from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
@@ -357,12 +354,12 @@ class DPIMiddlebox(NetworkElement):
             whole, fragments = self._fragments.feed(packet, now)
             if whole is None:
                 return [packet]
-            if obs_trace.TRACER is not None:
+            if obs.TRACER is not None:
                 # Provenance: which on-the-wire fragments produced the packet
                 # the matcher actually saw.  Flow fields are not yet known
                 # (the reassembled transport header carries them), so the
                 # fragment key identifies the group.
-                obs_trace.TRACER.emit(
+                obs.TRACER.emit(
                     "mbx.frag_reassembled",
                     now,
                     element=self.name,
@@ -490,16 +487,16 @@ class DPIMiddlebox(NetworkElement):
         self._pre_lane[normalized] = state
         if self._flow_byte_budget is not None:
             self._appraise(state)
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "mbx.flow_created",
                 now,
                 element=self.name,
                 flow=_flow_fields(key),
                 proto_name=protocol,
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.flows_created")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.flows_created")
         return state
 
     def bound_flow_state(self, max_flows: int, match_log_bound: int | None = None) -> None:
@@ -525,29 +522,29 @@ class DPIMiddlebox(NetworkElement):
         fullness = len(self._flows) / self._max_flows
         transition = shedder.crossed(fullness)
         if transition is not None:
-            if obs_live.BUS is not None:
-                obs_live.BUS.emit(
+            if obs.BUS is not None:
+                obs.BUS.emit(
                     "mbx.overload",
                     element=self.name,
                     phase=transition,
                     fullness=round(fullness, 4),
                     shed=shedder.shed,
                 )
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc(f"mbx.shed.overload_{transition}")
+            if obs.METRICS is not None:
+                obs.METRICS.inc(f"mbx.shed.overload_{transition}")
         if shedder.admit(normalized, fullness):
             return True
         self.sheds += 1
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "mbx.flow_shed",
                 now,
                 element=self.name,
                 flow=_flow_fields(key),
                 fullness=round(fullness, 4),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.shed.flows")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.shed.flows")
         return False
 
     def _lru_flow(self) -> FlowState:
@@ -583,14 +580,14 @@ class DPIMiddlebox(NetworkElement):
         """Table-driven eviction (capacity or byte budget): clean up marks."""
         normalized = state.normalized
         del self._flows[normalized]
-        metrics = obs_metrics.METRICS
+        metrics = obs.METRICS
         if metrics is not None:
             metrics.inc("mbx.flowtable.flows.evictions")
             metrics.set_gauge("mbx.flowtable.flows.size", len(self._flows))
         self._flow_dropped(normalized, state, reason)
         self.evictions += 1
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.evictions")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.evictions")
 
     def _in_scope(self, state: FlowState) -> bool:
         if self._ports is not None and state.server_port not in self._ports:
@@ -694,8 +691,8 @@ class DPIMiddlebox(NetworkElement):
             self._set_idle_floor()
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "mbx.flow_flushed",
                 self._now,
                 element=self.name,
@@ -703,9 +700,9 @@ class DPIMiddlebox(NetworkElement):
                 flow=_flow_fields(state.client_tuple),
                 verdict=_verdict_name(state.verdict),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.flows_flushed")
-            obs_metrics.METRICS.inc(f"mbx.flows_flushed.{reason}")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.flows_flushed")
+            obs.METRICS.inc(f"mbx.flows_flushed.{reason}")
 
     def _handle_rst(self, state: FlowState, normalized: FiveTuple) -> None:
         matched = state.matched_rule is not None
@@ -719,8 +716,8 @@ class DPIMiddlebox(NetworkElement):
             if self._rst_floor is None or reduction < self._rst_floor:
                 self._rst_floor = reduction
                 self._set_idle_floor()
-            if obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if obs.TRACER is not None:
+                obs.TRACER.emit(
                     "mbx.rst_timeout_reduced",
                     self._now,
                     element=self.name,
@@ -779,8 +776,8 @@ class DPIMiddlebox(NetworkElement):
 
         if direction == "client" and self._require_protocol_anchor and state.anchor_ok is None:
             self._decide_anchor(state, payload, buffer, index)
-            if state.anchor_ok is not None and obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if state.anchor_ok is not None and obs.TRACER is not None:
+                obs.TRACER.emit(
                     "mbx.anchor",
                     now,
                     element=self.name,
@@ -799,7 +796,7 @@ class DPIMiddlebox(NetworkElement):
                 return
 
         view = state.client_view if direction == "client" else state.server_view
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if view is None or (coverage is not None and self._coverage_registered is not coverage):
             view = self._view(state.protocol, state.server_port, direction)
             if direction == "client":
@@ -815,7 +812,7 @@ class DPIMiddlebox(NetworkElement):
                     state.client_scan = scan
                 else:
                     state.server_scan = scan
-        metrics = obs_metrics.METRICS
+        metrics = obs.METRICS
         if metrics is not None:
             # Bytes the matcher actually walks: whole buffer per packet in
             # per-packet mode, only the un-scanned tail past the watermark in
@@ -823,7 +820,7 @@ class DPIMiddlebox(NetworkElement):
             scanned = len(buffer) if scan is None else max(0, len(buffer) - scan.watermark)
             metrics.inc("mbx.scan_bytes", scanned)
             metrics.observe("mbx.scan.payload_bytes", scanned)
-        ops = obs_ops.OPS
+        ops = obs.OPS
         if ops is None:
             matched = view.match(buffer, payload, index, scan)
         else:
@@ -836,10 +833,10 @@ class DPIMiddlebox(NetworkElement):
             self._relane(state)
             self.match_log.append((now, matched.name, state.client_tuple))
             self.matches_logged += 1
-            if obs_trace.TRACER is not None:
+            if obs.TRACER is not None:
                 flow = state.client_tuple
                 self._emit_rule_match(flow, view, matched, buffer, index, direction, scan, now)
-                obs_trace.TRACER.emit(
+                obs.TRACER.emit(
                     "mbx.verdict",
                     now,
                     element=self.name,
@@ -847,8 +844,8 @@ class DPIMiddlebox(NetworkElement):
                     verdict=matched.name,
                     reason="rule-match",
                 )
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc("mbx.rule_matches")
+            if obs.METRICS is not None:
+                obs.METRICS.inc("mbx.rule_matches")
             self._apply_policy(state, matched, packet, ctx)
             return
 
@@ -859,8 +856,8 @@ class DPIMiddlebox(NetworkElement):
         """Commit the match-and-forget "never going to match" verdict."""
         state.verdict = UNCLASSIFIED_FINAL
         self._relane(state)
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "mbx.verdict",
                 now,
                 element=self.name,
@@ -868,8 +865,8 @@ class DPIMiddlebox(NetworkElement):
                 verdict=UNCLASSIFIED_FINAL,
                 reason=reason,
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.verdicts.unclassified_final")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.verdicts.unclassified_final")
 
     def _emit_rule_match(
         self,
@@ -896,7 +893,7 @@ class DPIMiddlebox(NetworkElement):
             offset = data.find(keyword)
             if offset >= 0 and (match_start is None or offset < match_start):
                 match_start, match_end = offset, offset + len(keyword)
-        tracer = obs_trace.TRACER
+        tracer = obs.TRACER
         assert tracer is not None
         tracer.emit(
             "mbx.rule_match",
@@ -964,7 +961,7 @@ class DPIMiddlebox(NetworkElement):
     def _view(self, protocol: str, server_port: int, direction: str) -> CompiledView:
         """The precompiled rule view for this flow context (declaring the
         rule universe to a newly live coverage recorder first)."""
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None and self._coverage_registered is not coverage:
             self._compiled.register_coverage(coverage)
             self._coverage_registered = coverage
@@ -1008,11 +1005,11 @@ class DPIMiddlebox(NetworkElement):
             return
         if self._ports is not None and server_port not in self._ports:
             return
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.scan_bytes", len(payload))
-            obs_metrics.METRICS.observe("mbx.scan.payload_bytes", len(payload))
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.scan_bytes", len(payload))
+            obs.METRICS.observe("mbx.scan.payload_bytes", len(payload))
         view = self._view("udp" if protocol == 17 else "tcp", server_port, direction)
-        ops = obs_ops.OPS
+        ops = obs.OPS
         if ops is None:
             rule = view.match_stateless(payload)
         else:
@@ -1022,10 +1019,10 @@ class DPIMiddlebox(NetworkElement):
         if rule is not None:
             self.match_log.append((now, rule.name, key))
             self.matches_logged += 1
-            if obs_trace.TRACER is not None:
+            if obs.TRACER is not None:
                 self._emit_rule_match(key, view, rule, payload, None, direction, None, now)
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc("mbx.rule_matches")
+            if obs.METRICS is not None:
+                obs.METRICS.inc("mbx.rule_matches")
             self._apply_stateless_policy(rule, packet, key, ctx)
 
     # ==================================================================
@@ -1073,16 +1070,16 @@ class DPIMiddlebox(NetworkElement):
             until = ctx.clock.now + self._endpoint_block_duration
             self.policy_state.blocked_endpoints.add(endpoint)
             self._endpoint_block_until.insert(endpoint, until)
-            if obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if obs.TRACER is not None:
+                obs.TRACER.emit(
                     "mbx.endpoint_block",
                     ctx.clock.now,
                     element=self.name,
                     endpoint=f"{endpoint[0]}:{endpoint[1]}",
                     until=round(until, 6),
                 )
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc("mbx.endpoint_blocks")
+            if obs.METRICS is not None:
+                obs.METRICS.inc("mbx.endpoint_blocks")
 
     def _endpoint_blocked(
         self, packet: IPPacket, key: FiveTuple, now: float, ctx: TransitContext
@@ -1090,16 +1087,16 @@ class DPIMiddlebox(NetworkElement):
         endpoint = (key.dst, key.dport)
         if endpoint not in self.policy_state.blocked_endpoints:
             return False
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "mbx.endpoint_block_hit",
                 now,
                 element=self.name,
                 endpoint=f"{endpoint[0]}:{endpoint[1]}",
                 flow=_flow_fields(key),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("mbx.endpoint_block_hits")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("mbx.endpoint_block_hits")
         # Disrupt the connection attempt outright.
         rst = TCPSegment(sport=key.dport, dport=key.sport, seq=0, ack=0, flags=TCPFlags.RST)
         if packet.effective_protocol == 6:

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Callable, Generic, Iterator, TypeVar
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -118,9 +118,9 @@ class FlowTable(Generic[K, V]):
                     victim = key
                     break
         value = entries.pop(victim)
-        if self.name is not None and obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(f"mbx.flowtable.{self.name}.evictions")
-            obs_metrics.METRICS.set_gauge(f"mbx.flowtable.{self.name}.size", len(entries))
+        if self.name is not None and obs.METRICS is not None:
+            obs.METRICS.inc(f"mbx.flowtable.{self.name}.evictions")
+            obs.METRICS.set_gauge(f"mbx.flowtable.{self.name}.size", len(entries))
         if self._on_evict is not None:
             self._on_evict(victim, value)
         return victim, value

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.middlebox.flowtable import FlowTable
 from repro.netsim.element import NetworkElement, TransitContext
-from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
 from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
@@ -88,10 +88,10 @@ class TrafficNormalizer(NetworkElement):
         reason = self._malformed_reason(packet)
         if reason is not None:
             self.dropped.append(packet)
-            if obs_trace.TRACER is not None:
+            if obs.TRACER is not None:
                 # Provenance: a normalizer drop is a verdict-shaping decision
                 # — the classifier never sees this packet at all.
-                obs_trace.TRACER.emit(
+                obs.TRACER.emit(
                     "norm.drop",
                     now,
                     element=self.name,
@@ -161,11 +161,11 @@ class TrafficNormalizer(NetworkElement):
             changes["options"] = b""
             changes["ihl"] = None
         if changes:
-            if obs_trace.TRACER is not None:
+            if obs.TRACER is not None:
                 # Provenance: a scrub silently rewrites what the classifier
                 # (and the server!) will see — e.g. a raised TTL un-inerts a
                 # TTL-limited insertion, the paper's predicted cost.
-                obs_trace.TRACER.emit(
+                obs.TRACER.emit(
                     "norm.scrub",
                     now,
                     element=self.name,
@@ -199,12 +199,12 @@ class TrafficNormalizer(NetworkElement):
         if not fresh:
             return []  # out-of-order or duplicate: held until in order
         packets = self._emit(packet, tcp, flow, fresh)
-        if obs_trace.TRACER is not None and (
+        if obs.TRACER is not None and (
             len(packets) != 1 or packets[0].tcp.payload != tcp.payload
         ):
             # Provenance: the classifier sees these re-segmented bytes, not
             # the wire packet — splitting/reordering evasion is undone here.
-            obs_trace.TRACER.emit(
+            obs.TRACER.emit(
                 "norm.coalesce",
                 now,
                 element=self.name,

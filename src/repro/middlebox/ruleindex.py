@@ -31,6 +31,7 @@ its views and automata) via :meth:`CompiledRuleSet.shared`.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.middlebox.automaton import (
     INTERN_LIMIT,
     PatternAutomaton,
@@ -211,7 +212,7 @@ class CompiledView:
         if best is None:
             return None
         rule = self.rule_by_order[best]
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None:
             coverage.rule_hit(self.scope, rule.name)
         return rule
@@ -237,7 +238,7 @@ class CompiledView:
 
     def _coverage_hit(self, rule: MatchRule) -> None:
         """Attribute one winning match to the coverage recorder, if live."""
-        coverage = obs_coverage.COVERAGE
+        coverage = obs.COVERAGE
         if coverage is not None:
             coverage.rule_hit(self.scope, rule.name)
 

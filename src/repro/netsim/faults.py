@@ -18,9 +18,8 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 
+from repro import obs
 from repro.netsim.element import NetworkElement, TransitContext
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
 from repro.packets.ip import IPPacket
@@ -248,23 +247,23 @@ class FaultElement(NetworkElement):
         ``fault.drop`` events are the injector's ledger: the property tests
         assert their count equals ``stats.lost + burst_lost + flap_dropped``.
         """
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 f"fault.{fault}",
                 ctx.clock.now,
                 element=self.name,
                 reason=cause,
                 **obs_trace.packet_fields(packet),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(f"faults.{fault}")
+        if obs.METRICS is not None:
+            obs.METRICS.inc(f"faults.{fault}")
             if fault == "drop":
-                obs_metrics.METRICS.inc("netsim.packets.dropped")
-                obs_metrics.METRICS.inc(f"netsim.packets.dropped.fault-{cause}")
+                obs.METRICS.inc("netsim.packets.dropped")
+                obs.METRICS.inc(f"netsim.packets.dropped.fault-{cause}")
             elif fault == "corrupt":
-                obs_metrics.METRICS.inc("netsim.packets.corrupted")
-        if obs_live.BUS is not None:
-            obs_live.BUS.emit(
+                obs.METRICS.inc("netsim.packets.corrupted")
+        if obs.BUS is not None:
+            obs.BUS.emit(
                 f"fault.{fault}", element=self.name, reason=cause
             )
 
@@ -326,15 +325,15 @@ class FaultElement(NetworkElement):
             for target in self.restart_targets:
                 target.reset()
             self.stats.restarts += 1
-            if obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if obs.TRACER is not None:
+                obs.TRACER.emit(
                     "fault.restart",
                     ctx.clock.now,
                     element=self.name,
                     targets=[t.name for t in self.restart_targets],
                 )
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc("faults.restarts")
+            if obs.METRICS is not None:
+                obs.METRICS.inc("faults.restarts")
 
     def _release_held(self, direction: Direction | None = None) -> list[IPPacket]:
         """Flush a held (reordered) packet.

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import zlib
 
+from repro import obs
 from repro.netsim.element import NetworkElement, TransitContext
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
 from repro.packets.icmp import icmp_time_exceeded
@@ -67,8 +67,8 @@ class RouterHop(NetworkElement):
                     transport=icmp_time_exceeded(original),
                     ttl=64,
                 )
-                if obs_trace.TRACER is not None:
-                    obs_trace.TRACER.emit(
+                if obs.TRACER is not None:
+                    obs.TRACER.emit(
                         "hop.icmp_time_exceeded",
                         ctx.clock.now,
                         element=self.name,
@@ -81,17 +81,17 @@ class RouterHop(NetworkElement):
     def _drop(self, packet: IPPacket, reason: str, ctx: TransitContext) -> None:
         self.dropped.append(packet)
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "hop.drop",
                 ctx.clock.now,
                 element=self.name,
                 reason=reason,
                 **obs_trace.packet_fields(packet),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("netsim.packets.dropped")
-            obs_metrics.METRICS.inc(f"netsim.packets.dropped.{reason}")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("netsim.packets.dropped")
+            obs.METRICS.inc(f"netsim.packets.dropped.{reason}")
 
     def _header_acceptable(self, packet: IPPacket) -> bool:
         return (

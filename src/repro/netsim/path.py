@@ -28,11 +28,11 @@ from __future__ import annotations
 from operator import is_
 from typing import Callable, Protocol
 
+from repro import obs
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import NetworkElement
 from repro.netsim.hop import RouterHop
 from repro.netsim.scheduler import EventScheduler
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.packets.batch import serialize_batch
 from repro.packets.flow import Direction
@@ -224,8 +224,8 @@ class Path:
             up, down = self._compile()
         count = len(elements)
         clock = self.clock
-        tracer = obs_trace.TRACER
-        metrics = obs_metrics.METRICS
+        tracer = obs.TRACER
+        metrics = obs.METRICS
         max_depth = self.max_depth
         to_server = Direction.CLIENT_TO_SERVER
         if index is None:

@@ -9,8 +9,8 @@ the individual fragments.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.netsim.element import NetworkElement, TransitContext
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.packets.flow import Direction
 from repro.packets.fragment import FragmentBuffer, FragmentKey
@@ -44,8 +44,8 @@ class FragmentReassembler(NetworkElement):
         now = ctx.clock.now
         whole, fragments = self._buffer.feed(packet, now)
         if whole is None:
-            if obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if obs.TRACER is not None:
+                obs.TRACER.emit(
                     "frag.hold",
                     now,
                     element=self.name,
@@ -54,33 +54,33 @@ class FragmentReassembler(NetworkElement):
                 )
             return []
         self.reassembled_count += 1
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "frag.reassembled",
                 now,
                 element=self.name,
                 fragments=fragments,
                 **obs_trace.packet_fields(whole),
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("netsim.frags.reassembled")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("netsim.frags.reassembled")
         return [whole]
 
-    def _expired(self, key: FragmentKey, fragments: list[IPPacket], now: float) -> None:
+    def _expired(self, key: FragmentKey, count: int, now: float) -> None:
         self.expired_count += 1
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "frag.expired",
                 now,
                 element=self.name,
                 reason="timeout",
-                fragments=len(fragments),
+                fragments=count,
                 src=key[0],
                 dst=key[1],
                 ident=key[2],
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("netsim.frags.expired")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("netsim.frags.expired")
 
     def reset(self) -> None:
         """Drop buffered fragments."""

@@ -1,81 +1,101 @@
-"""``repro.obs`` — flow tracing, metrics, and profiling hooks.
+"""``repro.obs`` — the recorder slots, and the observability submodules.
 
-Three independent, individually-toggled facilities, all **off by default**
-with near-zero disabled overhead (one attribute load + ``is not None`` per
-instrumented site):
+This package is the one home of the seven recorders a run can switch on.
+Each slot below is ``None`` (off, the default) or one recorder object:
 
-* :mod:`repro.obs.trace` — the flow tracer: a flight-recorder ring buffer of
-  span/event records covering hop traversals, fragment reassembly, rule
-  matches, classifier state transitions and replay-layer ARQ, exportable as
-  deterministic JSON lines (``--trace`` / ``--trace-out``).
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with a sorted
-  snapshot, embedded in reports and printable from the CLI (``--metrics``).
-* :mod:`repro.obs.profiling` — opt-in per-stage wall/CPU timers surfaced in
-  ``BENCH_*.json``.
+* :data:`TRACER` — :class:`repro.obs.trace.FlowTracer`, the flow tracer: a
+  ring buffer of span/event records covering hop traversals, fragment
+  reassembly, rule matches, classifier state transitions and replay-layer
+  ARQ, exported as deterministic JSON lines (``--trace`` / ``--trace-out``).
+* :data:`METRICS` — :class:`repro.obs.metrics.MetricsRegistry`: counters,
+  gauges and histograms with a sorted snapshot (``--metrics``).
+* :data:`BUS` — :class:`repro.obs.live.TelemetryBus`, the telemetry bus:
+  lifecycle events (experiment/cell/sample progress, pool dispatch/retry/
+  circuit, fault injections, verdicts) logged to a byte-deterministic
+  ``events.jsonl`` and optionally streamed to a live progress view.
+* :data:`PROFILER` — :class:`repro.obs.profiling.Profiler`: per-stage wall
+  and CPU timers surfaced in ``BENCH_*.json`` (``--profile``).
+* :data:`COVERAGE` — :class:`repro.obs.coverage.CoverageRecorder`: per-rule
+  hit counts against a registered universe, automaton state/edge visits and
+  the env × technique matrix (``--coverage``).
+* :data:`OPS` — :class:`repro.obs.ops.OpsRegistry`: wall-clock latency
+  recorders and counters behind ``liberate serve --ops-port``.
+* :data:`FLIGHT` — :class:`repro.obs.flight.FlightRecorder`: sampled
+  serving evidence dumped once per anomaly episode.
 
-On top of the recorders sit the analysis tools:
+An instrumented site reads a slot after ``from repro import obs``: one
+module-attribute load and one ``is not None`` check, so a run with every
+slot empty pays nearly nothing.  :func:`installed` puts already-built
+recorders in their slots for a block and restores the previous ones on
+exit; :func:`observability_off` empties every slot.  The worker pool ships
+a task's recorders home and merges them by slot name
+(:mod:`repro.runtime.pool`).
 
-* :mod:`repro.obs.analyze` — the trace query engine (``liberate obs
-  query`` / ``obs report``): index an exported trace by flow, kind and
-  rule; timelines and aggregate statistics.
-* :mod:`repro.obs.diff` — differential trace diffing (``liberate obs
-  diff``): align two traces and report the first structural and first
-  decision divergence.
-* :mod:`repro.obs.history` — the benchmark-regression watchdog engine
-  (``liberate obs watch`` / ``benchmarks/watchdog.py``).
-* :mod:`repro.obs.live` — the telemetry event bus: structured lifecycle
-  events (experiment/cell/sample progress, pool dispatch/retry/circuit,
-  fault injections, verdicts) buffered per pool task for a byte-deterministic
-  ``events.jsonl`` and optionally streamed to a live terminal progress view.
-* :mod:`repro.obs.report_html` — the zero-dependency, self-contained HTML
-  experiment dashboard (``liberate obs html`` / ``--dashboard``).
-* :mod:`repro.obs.coverage` — the rule/automaton coverage profiler
-  (``--coverage`` / ``liberate obs coverage``): per-rule hit counts against
-  a registered universe (dead-rule reporting), automaton state/edge visit
-  arrays, and the env × technique coverage matrix.
-* :mod:`repro.obs.provenance` — the verdict-provenance reconstructor
-  (``liberate obs explain``): fold an exported trace into per-flow causal
-  chains linking each verdict to the rule, bytes, normalizer/fragment and
-  state decisions that produced it.
-* :mod:`repro.obs.witness` — the minimal-witness extractor (``liberate obs
-  witness``): delta-debug a payload down to the minimal byte set that still
-  flips a classifier's verdict, replayed through the deterministic netsim.
-
-The live serving path adds the **operational** layer (wall-clock by design,
-segregated from every deterministic guarantee above):
-
-* :mod:`repro.obs.ops` — log-bucketed latency recorders, SLO policies and
-  the asyncio ops endpoint (``/metrics`` / ``/healthz`` / ``/statusz``
-  behind ``liberate serve --ops-port``).
-* :mod:`repro.obs.flight` — the always-on sampled flight recorder that
-  dumps trace-shaped JSONL evidence once per anomaly episode
-  (``liberate obs flight``).
-
-The package re-exports nothing.  Import the submodule you use, as the
-instrumented layers do (``from repro.obs import metrics as obs_metrics``),
-so that recording a counter does not load the analysis tools, the HTML
-dashboard or the asyncio ops server.  Only :func:`observability_off` lives
-here.
+The analysis tools sit in their own submodules and load only when used:
+:mod:`~repro.obs.analyze` (``liberate obs query`` / ``obs report``),
+:mod:`~repro.obs.diff` (``obs diff``), :mod:`~repro.obs.history` (``obs
+watch``), :mod:`~repro.obs.report_html` (``obs html`` / ``--dashboard``),
+:mod:`~repro.obs.provenance` (``obs explain``) and :mod:`~repro.obs.witness`
+(``obs witness``).  The package itself imports none of its submodules.
 
 See ``docs/OBSERVABILITY.md`` for the trace schema, metric catalog and the
 "Operating liberate live" runbook.
 """
 
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.coverage import CoverageRecorder
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.live import TelemetryBus
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.ops import OpsRegistry
+    from repro.obs.profiling import Profiler
+    from repro.obs.trace import FlowTracer
+
+#: Every recorder slot, by name.
+SLOTS = ("TRACER", "METRICS", "BUS", "PROFILER", "COVERAGE", "OPS", "FLIGHT")
+
+TRACER: FlowTracer | None = None
+METRICS: MetricsRegistry | None = None
+BUS: TelemetryBus | None = None
+PROFILER: Profiler | None = None
+COVERAGE: CoverageRecorder | None = None
+OPS: OpsRegistry | None = None
+FLIGHT: FlightRecorder | None = None
+
+
+@contextmanager
+def installed(**recorders: object) -> Iterator[None]:
+    """Put *recorders* in their slots for the block, by slot name.
+
+    ``with obs.installed(TRACER=FlowTracer(), METRICS=MetricsRegistry()):``
+    On exit, normal or not, every named slot gets its previous recorder
+    back, and an installed bus's stream is closed.
+    """
+    unknown = sorted(set(recorders).difference(SLOTS))
+    if unknown:
+        raise TypeError(f"unknown recorder slot(s): {', '.join(unknown)}")
+    slots = globals()
+    previous = {name: slots[name] for name in recorders}
+    slots.update(recorders)
+    try:
+        yield
+    finally:
+        slots.update(previous)
+        bus = recorders.get("BUS")
+        if bus is not None:
+            bus.close()
+
 
 def observability_off() -> None:
-    """Disable every obs facility in one call (test teardown)."""
-    from repro.obs.coverage import disable_coverage
-    from repro.obs.flight import disable_flight
-    from repro.obs.live import disable_bus
-    from repro.obs.metrics import disable_metrics
-    from repro.obs.ops import disable_ops
-    from repro.obs.profiling import disable_profiling
-    from repro.obs.trace import disable_tracing
-
-    disable_tracing()
-    disable_metrics()
-    disable_profiling()
-    disable_bus()
-    disable_ops()
-    disable_flight()
-    disable_coverage()
+    """Empty every slot (test teardown, CLI exit), closing the bus's stream."""
+    slots = globals()
+    bus = slots["BUS"]
+    for name in SLOTS:
+        slots[name] = None
+    if bus is not None:
+        bus.close()

@@ -26,7 +26,7 @@ Three families of counters, all cheap dict/array bumps:
     context via :meth:`cell_context`, rule hits are *also* attributed to
     that cell, giving the dashboard its coverage matrix.
 
-Like every obs facility the module-level :data:`COVERAGE` is ``None`` by
+Like every obs recorder the :data:`repro.obs.COVERAGE` slot is ``None`` by
 default and instrumented sites guard with one ``is not None`` check.  The
 recorder is shared across worker threads (a lock keeps concurrent bumps
 exact and the cell context is thread-local so parallel env columns do not
@@ -338,35 +338,3 @@ def format_snapshot(snap: dict) -> str:
     if len(lines) == 1:
         lines.append("  (no coverage recorded)")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# the module-level recorder (None = coverage disabled, the default)
-# ----------------------------------------------------------------------
-COVERAGE: CoverageRecorder | None = None
-
-
-def enable_coverage() -> CoverageRecorder:
-    """Install a fresh process-wide coverage recorder and return it."""
-    global COVERAGE
-    COVERAGE = CoverageRecorder()
-    return COVERAGE
-
-
-def disable_coverage() -> None:
-    """Remove the process-wide coverage recorder."""
-    global COVERAGE
-    COVERAGE = None
-
-
-@contextmanager
-def covering() -> Iterator[CoverageRecorder]:
-    """Scoped coverage collection: enable on entry, restore previous on exit."""
-    global COVERAGE
-    previous = COVERAGE
-    recorder = CoverageRecorder()
-    COVERAGE = recorder
-    try:
-        yield recorder
-    finally:
-        COVERAGE = previous

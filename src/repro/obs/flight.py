@@ -19,29 +19,21 @@ Dump mechanics:
   (:class:`repro.obs.analyze.TraceIndex`, ``liberate obs query``/``diff``
   and the new ``liberate obs flight``) reads them unmodified.
 
-Like every other obs facility the recorder is off by default: module-level
-:data:`FLIGHT` is ``None`` and instrumented sites guard with one
+Like every other obs recorder it is off by default: the
+:data:`repro.obs.FLIGHT` slot is ``None`` and instrumented sites guard with one
 ``is not None`` check.  ``liberate serve`` turns it on (it is cheap enough
 to be always-on *there* — that is the point).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from pathlib import Path
 
-__all__ = [
-    "FlightRecorder",
-    "FLIGHT",
-    "enable_flight",
-    "disable_flight",
-]
+from repro.obs.eventlog import canonical_json
 
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+__all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
@@ -110,7 +102,7 @@ class FlightRecorder:
         record["seq"] = self._seq
         record["time"] = round(time.time() if time_s < 0 else time_s, 6)
         record["kind"] = kind
-        line = _canonical(record)
+        line = canonical_json(record)
         self._ring.append(line)
         self._ring_bytes += len(line) + 1
         while len(self._ring) > 1 and (
@@ -158,7 +150,7 @@ class FlightRecorder:
         slug = "".join(c if c.isalnum() else "-" for c in reason).strip("-") or "trip"
         self._dumps += 1
         path = self.out_dir / f"{self.name}-{self._dumps:03d}-{slug}.jsonl"
-        header = _canonical(
+        header = canonical_json(
             {
                 "kind": "trace.header",
                 "schema": 1,
@@ -197,31 +189,3 @@ class FlightRecorder:
             "open_episodes": sorted(self._open_episodes),
             "dump_paths": list(self._dump_paths),
         }
-
-
-# ----------------------------------------------------------------------
-# the module-level recorder (None = flight recording disabled, the default)
-# ----------------------------------------------------------------------
-FLIGHT: FlightRecorder | None = None
-
-
-def enable_flight(
-    out_dir: str | Path = ".",
-    capacity: int = 512,
-    sample_every: int = 16,
-    byte_budget: int = 64 * 1024,
-    name: str = "flight",
-) -> FlightRecorder:
-    """Install a fresh process-wide flight recorder and return it."""
-    global FLIGHT
-    FLIGHT = FlightRecorder(
-        out_dir, capacity=capacity, sample_every=sample_every,
-        byte_budget=byte_budget, name=name,
-    )
-    return FLIGHT
-
-
-def disable_flight() -> None:
-    """Remove the process-wide flight recorder."""
-    global FLIGHT
-    FLIGHT = None

@@ -16,13 +16,13 @@ dispatch/retry/circuit activity, fault injections, replay verdicts) that are
   same seeded experiment produce byte-identical event logs.
 
 Both renderings come from one recorder.  Like the tracer and the metrics
-registry, the bus is **off by default**: the module-level :data:`BUS` is
+registry, the bus is **off by default**: the :data:`repro.obs.BUS` slot is
 ``None`` and every instrumented site guards with a single ``is not None``
 check, so the PR 1 fast paths are untouched when telemetry is disabled.
 
 Process safety follows the flow tracer's (:mod:`repro.obs.trace`): a
 worker-pool task records into a task-local bus (routed per thread on the
-thread backend, the worker's :data:`BUS` on the process backend), the pool
+thread backend, the worker's slot on the process backend), the pool
 ships its :meth:`TelemetryBus.dump` back with the result, and the parent
 folds the dumps into its log with :meth:`TelemetryBus.merge_dump` in
 **task-index order** — the order a serial run would have appended them in.
@@ -32,10 +32,10 @@ can blur the progress view but can never corrupt the log.
 
 from __future__ import annotations
 
-import json
 import threading
-from contextlib import contextmanager
-from typing import IO, Callable, Iterator
+from typing import IO, Callable
+
+from repro.obs.eventlog import EventLog, canonical_json
 
 #: Bumped whenever an event kind or field is renamed or removed (additions
 #: are backward-compatible and do not bump it).
@@ -69,13 +69,13 @@ class LiveEvent:
 
     def to_json(self) -> str:
         """One canonical JSON line (sorted keys, no whitespace)."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LiveEvent({self.lclock}, {self.kind!r}, {self.fields!r})"
 
 
-class TelemetryBus:
+class TelemetryBus(EventLog):
     """An append-only telemetry log plus live fan-out to subscribers.
 
     Emissions from the driver process append directly (and notify
@@ -83,13 +83,17 @@ class TelemetryBus:
     task-local bus (:meth:`route`) and are appended later by
     :meth:`merge_dump`, in task-index order, when the pool merges the
     shipped dumps — so the log is identical whatever backend ran the map.
+    Subscribers are re-notified of merged events only when no stream queue
+    is attached (streamed events already reached them live).
     """
 
+    HEADER = "events.header"
+    SCHEMA = EVENTS_SCHEMA_VERSION
+
     def __init__(self) -> None:
-        self.events: list[LiveEvent] = []
+        super().__init__()
         self._lclock = 0
         self._subscribers: list[Callable[[str, dict], None]] = []
-        self._local = threading.local()
         self._stream = None  # display-only multiprocessing queue, if any
         self._drainer: threading.Thread | None = None
         self._manager = None
@@ -99,14 +103,14 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: object) -> None:
         """Record one event: routed to the task bus inside a pool task."""
-        task = getattr(self._local, "task", None)
+        task = self._local.task
         if task is not None:
             task.emit(kind, **fields)
             return
         self._append(kind, fields, notify=True)
 
     def _append(self, kind: str, fields: dict, notify: bool) -> None:
-        self.events.append(LiveEvent(self._lclock, kind, fields))
+        self._events.append(LiveEvent(self._lclock, kind, fields))
         self._lclock += 1
         if notify:
             self._notify(kind, fields)
@@ -115,27 +119,11 @@ class TelemetryBus:
         for subscriber in self._subscribers:
             subscriber(kind, fields)
 
-    # ------------------------------------------------------------------
-    # per-thread task routing and the worker-pool dump/merge protocol
-    # ------------------------------------------------------------------
-    def route(self, task: TelemetryBus | None) -> None:
-        """Send this thread's emissions to *task* (``None`` routes them back)."""
-        self._local.task = task
+    def _pack(self, event: LiveEvent) -> tuple:
+        return (event.kind, event.fields)
 
-    def dump(self) -> list[tuple[str, dict]]:
-        """The logged ``(kind, fields)`` pairs, picklable, for shipping home."""
-        return [(event.kind, event.fields) for event in self.events]
-
-    def merge_dump(self, dump: list[tuple[str, dict]]) -> None:
-        """Append a task's :meth:`dump` to the log, in its original order.
-
-        The pool merges dumps in task-index order, reproducing the append
-        sequence of a serial run.  Subscribers are only re-notified when no
-        stream queue is attached (streamed events already reached them live).
-        """
-        notify = self._stream is None
-        for kind, fields in dump:
-            self._append(kind, dict(fields), notify=notify)
+    def _replay(self, kind: str, fields: dict) -> None:
+        self._append(kind, dict(fields), notify=self._stream is None)
 
     # ------------------------------------------------------------------
     # live fan-out
@@ -192,94 +180,9 @@ class TelemetryBus:
             self._manager.shutdown()
             self._manager = None
 
-    # ------------------------------------------------------------------
-    # readout / export
-    # ------------------------------------------------------------------
-    def tally(self) -> dict[str, int]:
-        """Event count per kind, sorted."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return dict(sorted(counts.items()))
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def export_jsonl(self, target: str | IO[str]) -> int:
-        """Write the event log as JSON lines; returns the number of events.
-
-        The first line is a header record carrying the schema version and
-        event count, mirroring the flow tracer's export, so a truncated log
-        is detectable.  The payload is byte-deterministic: logical-clock
-        timestamps, canonical JSON, sorted keys.
-        """
-        header = json.dumps(
-            {
-                "kind": "events.header",
-                "schema": EVENTS_SCHEMA_VERSION,
-                "events": len(self.events),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        lines = [header] + [event.to_json() for event in self.events]
-        payload = "\n".join(lines) + "\n"
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        else:
-            target.write(payload)
-        return len(self.events)
-
-
-def load_events_jsonl(path: str) -> list[dict]:
-    """Read an exported event log back as dicts (header line dropped)."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == "events.header":
-                continue
-            records.append(record)
-    return records
-
-
-# ----------------------------------------------------------------------
-# the module-level bus (None = telemetry disabled, the default)
-# ----------------------------------------------------------------------
-BUS: TelemetryBus | None = None
-
-
-def enable_bus() -> TelemetryBus:
-    """Install a fresh process-wide telemetry bus and return it."""
-    global BUS
-    BUS = TelemetryBus()
-    return BUS
-
-
-def disable_bus() -> None:
-    """Remove the process-wide bus (after closing any stream it holds)."""
-    global BUS
-    if BUS is not None:
-        BUS.close()
-    BUS = None
-
-
-@contextmanager
-def bus_on() -> Iterator[TelemetryBus]:
-    """Scoped telemetry: enable on entry, restore the previous state on exit."""
-    global BUS
-    previous = BUS
-    bus = TelemetryBus()
-    BUS = bus
-    try:
-        yield bus
-    finally:
-        bus.close()
-        BUS = previous
+#: Read an exported event log back as dicts (header line dropped).
+load_events_jsonl = TelemetryBus.load_jsonl
 
 
 def task_bus(stream=None) -> TelemetryBus:

@@ -7,8 +7,8 @@ rates, worker-pool retries and circuit-breaker trips.  The ROADMAP's
 production north-star needs these numbers always available to keep the PR 1
 fast paths honest.
 
-Like tracing, metrics are **disabled by default**: the module-level
-:data:`METRICS` is ``None`` and instrumented sites guard with a single
+Like tracing, metrics are **disabled by default**: the
+:data:`repro.obs.METRICS` slot is ``None`` and instrumented sites guard with a single
 ``is not None`` check.  Enabled, every operation is one dict update — cheap
 enough to leave on for a whole experiment run.
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 #: Default histogram bucket upper bounds (values land in the first bucket
 #: whose bound is >= the observation; the last bucket is +inf).
@@ -289,35 +287,3 @@ class MetricsRegistry:
             histogram.merge_counts(
                 payload["counts"], payload["total"], payload["count"]
             )
-
-
-# ----------------------------------------------------------------------
-# the module-level registry (None = metrics disabled, the default)
-# ----------------------------------------------------------------------
-METRICS: MetricsRegistry | None = None
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Install a fresh process-wide registry and return it."""
-    global METRICS
-    METRICS = MetricsRegistry()
-    return METRICS
-
-
-def disable_metrics() -> None:
-    """Remove the process-wide registry."""
-    global METRICS
-    METRICS = None
-
-
-@contextmanager
-def collecting() -> Iterator[MetricsRegistry]:
-    """Scoped metrics collection: enable on entry, restore previous on exit."""
-    global METRICS
-    previous = METRICS
-    registry = MetricsRegistry()
-    METRICS = registry
-    try:
-        yield registry
-    finally:
-        METRICS = previous

@@ -10,9 +10,8 @@ stacks require and experiments forbid:
   percentile interpolation, on the bucket layout of
   :meth:`repro.obs.metrics.Histogram.log_spaced`.
 * :class:`OpsRegistry` — the process-wide home for named latency recorders
-  and operational counters, enabled/disabled exactly like the other obs
-  facilities (module-level :data:`OPS`, ``is not None`` guards, off by
-  default).
+  and operational counters, installed like the other obs recorders (the
+  :data:`repro.obs.OPS` slot, ``is not None`` guards, off by default).
 * :class:`OpsServer` — a zero-dependency asyncio HTTP endpoint
   (``liberate serve --ops-port``) exposing ``/metrics`` (Prometheus text
   exposition over the metrics registry + latency recorders), ``/healthz``
@@ -35,11 +34,10 @@ import json
 import math
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.obs import flight as obs_flight
+from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import LATENCY_BUCKETS
 
@@ -54,10 +52,6 @@ __all__ = [
     "evaluate_health",
     "render_prometheus",
     "http_get",
-    "OPS",
-    "enable_ops",
-    "disable_ops",
-    "ops_recording",
 ]
 
 #: Percentiles every latency summary reports (as ``p50_ms`` .. ``p999_ms``).
@@ -148,7 +142,7 @@ class LatencyRecorder:
 class OpsRegistry:
     """Named latency recorders plus operational counters for one process.
 
-    Instrumented sites (proxy, pool, engine) guard with ``OPS is not None``
+    Instrumented sites (proxy, pool, engine) guard with ``obs.OPS is not None``
     exactly like the tracer/metrics/profiler sites, so the disabled cost is
     one attribute load per site and the serving hot path pays nothing in
     experiment runs.
@@ -207,38 +201,6 @@ class OpsRegistry:
             "latency": self.latency_summaries(),
             "counters": dict(sorted(self._counters.items())),
         }
-
-
-# ----------------------------------------------------------------------
-# the module-level registry (None = ops recording disabled, the default)
-# ----------------------------------------------------------------------
-OPS: OpsRegistry | None = None
-
-
-def enable_ops() -> OpsRegistry:
-    """Install a fresh process-wide ops registry and return it."""
-    global OPS
-    OPS = OpsRegistry()
-    return OPS
-
-
-def disable_ops() -> None:
-    """Remove the process-wide ops registry."""
-    global OPS
-    OPS = None
-
-
-@contextmanager
-def ops_recording() -> Iterator[OpsRegistry]:
-    """Scoped ops recording: enable on entry, restore previous on exit."""
-    global OPS
-    previous = OPS
-    registry = OpsRegistry()
-    OPS = registry
-    try:
-        yield registry
-    finally:
-        OPS = previous
 
 
 # ----------------------------------------------------------------------
@@ -433,10 +395,8 @@ def render_prometheus(
                     recorder.count,
                 )
             )
-    from repro.obs import coverage as obs_coverage
-
-    if obs_coverage.COVERAGE is not None:
-        snap = obs_coverage.COVERAGE.snapshot()
+    if obs.COVERAGE is not None:
+        snap = obs.COVERAGE.snapshot()
         scopes = snap.get("scopes", {})
         gauges = {
             "ops.coverage.rules_total": sum(s["rules"] for s in scopes.values()),
@@ -513,8 +473,8 @@ class OpsServer:
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """Evaluate health now (also the SLO-breach flight trigger)."""
-        report = evaluate_health(self.proxy.snapshot(), self.slo, OPS)
-        flight = obs_flight.FLIGHT
+        report = evaluate_health(self.proxy.snapshot(), self.slo, obs.OPS)
+        flight = obs.FLIGHT
         if flight is not None and self.slo.verdict_p99_ms is not None:
             p99 = report.get("verdict_p99_ms")
             if p99 is not None and p99 > self.slo.verdict_p99_ms:
@@ -536,12 +496,12 @@ class OpsServer:
             "health": self.health(),
             "peak_rss_kb": obs_profiling.peak_rss_kb(),
         }
-        if OPS is not None:
-            report["ops"] = OPS.snapshot()
-        metrics = obs_metrics.METRICS
+        if obs.OPS is not None:
+            report["ops"] = obs.OPS.snapshot()
+        metrics = obs.METRICS
         if metrics is not None:
             report["metrics"] = metrics.snapshot(include_ops=True)
-        flight = obs_flight.FLIGHT
+        flight = obs.FLIGHT
         if flight is not None:
             report["flight"] = flight.stats()
         return report
@@ -555,7 +515,7 @@ class OpsServer:
             return (
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus(obs_metrics.METRICS, OPS),
+                render_prometheus(obs.METRICS, obs.OPS),
             )
         if path == "/healthz":
             health = self.health()

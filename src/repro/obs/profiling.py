@@ -18,6 +18,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro import obs
+
 #: Reserved key carrying the peak-RSS sample through :meth:`Profiler.dump`,
 #: distinct from any stage name (stage names never use dunder framing).
 _PEAK_RSS_KEY = "__peak_rss_kb__"
@@ -162,46 +164,10 @@ class Profiler:
         self.peak_rss_kb = 0
 
 
-# ----------------------------------------------------------------------
-# the module-level profiler (None = profiling disabled, the default)
-# ----------------------------------------------------------------------
-PROFILER: Profiler | None = None
-
-
-def enable_profiling() -> Profiler:
-    """Install a fresh process-wide profiler and return it."""
-    global PROFILER
-    PROFILER = Profiler()
-    return PROFILER
-
-
-def disable_profiling() -> None:
-    """Remove the process-wide profiler."""
-    global PROFILER
-    PROFILER = None
-
-
-@contextmanager
-def profiled() -> Iterator[Profiler]:
-    """Scoped profiling: enable on entry, restore the previous state on exit.
-
-    (Named ``profiled`` rather than ``profiling`` so it never reads as the
-    submodule's own name.)
-    """
-    global PROFILER
-    previous = PROFILER
-    profiler = Profiler()
-    PROFILER = profiler
-    try:
-        yield profiler
-    finally:
-        PROFILER = previous
-
-
 @contextmanager
 def stage(name: str) -> Iterator[None]:
     """Time *name* on the active profiler; a fast no-op when disabled."""
-    profiler = PROFILER
+    profiler = obs.PROFILER
     if profiler is None:
         yield
         return

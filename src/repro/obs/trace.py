@@ -9,8 +9,8 @@ replay-layer ARQ — into a bounded ring buffer exportable as JSON lines.
 
 Design constraints, in priority order:
 
-* **Disabled by default, near-zero overhead.**  The module-level
-  :data:`TRACER` is ``None`` unless tracing was explicitly enabled;
+* **Disabled by default, near-zero overhead.**  The
+  :data:`repro.obs.TRACER` slot is ``None`` unless a tracer is installed;
   instrumented hot paths guard every emission with a single attribute load
   and ``is not None`` check, so the fault-free fast paths are untouched
   when tracing is off.
@@ -23,9 +23,9 @@ Design constraints, in priority order:
   than exhausting memory.  ``dropped_events`` says how many were lost.
 
 Tracing state is process-local.  A :class:`~repro.runtime.pool.WorkerPool`
-task that leaves the driver records into a **task-local** tracer (routed per
-thread by :meth:`FlowTracer.route`, or installed as the worker process's
-:data:`TRACER`), ships it home as a :meth:`FlowTracer.dump`, and the parent
+task that leaves the driver records into a **task-local** tracer (routed
+per thread by :meth:`FlowTracer.route`, or installed in the worker
+process's slot), ships it home as a :meth:`FlowTracer.dump`, and the parent
 folds the dumps in with :meth:`FlowTracer.merge_dump` in task-index order.
 Because a serial run emits each task's events contiguously and in task
 order, the merged parallel trace is byte-identical to the serial one.
@@ -33,11 +33,10 @@ order, the merged parallel trace is byte-identical to the serial one.
 
 from __future__ import annotations
 
-import json
-import threading
-from collections import deque
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
+
+from repro.obs.eventlog import EventLog, canonical_json
 
 #: Bumped whenever an event kind or field is renamed or removed (additions
 #: are backward-compatible and do not bump it).  Exported traces carry it so
@@ -80,25 +79,25 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """One canonical JSON line (sorted keys, no whitespace)."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceEvent({self.seq}, {self.time}, {self.kind!r}, {self.fields!r})"
 
 
-class FlowTracer:
+class FlowTracer(EventLog):
     """A bounded flight recorder for :class:`TraceEvent` records.
 
     Args:
         capacity: ring-buffer size; the oldest events are dropped beyond it.
     """
 
+    HEADER = "trace.header"
+    SCHEMA = TRACE_SCHEMA_VERSION
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = capacity
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        super().__init__(capacity)
         self._seq = 0
-        self.dropped_events = 0
-        self._local = _TaskSlot()
 
     # ------------------------------------------------------------------
     # recording
@@ -124,26 +123,6 @@ class FlowTracer:
         finally:
             self.emit("span.exit", time, span=name)
 
-    # ------------------------------------------------------------------
-    # readout
-    # ------------------------------------------------------------------
-    def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """A snapshot of recorded events, optionally filtered by kind prefix."""
-        if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind or e.kind.startswith(kind + ".")]
-
-    def tally(self) -> dict[str, int]:
-        """Event count per kind (sorted) — what the property tests check
-        metrics counters against."""
-        counts: dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def __len__(self) -> int:
-        return len(self._events)
-
     def clear(self) -> None:
         """Forget every recorded event (sequence numbering restarts too)."""
         self._events.clear()
@@ -151,80 +130,21 @@ class FlowTracer:
         self.dropped_events = 0
 
     # ------------------------------------------------------------------
-    # export
+    # the event-log hooks: the header's drop count, and (time, kind,
+    # fields) shipped home and re-emitted under this tracer's numbering
     # ------------------------------------------------------------------
-    def export_jsonl(self, target: str | IO[str]) -> int:
-        """Write the trace as JSON lines; returns the number of events.
+    def header(self) -> dict:
+        return {**super().header(), "dropped": self.dropped_events}
 
-        The first line is a header record (``kind="trace.header"``) carrying
-        the schema version and event count, so a truncated file is
-        detectable and a reader knows what it is parsing.
-        """
-        events = list(self._events)
-        header = json.dumps(
-            {
-                "kind": "trace.header",
-                "schema": TRACE_SCHEMA_VERSION,
-                "events": len(events),
-                "dropped": self.dropped_events,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        lines = [header] + [event.to_json() for event in events]
-        payload = "\n".join(lines) + "\n"
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        else:
-            target.write(payload)
-        return len(events)
+    def _pack(self, event: TraceEvent) -> tuple:
+        return (event.time, event.kind, event.fields)
 
-    # ------------------------------------------------------------------
-    # per-thread task routing and the worker-pool dump/merge protocol
-    # ------------------------------------------------------------------
-    def route(self, task: FlowTracer | None) -> None:
-        """Send this thread's emissions to *task* (``None`` routes them back)."""
-        self._local.task = task
-
-    def dump(self) -> dict:
-        """The recorded events and drop count, picklable, for shipping home."""
-        return {
-            "events": [(e.time, e.kind, e.fields) for e in self._events],
-            "dropped": self.dropped_events,
-        }
-
-    def merge_dump(self, dump: dict) -> None:
-        """Re-emit a :meth:`dump` into this tracer, renumbered.
-
-        Events append in their original order under this tracer's own
-        sequence numbers, exactly as if they had been emitted here; the
-        dump's own ring-buffer losses carry forward into ``dropped_events``.
-        """
-        for time, kind, fields in dump["events"]:
-            self.emit(kind, time, **fields)
-        self.dropped_events += dump["dropped"]
+    def _replay(self, time: float, kind: str, fields: dict) -> None:
+        self.emit(kind, time, **fields)
 
 
-class _TaskSlot(threading.local):
-    """Per-thread routing slot: the task-local tracer, or None."""
-
-    task: FlowTracer | None = None
-
-
-def load_jsonl(path: str) -> list[dict]:
-    """Read an exported trace back as a list of event dicts (header dropped)."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == "trace.header":
-                continue
-            records.append(record)
-    return records
+#: Read an exported trace back as a list of event dicts (header dropped).
+load_jsonl = FlowTracer.load_jsonl
 
 
 def structural_view(events: Iterable[TraceEvent | dict]) -> list[dict]:
@@ -244,38 +164,6 @@ def structural_view(events: Iterable[TraceEvent | dict]) -> list[dict]:
         }
         view.append(projected)
     return view
-
-
-# ----------------------------------------------------------------------
-# the module-level recorder (None = tracing disabled, the default)
-# ----------------------------------------------------------------------
-TRACER: FlowTracer | None = None
-
-
-def enable_tracing(capacity: int = DEFAULT_CAPACITY) -> FlowTracer:
-    """Install a fresh process-wide tracer and return it."""
-    global TRACER
-    TRACER = FlowTracer(capacity=capacity)
-    return TRACER
-
-
-def disable_tracing() -> None:
-    """Remove the process-wide tracer (instrumented sites go back to no-ops)."""
-    global TRACER
-    TRACER = None
-
-
-@contextmanager
-def tracing(capacity: int = DEFAULT_CAPACITY) -> Iterator[FlowTracer]:
-    """Scoped tracing: enable on entry, restore the previous state on exit."""
-    global TRACER
-    previous = TRACER
-    tracer = FlowTracer(capacity=capacity)
-    TRACER = tracer
-    try:
-        yield tracer
-    finally:
-        TRACER = previous
 
 
 def packet_fields(packet) -> dict:

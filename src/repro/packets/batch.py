@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
 from repro.packets.checksum import internet_checksum, ip_to_bytes
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCP_PROTO, TCPSegment
@@ -132,7 +132,7 @@ def serialize_batch(
         packet._wire_cache = (packet._header_key(), type(transport), seg, wire)
         out.append(wire)
         encoded += 1
-    metrics = obs_metrics.METRICS
+    metrics = obs.METRICS
     if metrics is not None and encoded:
         metrics.inc("wirecache.misses", encoded)
     return out

@@ -133,13 +133,27 @@ def reassemble_fragments(fragments: list[IPPacket]) -> IPPacket | None:
     )
 
 
+class _Group:
+    """One datagram's fragments: the first arrival at each offset, and the
+    number of fragments received, duplicates included."""
+
+    __slots__ = ("first", "fragments", "count")
+
+    def __init__(self, first: float) -> None:
+        self.first = first
+        self.fragments: dict[int, IPPacket] = {}
+        self.count = 0
+
+
 class FragmentBuffer:
     """Fragments held by group until their datagram reassembles.
 
     Groups are keyed by :data:`FragmentKey` and kept in creation order,
     at most :data:`FRAGMENT_GROUPS` of them: a new group beyond the bound
     drops the oldest.  A group whose fragments never reassemble (a hole,
-    an overlap) stays until the bound or the timeout drops it.
+    an overlap) stays until the bound or the timeout drops it.  A group
+    keeps only the first arrival at each offset, the one
+    :func:`reassemble_fragments` would use, so duplicates cost nothing.
 
     Args:
         name: metrics label of the underlying
@@ -147,8 +161,8 @@ class FragmentBuffer:
         timeout: seconds after its first fragment beyond which (strictly)
             a group is dropped, checked from the oldest group on each
             arrival; None keeps groups until the bound drops them.
-        on_expire: called as ``on_expire(key, fragments, now)`` for each
-            group the timeout drops.
+        on_expire: called as ``on_expire(key, count, now)`` for each group
+            the timeout drops, *count* being the fragments it received.
     """
 
     __slots__ = ("timeout", "_on_expire", "_groups")
@@ -157,12 +171,11 @@ class FragmentBuffer:
         self,
         name: str | None = None,
         timeout: float | None = None,
-        on_expire: Callable[[FragmentKey, list[IPPacket], float], None] | None = None,
+        on_expire: Callable[[FragmentKey, int, float], None] | None = None,
     ) -> None:
         self.timeout = timeout
         self._on_expire = on_expire
-        #: key -> (first arrival time, fragments in arrival order)
-        self._groups: FlowTable[FragmentKey, tuple[float, list[IPPacket]]] = FlowTable(
+        self._groups: FlowTable[FragmentKey, _Group] = FlowTable(
             capacity=FRAGMENT_GROUPS, name=name
         )
 
@@ -182,25 +195,30 @@ class FragmentBuffer:
         key = (packet.src, packet.dst, packet.identification, packet.effective_protocol)
         group = groups.peek(key)
         if group is None:
-            group = (now, [])
+            group = _Group(now)
             groups.insert(key, group)
-        fragments = group[1]
-        fragments.append(packet)
-        whole = reassemble_fragments(fragments)
+        group.count += 1
+        fragments = group.fragments
+        if packet.frag_offset in fragments:
+            # A later copy at a held offset leaves the group's set, and so
+            # its (incomplete) reassembly, unchanged.
+            return None, group.count
+        fragments[packet.frag_offset] = packet
+        whole = reassemble_fragments(list(fragments.values()))
         if whole is not None:
             groups.pop(key)
-        return whole, len(fragments)
+        return whole, group.count
 
     def _expire(self, now: float) -> None:
         expired = []
-        for key, (first, fragments) in self._groups.items():
-            if now - first <= self.timeout:  # type: ignore[operator]
+        for key, group in self._groups.items():
+            if now - group.first <= self.timeout:  # type: ignore[operator]
                 break
-            expired.append((key, fragments))
-        for key, fragments in expired:
+            expired.append((key, group.count))
+        for key, count in expired:
             self._groups.pop(key)
             if self._on_expire is not None:
-                self._on_expire(key, fragments, now)
+                self._on_expire(key, count, now)
 
     def clear(self) -> None:
         """Drop every group."""

@@ -13,7 +13,7 @@ import enum
 import struct
 from dataclasses import dataclass, fields
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
 from repro.packets.checksum import bytes_to_ip, internet_checksum, ip_to_bytes
 from repro.packets.icmp import ICMP_PROTO, ICMPMessage
 from repro.packets.options import options_are_wellformed, options_contain_deprecated
@@ -328,7 +328,7 @@ class IPPacket(_IPMemos):
         key = self._header_key()
         ttype = type(self.transport)
         cached = self._wire_cache
-        metrics = obs_metrics.METRICS
+        metrics = obs.METRICS
         if cached is not None and cached[2] is payload and cached[1] is ttype and cached[0] == key:
             if metrics is not None:
                 metrics.inc("wirecache.hits")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import obs
 from repro.endpoint.apps import ReliableUDPReplayApp, ReplayServerApp, UDPReplayApp
 from repro.endpoint.osmodel import OSProfile
 from repro.endpoint.rawclient import RawTCPClient, RawUDPClient
@@ -12,9 +13,6 @@ from repro.endpoint.tcpstack import TCPServerStack
 from repro.endpoint.udpstack import UDPServerStack
 from repro.envs.base import Environment, SignalType
 from repro.middlebox.engine import DPIMiddlebox
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.packets.batch import concat_wire_bytes
 from repro.packets.tcp import TCPFlags
 from repro.replay.runner import ReplayRunner
@@ -110,8 +108,8 @@ class ReplaySession:
         t0 = self.env.clock.now
         runner = self._make_runner(context)
         runner.technique_name = getattr(technique, "name", None)
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "replay.start",
                 t0,
                 env=self.env.name,
@@ -121,8 +119,8 @@ class ReplaySession:
                 sport=self.sport,
                 dport=self.server_port,
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc("replay.runs")
+        if obs.METRICS is not None:
+            obs.METRICS.inc("replay.runs")
 
         connect_refused = False
         if self.trace.protocol == "tcp":
@@ -161,7 +159,7 @@ class ReplaySession:
         needs is *when* repair ran and how much traffic it cost, so we
         bracket the call and report the packet delta.
         """
-        tracer = obs_trace.TRACER
+        tracer = obs.TRACER
         if tracer is None:
             repair()
             return
@@ -183,8 +181,8 @@ class ReplaySession:
             sport=self.sport,
             packets_seen=len(self.client.collector.packets) - sent_before,
         )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(f"replay.arq.{stage}")
+        if obs.METRICS is not None:
+            obs.METRICS.inc(f"replay.arq.{stage}")
 
     # ------------------------------------------------------------------
     # setup
@@ -244,8 +242,8 @@ class ReplaySession:
             responses = set(self.client.responses())
             if expected_delivered <= delivered and expected_responses <= responses:
                 break
-            if obs_trace.TRACER is not None:
-                obs_trace.TRACER.emit(
+            if obs.TRACER is not None:
+                obs.TRACER.emit(
                     "replay.arq.udp_round",
                     self.env.clock.now,
                     env=self.env.name,
@@ -253,8 +251,8 @@ class ReplaySession:
                     missing_payloads=len(expected_delivered - delivered),
                     missing_responses=len(expected_responses - responses),
                 )
-            if obs_metrics.METRICS is not None:
-                obs_metrics.METRICS.inc("replay.arq.udp_rounds")
+            if obs.METRICS is not None:
+                obs.METRICS.inc("replay.arq.udp_rounds")
             for payload in self.trace.client_payloads():
                 self.client.send_datagram(payload)
 
@@ -344,8 +342,8 @@ class ReplaySession:
             inert_reached = self._client_rst_reached()
         payload_reached = self._client_payload_reached()
 
-        if obs_trace.TRACER is not None:
-            obs_trace.TRACER.emit(
+        if obs.TRACER is not None:
+            obs.TRACER.emit(
                 "replay.verdict",
                 self.env.clock.now,
                 env=self.env.name,
@@ -358,12 +356,12 @@ class ReplaySession:
                 blocked=connect_refused or rst_count > 0 or block_page,
                 rst_count=rst_count,
             )
-        if obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(
+        if obs.METRICS is not None:
+            obs.METRICS.inc(
                 "replay.differentiated" if differentiated else "replay.undifferentiated"
             )
-        if obs_live.BUS is not None:
-            obs_live.BUS.emit(
+        if obs.BUS is not None:
+            obs.BUS.emit(
                 "replay.verdict",
                 env=self.env.name,
                 technique=runner.technique_name,

@@ -47,13 +47,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.obs import coverage as obs_coverage
-from repro.obs import flight as obs_flight
-from repro.obs import live as obs_live
-from repro.obs import metrics as obs_metrics
-from repro.obs import ops as obs_ops
-from repro.obs import profiling as obs_profiling
-from repro.obs import trace as obs_trace
+from repro import obs
+from repro.obs.coverage import CoverageRecorder
+from repro.obs.live import task_bus
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiling import Profiler
+from repro.obs.trace import FlowTracer
 
 logger = logging.getLogger(__name__)
 
@@ -163,19 +162,19 @@ class _SeededCall:
         return self.fn(item)
 
 
-#: The recorders a task can ship home: name -> (module, global name,
-#: task-local factory given the :class:`_CapturedCall`).
+#: The recorders a task can ship home, in merge order: slot name in
+#: :mod:`repro.obs` -> task-local factory given the :class:`_CapturedCall`.
 _RECORDERS = {
-    "trace": (obs_trace, "TRACER", lambda call: obs_trace.FlowTracer(call.capacity)),
-    "metrics": (obs_metrics, "METRICS", lambda call: obs_metrics.MetricsRegistry()),
-    "profile": (obs_profiling, "PROFILER", lambda call: obs_profiling.Profiler()),
-    "coverage": (obs_coverage, "COVERAGE", lambda call: obs_coverage.CoverageRecorder()),
-    "bus": (obs_live, "BUS", lambda call: obs_live.task_bus(call.stream)),
+    "TRACER": lambda call: FlowTracer(call.capacity),
+    "METRICS": lambda call: MetricsRegistry(),
+    "PROFILER": lambda call: Profiler(),
+    "COVERAGE": lambda call: CoverageRecorder(),
+    "BUS": lambda call: task_bus(call.stream),
 }
 
 #: Recorders that route per thread, so thread workers ship them too; the
 #: others are shared by thread workers and record straight into the parent.
-_ROUTED = ("trace", "bus")
+_ROUTED = ("TRACER", "BUS")
 
 
 class _CapturedCall:
@@ -184,7 +183,7 @@ class _CapturedCall:
     In the worker it opens a fresh task-local recorder for each name in
     *shipped*, runs the task, and returns ``(result, dumps)``, one dump per
     recorder in *shipped* order.  A process worker installs each recorder
-    as its own module global; a thread worker routes the shared tracer and
+    in its :mod:`repro.obs` slot; a thread worker routes the shared tracer and
     bus to them for this thread only.  A failing attempt raises before
     anything is dumped, so its task-local state is discarded and the retry
     that succeeds owns the task's observability.
@@ -203,20 +202,18 @@ class _CapturedCall:
     def __call__(self, item: T) -> tuple[R, list]:
         recorders = []
         for name in self.shipped:
-            module, attr, factory = _RECORDERS[name]
-            recorder = factory(self)
+            recorder = _RECORDERS[name](self)
             if self.threaded:
-                getattr(module, attr).route(recorder)
+                getattr(obs, name).route(recorder)
             else:
-                setattr(module, attr, recorder)
+                setattr(obs, name, recorder)
             recorders.append(recorder)
         try:
             result = self.call(item)
         finally:
             if self.threaded:
                 for name in self.shipped:
-                    module, attr, _ = _RECORDERS[name]
-                    getattr(module, attr).route(None)
+                    getattr(obs, name).route(None)
         return result, [recorder.dump() for recorder in recorders]
 
 
@@ -274,7 +271,7 @@ class WorkerPool:
             calls = [_SeededCall(fn, seed, i) for i in range(len(tasks))]
         else:
             calls = [fn] * len(tasks)
-        tracer, bus = obs_trace.TRACER, obs_live.BUS
+        tracer, bus = obs.TRACER, obs.BUS
         shipped = self._shipped(len(tasks), retry)
         if shipped:
             capacity = tracer.capacity if tracer is not None else 0
@@ -312,9 +309,8 @@ class WorkerPool:
         threaded = self.backend is Backend.THREAD
         return tuple(
             name
-            for name, (module, attr, _) in _RECORDERS.items()
-            if getattr(module, attr) is not None
-            and (name in _ROUTED or not threaded)
+            for name in _RECORDERS
+            if getattr(obs, name) is not None and (name in _ROUTED or not threaded)
         )
 
     def _execute(
@@ -325,7 +321,7 @@ class WorkerPool:
     ) -> list[R | TaskFailure]:
         if retry is not None:
             return self._map_resilient(calls, tasks, retry)
-        ops = obs_ops.OPS
+        ops = obs.OPS
         if self.backend is Backend.SERIAL or len(tasks) == 1:
             if ops is None:
                 return [call(task) for call, task in zip(calls, tasks)]
@@ -577,20 +573,19 @@ def _merge_captured(
             continue
         result, dumps = slot
         for name, dump in zip(shipped, dumps):
-            module, attr, _ = _RECORDERS[name]
-            getattr(module, attr).merge_dump(dump)
+            getattr(obs, name).merge_dump(dump)
         merged.append(result)
     return merged
 
 
 def _record(kind: str, counter: str, **fields: object) -> None:
     """Count one pool resilience event and emit it to the trace and bus."""
-    if obs_metrics.METRICS is not None:
-        obs_metrics.METRICS.inc(counter)
-    if obs_trace.TRACER is not None:
-        obs_trace.TRACER.emit(kind, **fields)
-    if obs_live.BUS is not None:
-        obs_live.BUS.emit(kind, **fields)
+    if obs.METRICS is not None:
+        obs.METRICS.inc(counter)
+    if obs.TRACER is not None:
+        obs.TRACER.emit(kind, **fields)
+    if obs.BUS is not None:
+        obs.BUS.emit(kind, **fields)
 
 
 def _record_retry(index: int, attempt: int, error_type: str, backend: Backend) -> None:
@@ -608,10 +603,10 @@ def _record_exhaustion(index: int, backend: Backend) -> None:
 
 def _circuit_failure(index: int, backend: Backend) -> TaskFailure:
     _record("pool.circuit_open", "pool.circuit_open", task=index, backend=backend.value)
-    if obs_flight.FLIGHT is not None:
+    if obs.FLIGHT is not None:
         # A tripped breaker fails every remaining task the same way; dump
         # the evidence once per trip episode, not once per failed slot.
-        obs_flight.FLIGHT.trip(
+        obs.FLIGHT.trip(
             "circuit_open", episode="circuit", task=index, backend=backend.value
         )
     return TaskFailure(

@@ -35,6 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro import obs
 from repro.core.evasion import ALL_TECHNIQUES
 from repro.experiments.table3 import run_table3
 from repro.obs import trace as obs_trace
@@ -50,7 +51,8 @@ CELLS: dict[str, tuple[str, str]] = {
 def record_cell(env_name: str, technique_name: str) -> obs_trace.FlowTracer:
     """Run one Table 3 cell under a fresh tracer and return the tracer."""
     technique = next(t for t in ALL_TECHNIQUES if t.name == technique_name)
-    with obs_trace.tracing() as tracer:
+    tracer = obs_trace.FlowTracer()
+    with obs.installed(TRACER=tracer):
         run_table3(
             env_names=(env_name,),
             techniques=(technique,),

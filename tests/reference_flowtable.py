@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Generic, Iterator, TypeVar
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -239,9 +239,9 @@ class FlowTable(Generic[K, V]):
             return None
         key = self._key[slot]
         value = self._release(slot)
-        if self.name is not None and obs_metrics.METRICS is not None:
-            obs_metrics.METRICS.inc(f"mbx.flowtable.{self.name}.evictions")
-            obs_metrics.METRICS.set_gauge(f"mbx.flowtable.{self.name}.size", len(self._index))
+        if self.name is not None and obs.METRICS is not None:
+            obs.METRICS.inc(f"mbx.flowtable.{self.name}.evictions")
+            obs.METRICS.set_gauge(f"mbx.flowtable.{self.name}.size", len(self._index))
         if self._on_evict is not None:
             self._on_evict(key, value)  # type: ignore[arg-type]
         return key, value  # type: ignore[return-value]

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.middlebox.automaton import (
     _INLINE_FACTOR,
     PatternAutomaton,
@@ -235,7 +236,7 @@ class TestSerializeBatchDifferential:
     @given(packets=st.lists(packet_st, max_size=10), live_metrics=st.booleans())
     def test_batch_equals_per_packet_to_bytes(self, packets, live_metrics):
         expected = reference_wires(packets)
-        with obs_metrics.collecting() if live_metrics else nullcontext():
+        with obs.installed(METRICS=obs_metrics.MetricsRegistry()) if live_metrics else nullcontext():
             assert serialize_batch(packets, lenient=True) == expected
 
     @settings(max_examples=50)
@@ -244,7 +245,8 @@ class TestSerializeBatchDifferential:
         """k cold plain packets: k misses from the batch, then k to_bytes() hits."""
         packets = [IPPacket(src="10.0.0.1", dst="10.0.0.2", transport=t) for t in transports]
         k = len(packets)
-        with obs_metrics.collecting() as metrics:
+        metrics = obs_metrics.MetricsRegistry()
+        with obs.installed(METRICS=metrics):
             serialize_batch(packets)
             assert metrics.counter("wirecache.misses") == k
             assert metrics.counter("wirecache.hits") == 0

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cli.main import main
-from repro.obs import metrics as obs_metrics
-from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
 
 pytestmark = pytest.mark.obs
@@ -96,9 +95,9 @@ class TestObsFlags:
                 "--profile",
             ]
         )
-        assert obs_trace.TRACER is None
-        assert obs_metrics.METRICS is None
-        assert obs_profiling.PROFILER is None
+        assert obs.TRACER is None
+        assert obs.METRICS is None
+        assert obs.PROFILER is None
 
     def test_envs_subset_limits_columns(self, capsys):
         code = main(["table3", "--fast", "--envs", "testbed,gfc"])

@@ -37,6 +37,7 @@ from typing import Callable
 
 import pytest
 
+from repro import obs
 from repro.envs import make_gfc, make_iran, make_testbed, make_tmobile
 from repro.experiments.scale import ScaleConfig, build_engine
 from repro.middlebox import engine as engine_module
@@ -404,7 +405,7 @@ def _drive(engine: DPIMiddlebox, coverage_from: int | None = None) -> list:
     records = []
     for position, (gap, packet, direction, client, server) in enumerate(packet_stream()):
         if position == coverage_from:
-            obs_coverage.enable_coverage()
+            obs.COVERAGE = obs_coverage.CoverageRecorder()
         clock.advance(gap)
         forwarded = engine.process(packet, direction, ctx)
         injected = [p.to_bytes().hex() for p in sink]
@@ -425,29 +426,25 @@ def _final(engine: DPIMiddlebox) -> dict:
 
 def _observed(engine: DPIMiddlebox) -> tuple[list, dict]:
     """Run with every recorder live; the digestible side effects."""
-    previous = (obs_trace.TRACER, obs_metrics.METRICS, obs_ops.OPS, obs_coverage.COVERAGE)
-    tracer = obs_trace.enable_tracing(capacity=1_000_000)
-    metrics = obs_metrics.enable_metrics()
-    ops = obs_ops.enable_ops()
-    obs_coverage.disable_coverage()
-    try:
+    tracer = obs_trace.FlowTracer(capacity=1_000_000)
+    metrics = obs_metrics.MetricsRegistry()
+    ops = obs_ops.OpsRegistry()
+    with obs.installed(TRACER=tracer, METRICS=metrics, OPS=ops, COVERAGE=None):
         records = _drive(engine, coverage_from=len(packet_stream()) // 2)
-        coverage = obs_coverage.COVERAGE
-        lines = "\n".join(event.to_json() for event in tracer.events())
-        scans = ops.recorder("mbx.scan")
-        observed = {
-            "trace_tally": tracer.tally(),
-            "trace_sha256": hashlib.sha256(lines.encode()).hexdigest(),
-            "counters": {
-                name: value
-                for name, value in sorted(metrics.counters().items())
-                if name.startswith("mbx.") and not name.startswith("mbx.automaton.")
-            },
-            "rule_hits": dict(sorted(coverage.rule_hits.items())) if coverage else {},
-            "timed_scans": scans.count if scans is not None else 0,
-        }
-    finally:
-        obs_trace.TRACER, obs_metrics.METRICS, obs_ops.OPS, obs_coverage.COVERAGE = previous
+        coverage = obs.COVERAGE
+    lines = "\n".join(event.to_json() for event in tracer.events())
+    scans = ops.recorder("mbx.scan")
+    observed = {
+        "trace_tally": tracer.tally(),
+        "trace_sha256": hashlib.sha256(lines.encode()).hexdigest(),
+        "counters": {
+            name: value
+            for name, value in sorted(metrics.counters().items())
+            if name.startswith("mbx.") and not name.startswith("mbx.automaton.")
+        },
+        "rule_hits": dict(sorted(coverage.rule_hits.items())) if coverage else {},
+        "timed_scans": scans.count if scans is not None else 0,
+    }
     return records, observed
 
 

@@ -71,6 +71,15 @@ class TestTable2:
     def test_formatting(self, rows):
         assert "inert-insertion" in format_table2(rows)
 
+    def test_exact_maxima(self, rows):
+        """Each category's (max packets, max bytes, max seconds), exactly."""
+        assert {r.category: (r.max_packets, r.max_bytes, r.max_seconds) for r in rows} == {
+            "inert-insertion": (1, 104, 0.0),
+            "splitting": (9, 360, 0.0),
+            "reordering": (3, 60, 0.0),
+            "flushing": (1, 40, 150.0),
+        }
+
 
 class TestFigure4:
     @pytest.fixture(scope="class")
@@ -103,6 +112,14 @@ class TestFigure4:
         assert summary["busy_success_rate"] == 1.0
         assert summary["quiet_success_rate"] == 0.0
         assert "#" in format_figure4(samples)
+
+    def test_exact_summary(self, samples):
+        assert busy_and_quiet_summary(samples) == {
+            "busy_success_rate": 1.0,
+            "quiet_success_rate": 0.0,
+            "busy_min_delay": 60,
+            "busy_max_delay": 90,
+        }
 
 
 class TestEfficiency:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.endpoint.osmodel import LINUX
 from repro.endpoint.tcpstack import TCPServerStack
 from repro.endpoint.udpstack import UDPServerStack
@@ -78,7 +79,8 @@ def _reassembler():
     element, ctx = FragmentReassembler(), _ctx()
 
     def feed(packet):
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             out = element.process(packet, C2S, ctx)
         (event,) = tracer.events("frag")
         count = event.fields["fragments" if out else "pending"]
@@ -103,7 +105,8 @@ def _engine():
 
     def feed(packet):
         inspected.clear()
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             assert engine.process(packet, C2S, ctx) == [packet]
         events = tracer.events("mbx.frag_reassembled")
         count = events[0].fields["fragments"] if events else None
@@ -250,6 +253,15 @@ class TestBound:
         assert whole is not None and count == 2
         oldest_rest = fragment_packet(_datagram("tcp", 28, 0), 24)[1]
         assert buffer.feed(oldest_rest) == (None, 1)  # group 0 was dropped
+
+    def test_copies_of_one_fragment_keep_one_fragment_and_count_every_copy(self):
+        buffer = FragmentBuffer()
+        first, _rest = fragment_packet(_datagram("tcp", 28, 7), 24)
+        for copies in range(1, 4_001):
+            assert buffer.feed(first) == (None, copies)
+        group = buffer._groups.peek((SRC, DST, 7, first.effective_protocol))
+        assert list(group.fragments.values()) == [first]
+        assert group.count == 4_000
 
 
 class TestTimeout:

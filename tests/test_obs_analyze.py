@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.obs import trace as obs_trace
 from repro.obs.analyze import (
     TraceIndex,
@@ -145,7 +146,8 @@ class TestTraceIndexAggregates:
         json.dumps(summary)  # must serialize without a custom encoder
 
     def test_summarize_tracer_round_trips(self):
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             tracer.emit("mbx.rule_match", rule="r1", action="block", element="dpi")
             tracer.emit("mbx.verdict", verdict="r1", flow="a:1>b:2/6")
         summary = summarize_tracer(tracer)

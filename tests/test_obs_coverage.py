@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cli.main import main
 from repro.core.evasion import ALL_TECHNIQUES
 from repro.experiments.table3 import run_table3
@@ -35,13 +36,11 @@ from repro.middlebox.validation import MiddleboxValidation
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import TransitContext
 from repro.netsim.shaper import PolicyState
-from repro.obs import coverage as obs_coverage
 from repro.obs import trace as obs_trace
 from repro.obs.coverage import (
     COVERAGE_SCHEMA_VERSION,
     CoverageRecorder,
     automaton_digest,
-    covering,
     format_snapshot,
     load_snapshot,
     ruleset_scope,
@@ -204,13 +203,15 @@ class TestCoverageRecorder:
             load_snapshot(str(path))
 
     def test_covering_restores_previous_recorder(self):
-        assert obs_coverage.COVERAGE is None
-        with covering() as outer:
-            assert obs_coverage.COVERAGE is outer
-            with covering() as inner:
-                assert obs_coverage.COVERAGE is inner
-            assert obs_coverage.COVERAGE is outer
-        assert obs_coverage.COVERAGE is None
+        assert obs.COVERAGE is None
+        outer = CoverageRecorder()
+        with obs.installed(COVERAGE=outer):
+            assert obs.COVERAGE is outer
+            inner = CoverageRecorder()
+            with obs.installed(COVERAGE=inner):
+                assert obs.COVERAGE is inner
+            assert obs.COVERAGE is outer
+        assert obs.COVERAGE is None
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +226,8 @@ class TestEngineCoverage:
             policy=RulePolicy.block_with_rsts(),
         )
         engine = make_engine(extra_rules=[dead_rule])
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_flows(
                 engine,
                 [b"GET / HTTP/1.1\r\nHost: video.example.com\r\n\r\n"],
@@ -245,9 +247,9 @@ class TestEngineCoverage:
             b"video.example.com again",
             b"still nothing",
         ]
-        with covering() as recorder:
-            with obs_trace.tracing() as tracer:
-                run_flows(engine, payloads)
+        recorder, tracer = CoverageRecorder(), obs_trace.FlowTracer()
+        with obs.installed(COVERAGE=recorder, TRACER=tracer):
+            run_flows(engine, payloads)
             snap = recorder.snapshot()
         trace_matches = len(tracer.events("mbx.rule_match"))
         coverage_hits = snap["total_rule_hits"]
@@ -269,9 +271,9 @@ class TestEngineCoverage:
             (b"x " + body + b" video.example.com" if match else body)
             for match, body in flows
         ]
-        with covering() as recorder:
-            with obs_trace.tracing() as tracer:
-                run_flows(engine, payloads)
+        recorder, tracer = CoverageRecorder(), obs_trace.FlowTracer()
+        with obs.installed(COVERAGE=recorder, TRACER=tracer):
+            run_flows(engine, payloads)
             total = recorder.snapshot()["total_rule_hits"]
         trace_matches = len(tracer.events("mbx.rule_match"))
         assert total == trace_matches == engine.matches_logged
@@ -285,7 +287,8 @@ class TestEngineCoverage:
         view = engine._view("tcp", 80, "client")
         automaton = view.automaton
         plain = automaton.scan_mask(payload)
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             covered = automaton.scan_mask(payload)
             snap = recorder.snapshot()
         assert covered == plain
@@ -295,7 +298,8 @@ class TestEngineCoverage:
 
     def test_rule_match_trace_carries_provenance_fields(self):
         engine = make_engine()
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             run_flows(engine, [b"GET video.example.com"])
         (event,) = tracer.events("mbx.rule_match")
         match = event.fields
@@ -315,7 +319,8 @@ class TestEngineCoverage:
                 )
             ]
         )
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_flows(engine, [b"plain traffic only"])
             snap = recorder.snapshot()
         (scope,) = snap["scopes"]
@@ -329,16 +334,19 @@ class TestEngineCoverage:
 class TestBackendIdentity:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_coverage_snapshot_identical_across_backends(self, backend):
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_table3(pool=WorkerPool("serial"), **_SLICE)
             serial = json.dumps(recorder.snapshot(), sort_keys=True)
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_table3(pool=WorkerPool(backend, max_workers=2), **_SLICE)
             concurrent = json.dumps(recorder.snapshot(), sort_keys=True)
         assert concurrent == serial
 
     def test_matrix_covers_every_cell(self):
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_table3(**_SLICE)
             snap = recorder.snapshot()
         expected = {
@@ -435,7 +443,8 @@ class TestCoverageCli:
             policy=RulePolicy.block_with_rsts(),
         )
         engine = make_engine(extra_rules=[dead_rule])
-        with covering() as recorder:
+        recorder = CoverageRecorder()
+        with obs.installed(COVERAGE=recorder):
             run_flows(engine, [b"GET video.example.com"])
             snap = recorder.snapshot()
         path = tmp_path / "coverage.json"

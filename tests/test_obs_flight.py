@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli.main import main as cli_main
-from repro.obs import flight as obs_flight
 from repro.obs.analyze import TraceIndex
 from repro.obs.flight import FlightRecorder
 
@@ -145,7 +145,7 @@ class TestDumpFormat:
 
 class TestGlobals:
     def test_enable_disable(self, tmp_path):
-        recorder = obs_flight.enable_flight(tmp_path, sample_every=2)
-        assert obs_flight.FLIGHT is recorder
-        obs_flight.disable_flight()
-        assert obs_flight.FLIGHT is None
+        recorder = FlightRecorder(tmp_path, sample_every=2)
+        with obs.installed(FLIGHT=recorder):
+            assert obs.FLIGHT is recorder
+        assert obs.FLIGHT is None

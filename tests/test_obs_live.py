@@ -12,6 +12,7 @@ import io
 
 import pytest
 
+from repro import obs
 from repro.experiments.table3 import run_table3
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
@@ -34,7 +35,7 @@ _ATTEMPTS: dict[int, int] = {}
 def _flaky_task(item: int) -> int:
     """Emit one telemetry event per attempt; first attempts fail, item 2 always."""
     attempt = _ATTEMPTS[item] = _ATTEMPTS.get(item, 0) + 1
-    obs_live.BUS.emit("unit.attempt", item=item, attempt=attempt)
+    obs.BUS.emit("unit.attempt", item=item, attempt=attempt)
     if attempt == 1 or item == 2:
         raise RuntimeError("attempt fails")
     return item
@@ -48,8 +49,8 @@ class TestTelemetryBus:
         bus = obs_live.TelemetryBus()
         bus.emit("unit.a", value=1)
         bus.emit("unit.b", value=2)
-        assert [e.lclock for e in bus.events] == [0, 1]
-        assert [e.kind for e in bus.events] == ["unit.a", "unit.b"]
+        assert [e.lclock for e in bus.events()] == [0, 1]
+        assert [e.kind for e in bus.events()] == ["unit.a", "unit.b"]
         assert bus.tally() == {"unit.a": 1, "unit.b": 1}
 
     def test_subscribers_see_direct_emissions(self):
@@ -66,18 +67,18 @@ class TestTelemetryBus:
         bus.route(task)
         bus.emit("unit.task", task=0)
         bus.route(None)
-        assert [e.kind for e in bus.events] == ["unit.before"]  # routed, not appended
-        assert task.dump() == [("unit.task", {"task": 0})]
+        assert [e.kind for e in bus.events()] == ["unit.before"]  # routed, not appended
+        assert task.dump() == {"events": [("unit.task", {"task": 0})], "dropped": 0}
         bus.merge_dump(task.dump())
-        bus.merge_dump([("unit.task", {"task": 1})])
-        assert [e.fields.get("task") for e in bus.events[1:]] == [0, 1]
-        assert [e.lclock for e in bus.events] == [0, 1, 2]
+        bus.merge_dump({"events": [("unit.task", {"task": 1})], "dropped": 0})
+        assert [e.fields.get("task") for e in bus.events()[1:]] == [0, 1]
+        assert [e.lclock for e in bus.events()] == [0, 1, 2]
 
     def test_merge_dump_notifies_when_not_streaming(self):
         bus = obs_live.TelemetryBus()
         seen = []
         bus.subscribe(lambda kind, fields: seen.append(kind))
-        bus.merge_dump([("unit.late", {})])
+        bus.merge_dump({"events": [("unit.late", {})], "dropped": 0})
         assert seen == ["unit.late"]
 
     def test_export_and_load_round_trip(self, tmp_path):
@@ -97,11 +98,12 @@ class TestTelemetryBus:
         ]
 
     def test_bus_on_scopes_and_restores(self):
-        assert obs_live.BUS is None
-        with obs_live.bus_on() as bus:
-            assert obs_live.BUS is bus
+        assert obs.BUS is None
+        bus = obs_live.TelemetryBus()
+        with obs.installed(BUS=bus):
+            assert obs.BUS is bus
             bus.emit("unit.scoped")
-        assert obs_live.BUS is None
+        assert obs.BUS is None
 
     def test_failed_task_buffer_is_discarded(self):
         # Each task's first attempt emits and then fails; the pool discards
@@ -109,14 +111,15 @@ class TestTelemetryBus:
         # a task that exhausts its retries leaves nothing in it.
         _ATTEMPTS.clear()
         retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
-        with obs_live.bus_on() as bus:
+        bus = obs_live.TelemetryBus()
+        with obs.installed(BUS=bus):
             results = WorkerPool("thread", max_workers=2).map(
                 _flaky_task, [0, 1, 2], retry=retry
             )
         assert results[:2] == [0, 1]
         assert isinstance(results[2], TaskFailure)
         assert bus.tally()["pool.retry"] == 4
-        attempts = [e.fields for e in bus.events if e.kind == "unit.attempt"]
+        attempts = [e.fields for e in bus.events() if e.kind == "unit.attempt"]
         assert attempts == [{"item": 0, "attempt": 2}, {"item": 1, "attempt": 2}]
 
 
@@ -125,14 +128,13 @@ class TestTelemetryBus:
 # ----------------------------------------------------------------------
 def _seeded_run(backend: str) -> tuple[dict, str, dict]:
     """One traced + metered + telemetered table3 slice on *backend*."""
-    with obs_trace.tracing():
-        with obs_metrics.collecting() as registry:
-            with obs_live.bus_on() as bus:
-                rows = run_table3(pool=WorkerPool(backend), **TABLE3_KWARGS)
-                assert rows
-                out = io.StringIO()
-                bus.export_jsonl(out)
-                return _portable(registry.snapshot()), out.getvalue(), bus.tally()
+    registry, bus = obs_metrics.MetricsRegistry(), obs_live.TelemetryBus()
+    with obs.installed(TRACER=obs_trace.FlowTracer(), METRICS=registry, BUS=bus):
+        rows = run_table3(pool=WorkerPool(backend), **TABLE3_KWARGS)
+        assert rows
+        out = io.StringIO()
+        bus.export_jsonl(out)
+        return _portable(registry.snapshot()), out.getvalue(), bus.tally()
 
 
 def _portable(snapshot: dict) -> dict:
@@ -173,7 +175,8 @@ class TestCrossProcessIdentity:
     def test_seeded_runs_export_byte_identical_events(self, tmp_path):
         paths = []
         for run in range(2):
-            with obs_live.bus_on() as bus:
+            bus = obs_live.TelemetryBus()
+            with obs.installed(BUS=bus):
                 run_table3(pool=WorkerPool("process"), **TABLE3_KWARGS)
                 path = tmp_path / f"events-{run}.jsonl"
                 bus.export_jsonl(str(path))
@@ -181,7 +184,8 @@ class TestCrossProcessIdentity:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_worker_stage_timings_merge_into_parent_profile(self):
-        with obs_profiling.profiled() as profiler:
+        profiler = obs_profiling.Profiler()
+        with obs.installed(PROFILER=profiler):
             run_table3(pool=WorkerPool("process"), **TABLE3_KWARGS)
         stages = profiler.snapshot()
         # The map's envelope is timed in the parent...
@@ -289,7 +293,8 @@ class TestLiveProgressView:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 def test_streaming_delivers_worker_events_live():
-    with obs_live.bus_on() as bus:
+    bus = obs_live.TelemetryBus()
+    with obs.installed(BUS=bus):
         seen = []
         bus.subscribe(lambda kind, fields: seen.append(kind))
         bus.enable_streaming()

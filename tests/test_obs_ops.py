@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro.obs import metrics as obs_metrics
+from repro import obs
 from repro.obs import ops as obs_ops
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -168,17 +168,18 @@ class TestOpsNamespaceSegregation:
         assert {"ops.proxy.shed", "ops.uptime", "ops.latency"} <= set(operational)
 
     def test_ops_registry_is_separate_from_metrics(self):
-        with obs_ops.ops_recording() as registry:
+        registry = obs_ops.OpsRegistry()
+        with obs.installed(OPS=registry):
             registry.record("proxy.verdict", 0.005)
             registry.inc("proxy.shed")
-            assert obs_metrics.METRICS is None  # never auto-enabled
-        assert obs_ops.OPS is None  # context restored
+            assert obs.METRICS is None  # never auto-enabled
+        assert obs.OPS is None  # context restored
 
     def test_enable_disable_globals(self):
-        registry = obs_ops.enable_ops()
-        assert obs_ops.OPS is registry
-        obs_ops.disable_ops()
-        assert obs_ops.OPS is None
+        registry = obs_ops.OpsRegistry()
+        with obs.installed(OPS=registry):
+            assert obs.OPS is registry
+        assert obs.OPS is None
 
     def test_registry_snapshot_shape(self):
         registry = OpsRegistry()

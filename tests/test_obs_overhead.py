@@ -17,14 +17,13 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core.evasion import ALL_TECHNIQUES
 from repro.experiments.table3 import run_table3
 from repro.obs import coverage as obs_coverage
 from repro.obs import flight as obs_flight
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import ops as obs_ops
-from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
 
 pytestmark = pytest.mark.obs
@@ -38,13 +37,7 @@ _KWARGS = dict(
 
 
 def test_observability_disabled_by_default():
-    assert obs_trace.TRACER is None
-    assert obs_metrics.METRICS is None
-    assert obs_profiling.PROFILER is None
-    assert obs_live.BUS is None
-    assert obs_ops.OPS is None
-    assert obs_flight.FLIGHT is None
-    assert obs_coverage.COVERAGE is None
+    assert {slot: getattr(obs, slot) for slot in obs.SLOTS} == dict.fromkeys(obs.SLOTS)
 
 
 def test_coverage_does_not_change_results():
@@ -63,7 +56,7 @@ def test_coverage_does_not_change_results():
         ]
 
     plain = cells(run_table3(**_KWARGS))
-    with obs_coverage.covering():
+    with obs.installed(COVERAGE=obs_coverage.CoverageRecorder()):
         covered = cells(run_table3(**_KWARGS))
     assert covered == plain
 
@@ -73,7 +66,7 @@ def test_bus_guard_is_single_none_check():
     checks = 100_000
     t0 = time.perf_counter()
     for _ in range(checks):
-        if obs_live.BUS is not None:  # pragma: no cover - never taken
+        if obs.BUS is not None:  # pragma: no cover - never taken
             raise AssertionError
     per_check = (time.perf_counter() - t0) / checks
     # One attribute load + identity check: far below a microsecond each.
@@ -91,9 +84,8 @@ def test_tracing_does_not_change_results():
         ]
 
     plain = cells(run_table3(**_KWARGS))
-    with obs_trace.tracing():
-        with obs_metrics.collecting():
-            traced = cells(run_table3(**_KWARGS))
+    with obs.installed(TRACER=obs_trace.FlowTracer(), METRICS=obs_metrics.MetricsRegistry()):
+        traced = cells(run_table3(**_KWARGS))
     assert traced == plain
 
 
@@ -108,7 +100,8 @@ def test_disabled_instrumentation_under_5_percent():
     # counts one event per trace site; double it (metrics sites pair with
     # trace sites), add another for the telemetry-bus guards, and double
     # again as margin for guard-only branches.
-    with obs_trace.tracing() as tracer:
+    tracer = obs_trace.FlowTracer()
+    with obs.installed(TRACER=tracer):
         run_table3(**_KWARGS)
     site_executions = 6 * len(tracer)
 
@@ -117,7 +110,7 @@ def test_disabled_instrumentation_under_5_percent():
     checks = 200_000
     t0 = time.perf_counter()
     for _ in range(checks):
-        if obs_trace.TRACER is not None:  # pragma: no cover - never taken
+        if obs.TRACER is not None:  # pragma: no cover - never taken
             raise AssertionError
     per_check = (time.perf_counter() - t0) / checks
 

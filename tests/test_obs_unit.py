@@ -1,4 +1,4 @@
-"""Unit tests for the ``repro.obs`` package itself (tracer, metrics, profiler)."""
+"""Unit tests for the ``repro.obs`` package itself (recorder slots, tracer, metrics, profiler)."""
 
 from __future__ import annotations
 
@@ -7,10 +7,15 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import observability_off
 from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
+from repro.obs.coverage import CoverageRecorder
+from repro.obs.flight import FlightRecorder
+from repro.obs.live import TelemetryBus
+from repro.obs.ops import OpsRegistry
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 
@@ -117,15 +122,6 @@ class TestFlowTracer:
         assert fields["ident"] == 9
         assert fields["plen"] == 3
         assert obs_trace.packet_fields(packet) == fields
-
-    def test_tracing_context_restores_previous(self):
-        assert obs_trace.TRACER is None
-        with obs_trace.tracing() as outer:
-            assert obs_trace.TRACER is outer
-            with obs_trace.tracing() as inner:
-                assert obs_trace.TRACER is inner
-            assert obs_trace.TRACER is outer
-        assert obs_trace.TRACER is None
 
 
 class TestRingBufferWraparound:
@@ -256,12 +252,6 @@ class TestMetricsRegistry:
         registry.reset()
         assert registry.snapshot() == {}
 
-    def test_collecting_context_restores_previous(self):
-        assert obs_metrics.METRICS is None
-        with obs_metrics.collecting() as registry:
-            assert obs_metrics.METRICS is registry
-        assert obs_metrics.METRICS is None
-
 
 class TestProfiler:
     def test_stage_accumulates(self):
@@ -275,23 +265,59 @@ class TestProfiler:
         assert "phase" in profiler.render()
 
     def test_module_stage_is_noop_when_disabled(self):
-        assert obs_profiling.PROFILER is None
+        assert obs.PROFILER is None
         with obs_profiling.stage("anything"):
             pass  # must not raise, must not record anywhere
 
-    def test_profiled_context_restores_previous(self):
-        with obs_profiling.profiled() as profiler:
+    def test_module_stage_records_on_installed_profiler(self):
+        profiler = obs_profiling.Profiler()
+        with obs.installed(PROFILER=profiler):
             with obs_profiling.stage("s"):
                 pass
-            assert profiler.snapshot()["s"]["calls"] == 1
-        assert obs_profiling.PROFILER is None
+        assert profiler.snapshot()["s"]["calls"] == 1
 
 
-def test_observability_off_disables_all_three():
-    obs_trace.enable_tracing()
-    obs_metrics.enable_metrics()
-    obs_profiling.enable_profiling()
+def _streaming_bus() -> TelemetryBus:
+    bus = TelemetryBus()
+    bus.enable_streaming()
+    return bus
+
+
+#: A recorder factory for every slot of the home's table; a slot added
+#: without one fails the test below.
+RECORDER_FACTORIES = {
+    "TRACER": obs_trace.FlowTracer,
+    "METRICS": obs_metrics.MetricsRegistry,
+    "BUS": _streaming_bus,
+    "PROFILER": obs_profiling.Profiler,
+    "COVERAGE": CoverageRecorder,
+    "OPS": OpsRegistry,
+    "FLIGHT": FlightRecorder,
+}
+
+
+@pytest.mark.parametrize("slot", obs.SLOTS)
+def test_slot_installer_restores_and_off_empties_every_slot(slot):
+    make = RECORDER_FACTORIES[slot]
+    outer, inner = make(), make()
+    assert getattr(obs, slot) is None
+    with obs.installed(**{slot: outer}):
+        assert getattr(obs, slot) is outer
+        with pytest.raises(RuntimeError), obs.installed(**{slot: inner}):
+            assert getattr(obs, slot) is inner
+            raise RuntimeError("the body fails")
+        assert getattr(obs, slot) is outer
+    assert getattr(obs, slot) is None
+    assert getattr(inner, "stream", None) is None  # an installed bus is closed
+
+    live = make()
+    setattr(obs, slot, live)
     observability_off()
-    assert obs_trace.TRACER is None
-    assert obs_metrics.METRICS is None
-    assert obs_profiling.PROFILER is None
+    assert {name: getattr(obs, name) for name in obs.SLOTS} == dict.fromkeys(obs.SLOTS)
+    assert getattr(live, "stream", None) is None  # a streaming bus is closed
+
+
+def test_installer_rejects_unknown_slot():
+    with pytest.raises(TypeError, match="TRACE"):
+        with obs.installed(TRACE=obs_trace.FlowTracer()):
+            pass

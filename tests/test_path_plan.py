@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.characterization import Characterizer
 from repro.core.evasion.base import EvasionContext
 from repro.core.evasion.inert import LowTTLInert
@@ -98,7 +99,7 @@ class _ReferencePath(_RecordingPath):
                 inject_forward=lambda p, i=i: self._propagate(p, direction, i + step, depth + 1),
             )
             outputs = element.process(current, direction, ctx)
-            tracer = obs_trace.TRACER
+            tracer = obs.TRACER
             if tracer is not None:
                 tracer.emit(
                     "hop.traverse",
@@ -114,7 +115,7 @@ class _ReferencePath(_RecordingPath):
                 self._propagate(extra, direction, i + step, depth + 1)
             current = outputs[-1]
             i += step
-        tracer = obs_trace.TRACER
+        tracer = obs.TRACER
         if tracer is not None:
             tracer.emit(
                 "endpoint.deliver",
@@ -159,7 +160,8 @@ def _replay(env_name: str, replay: str, path_cls: type, traced: bool):
     events = None
     before = packets_propagated()
     if traced:
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             outcome = ReplaySession(env, trace).run(technique=technique, context=context)
         events = [(event.kind, event.fields) for event in tracer.events()]
     else:
@@ -241,7 +243,8 @@ def test_extras_and_injections_keep_depth_first_order(traced):
         path.client_endpoint = _Sink()
         before = packets_propagated()
         if traced:
-            with obs_trace.tracing() as tracer:
+            tracer = obs_trace.FlowTracer()
+            with obs.installed(TRACER=tracer):
                 path.send_from_client(_packet(payload=b"x"))
             events = [(event.kind, event.fields) for event in tracer.events()]
         else:

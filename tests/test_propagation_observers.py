@@ -20,6 +20,7 @@ from contextlib import ExitStack
 
 import pytest
 
+from repro import obs
 from repro.netsim.clock import VirtualClock
 from repro.netsim.element import PacketTap
 from repro.netsim.filters import FilterPolicy, MalformedPacketFilter
@@ -125,9 +126,11 @@ def _run(chain: str, offset: int | None, mode: str):
     with ExitStack() as stack:
         metrics = tracer = None
         if mode in ("metrics", "both"):
-            metrics = stack.enter_context(obs_metrics.collecting())
+            metrics = obs_metrics.MetricsRegistry()
+            stack.enter_context(obs.installed(METRICS=metrics))
         if mode in ("tracer", "both"):
-            tracer = stack.enter_context(obs_trace.tracing())
+            tracer = obs_trace.FlowTracer()
+            stack.enter_context(obs.installed(TRACER=tracer))
         before = packets_propagated()
         up = _ttl(chain, Direction.CLIENT_TO_SERVER, offset)
         path.send_batch_from_client(_variants(CLIENT, SERVER, up))
@@ -183,7 +186,7 @@ def test_cases_reach_expiry_and_time_exceeded():
 def test_batch_sent_packets_reach_taps_wire_warm_under_metrics():
     tap = PacketTap("edge")
     path = Path(VirtualClock(), [tap, RouterHop("r0"), RouterHop("r1")])
-    with obs_metrics.collecting():
+    with obs.installed(METRICS=obs_metrics.MetricsRegistry()):
         path.send_batch_from_client(_variants(CLIENT, SERVER, 64))
     assert len(tap.records) == 8
     assert all(record.packet._wire_cache is not None for record in tap.records)

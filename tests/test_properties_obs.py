@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.evasion import ALL_TECHNIQUES
 from repro.envs import make_testbed
 from repro.experiments.table3 import run_table3
@@ -81,7 +82,8 @@ class TestPacketConservation:
         clock = VirtualClock()
         hops = [RouterHop(f"r{i}") for i in range(n_hops)]
         path = Path(clock, list(hops))
-        with obs_metrics.collecting() as metrics, obs_trace.tracing() as tracer:
+        metrics, tracer = obs_metrics.MetricsRegistry(), obs_trace.FlowTracer()
+        with obs.installed(METRICS=metrics, TRACER=tracer):
             for ident in idents:
                 path.send_from_client(_packet(ident, ttl=ttl))
         traverses = tracer.events("hop.traverse")
@@ -130,11 +132,11 @@ class TestFaultLedger:
         ctx = TransitContext(
             clock=clock, inject_back=lambda p: None, inject_forward=lambda p: None
         )
-        with obs_metrics.collecting() as metrics:
-            with obs_trace.tracing() as tracer:
-                for i in range(count):
-                    element.process(_packet(1 + i), Direction.CLIENT_TO_SERVER, ctx)
-                    clock.advance(0.05)
+        metrics, tracer = obs_metrics.MetricsRegistry(), obs_trace.FlowTracer()
+        with obs.installed(METRICS=metrics, TRACER=tracer):
+            for i in range(count):
+                element.process(_packet(1 + i), Direction.CLIENT_TO_SERVER, ctx)
+                clock.advance(0.05)
         stats = element.stats
         dropped = stats.lost + stats.burst_lost + stats.flap_dropped
         tally = tracer.tally()
@@ -159,7 +161,8 @@ class TestRuleMatchAgreement:
     def test_rule_match_events_agree_with_middlebox(self, host, body):
         env = make_testbed()
         trace = http_get_trace(host, response_body=b"v" * body)
-        with obs_trace.tracing() as tracer:
+        tracer = obs_trace.FlowTracer()
+        with obs.installed(TRACER=tracer):
             ReplaySession(env, trace).run()
         engine = env.middlebox
         matches = tracer.events("mbx.rule_match")
@@ -185,14 +188,14 @@ class TestMetricsAgreeWithTrace:
     )
     def test_counters_equal_trace_tallies(self, technique):
         chosen = next(t for t in ALL_TECHNIQUES if t.name == technique)
-        with obs_metrics.collecting() as metrics:
-            with obs_trace.tracing() as tracer:
-                run_table3(
-                    env_names=("testbed",),
-                    techniques=(chosen,),
-                    include_os_matrix=False,
-                    characterize=False,
-                )
+        metrics, tracer = obs_metrics.MetricsRegistry(), obs_trace.FlowTracer()
+        with obs.installed(METRICS=metrics, TRACER=tracer):
+            run_table3(
+                env_names=("testbed",),
+                techniques=(chosen,),
+                include_os_matrix=False,
+                characterize=False,
+            )
         tally = tracer.tally()
         for counter, kind in [
             ("mbx.rule_matches", "mbx.rule_match"),

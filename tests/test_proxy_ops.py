@@ -14,14 +14,15 @@ import re
 
 import pytest
 
+from repro import obs
 from repro.cli.main import main as cli_main
 from repro.core.pipeline import Liberate
 from repro.core.proxy_server import ProxyServer, drive_clients, request_verdict
 from repro.envs import ENVIRONMENT_FACTORIES
 from repro.middlebox.overload import OverloadPolicy
-from repro.obs import flight as obs_flight
 from repro.obs import ops as obs_ops
 from repro.obs.analyze import TraceIndex
+from repro.obs.flight import FlightRecorder
 from repro.obs.ops import OpsServer, http_get
 from repro.traffic.http import http_get_trace
 
@@ -57,7 +58,7 @@ class TestOpsEndpointUnderLoad:
         ops_server = OpsServer(server)
         payloads = [base.client_payloads()[0]] * 48
 
-        with obs_ops.ops_recording():
+        with obs.installed(OPS=obs_ops.OpsRegistry()):
 
             async def drive():
                 driver = asyncio.ensure_future(
@@ -105,7 +106,8 @@ class TestOpsEndpointUnderLoad:
         ops_server = OpsServer(server)
         payloads = [base.client_payloads()[0]] * 20
 
-        with obs_ops.ops_recording() as registry:
+        registry = obs_ops.OpsRegistry()
+        with obs.installed(OPS=registry):
 
             async def drive():
                 await drive_clients("127.0.0.1", server.bound_port, payloads)
@@ -151,7 +153,7 @@ class TestHealthFlipsDegraded:
         ops_server = OpsServer(server)
         payloads = [base.client_payloads()[0]] * 48
 
-        with obs_ops.ops_recording():
+        with obs.installed(OPS=obs_ops.OpsRegistry()):
 
             async def drive():
                 before_code, before_body = await http_get(
@@ -211,8 +213,8 @@ class TestFlightEpisodesLive:
         )
         payloads = [base.client_payloads()[0]] * 32
 
-        obs_flight.enable_flight(tmp_path, sample_every=4)
-        try:
+        recorder = FlightRecorder(tmp_path, sample_every=4)
+        with obs.installed(FLIGHT=recorder):
 
             async def drive(srv):
                 await srv.start()
@@ -224,10 +226,7 @@ class TestFlightEpisodesLive:
                     await srv.stop()
 
             asyncio.run(drive(server))
-            stats = obs_flight.FLIGHT.stats()
-        finally:
-            recorder = obs_flight.FLIGHT
-            obs_flight.disable_flight()
+            stats = recorder.stats()
 
         assert server.stats.shed > 2, "storm must shed repeatedly"
         assert stats["dumps"] == 1, stats
@@ -246,8 +245,8 @@ class TestFlightEpisodesLive:
         server = ProxyServer(ladder, server_port=base.server_port)
         matching = base.client_payloads()[0]
 
-        obs_flight.enable_flight(tmp_path, sample_every=1)
-        try:
+        recorder = FlightRecorder(tmp_path, sample_every=1)
+        with obs.installed(FLIGHT=recorder):
 
             async def drive(srv):
                 await srv.start()
@@ -261,9 +260,7 @@ class TestFlightEpisodesLive:
                     await srv.stop()
 
             asyncio.run(drive(server))
-            stats = obs_flight.FLIGHT.stats()
-        finally:
-            obs_flight.disable_flight()
+            stats = recorder.stats()
 
         assert server.stats.step_downs == 1
         assert stats["dumps"] == 1

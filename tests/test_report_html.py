@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.cli.main import main
 from repro.obs import report_html
 
@@ -171,11 +172,12 @@ class TestCliObsHtml:
     def trace_file(self, tmp_path):
         from repro.core.pipeline import Liberate
         from repro.envs import make_testbed
-        from repro.obs import trace as obs_trace
+        from repro.obs.trace import FlowTracer
         from repro.traffic.http import http_get_trace
 
         path = tmp_path / "trace.jsonl"
-        with obs_trace.tracing() as tracer:
+        tracer = FlowTracer()
+        with obs.installed(TRACER=tracer):
             Liberate(make_testbed(), stop_at_first=True).run(
                 http_get_trace("video.example.com", response_body=b"v" * 600)
             )

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.table3 import run_table3
 from repro.obs import trace as obs_trace
@@ -32,7 +33,8 @@ TABLE3_KWARGS = {
 
 def _traced_table3(tmp_path, backend: str) -> str:
     out = tmp_path / f"table3-{backend}.jsonl"
-    with obs_trace.tracing() as tracer:
+    tracer = obs_trace.FlowTracer()
+    with obs.installed(TRACER=tracer):
         rows = run_table3(pool=WorkerPool(backend), **TABLE3_KWARGS)
         tracer.export_jsonl(str(out))
     assert rows  # the run itself must have produced the table
@@ -41,7 +43,7 @@ def _traced_table3(tmp_path, backend: str) -> str:
 
 def _emit_events(count: int) -> int:
     """A pool task emitting *count* trace events of its own."""
-    tracer = obs_trace.TRACER
+    tracer = obs.TRACER
     if tracer is not None:
         with tracer.span("unit.task", count=count):
             for index in range(count):
@@ -52,7 +54,8 @@ def _emit_events(count: int) -> int:
 def _traced_map(
     backend: str, counts, retry=None, capacity=obs_trace.DEFAULT_CAPACITY, workers=2
 ) -> str:
-    with obs_trace.tracing(capacity) as tracer:
+    tracer = obs_trace.FlowTracer(capacity)
+    with obs.installed(TRACER=tracer):
         results = WorkerPool(backend, max_workers=workers).map(
             _emit_events, counts, retry=retry
         )
@@ -74,7 +77,8 @@ def _unnumbered(line: str) -> dict:
 
 def _traced_figure4(tmp_path, backend: str) -> str:
     out = tmp_path / f"figure4-{backend}.jsonl"
-    with obs_trace.tracing() as tracer:
+    tracer = obs_trace.FlowTracer()
+    with obs.installed(TRACER=tracer):
         samples = run_figure4(hours=(3, 12), trials=2, pool=WorkerPool(backend))
         tracer.export_jsonl(str(out))
     assert len(samples) == 4
@@ -189,12 +193,14 @@ class TestShardScaffolding:
         # The pool ships each worker's registry dump home and merges it, so
         # a metered process-pool run records the same counters a serial run
         # would.
-        from repro.obs import metrics as obs_metrics
+        from repro.obs.metrics import MetricsRegistry
 
-        with obs_metrics.collecting() as registry:
+        registry = MetricsRegistry()
+        with obs.installed(METRICS=registry):
             run_table3(pool=WorkerPool("process"), **TABLE3_KWARGS)
             parallel = registry.snapshot()
-        with obs_metrics.collecting() as registry:
+        registry = MetricsRegistry()
+        with obs.installed(METRICS=registry):
             run_table3(pool=WorkerPool("serial"), **TABLE3_KWARGS)
             serial = registry.snapshot()
         assert parallel["mbx.rule_matches"] > 0
