@@ -10,6 +10,7 @@ Time Exceeded during localization).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.netsim.path import Path
@@ -102,8 +103,8 @@ class ClientCollector:
             if p.icmp is not None and p.icmp.icmp_type == ICMP_TIME_EXCEEDED
         ]
 
-    def server_stream(self, server: str, server_port: int, client_port: int) -> bytes:
-        """Reassemble (by sequence number) the data the server sent back.
+    def _server_pieces(self, server: str, server_port: int, client_port: int) -> Iterator[bytes]:
+        """The data the server sent back, as in-order pieces by sequence number.
 
         Overlap-aware: retransmitted chunks whose boundaries differ from the
         original transmission are trimmed against what earlier sequence
@@ -117,7 +118,6 @@ class ClientCollector:
             existing = chunks.get(seq)
             if existing is None or len(payload) > len(existing):
                 chunks[seq] = payload
-        stream = bytearray()
         max_end: int | None = None
         for seq in sorted(chunks):
             payload = chunks[seq]
@@ -126,9 +126,31 @@ class ClientCollector:
                     continue  # entirely covered already
                 payload = payload[max_end - seq :]
                 seq = max_end
-            stream.extend(payload)
+            yield payload
             max_end = seq + len(payload)
-        return bytes(stream)
+
+    def server_stream(self, server: str, server_port: int, client_port: int) -> bytes:
+        """Reassemble (by sequence number) the data the server sent back."""
+        return b"".join(self._server_pieces(server, server_port, client_port))
+
+    def check_server_stream(
+        self, server: str, server_port: int, client_port: int, expected: bytes
+    ) -> tuple[bool, bool]:
+        """``(equal, modified)`` for the server's stream against *expected*,
+        read piece by piece without assembling it.
+
+        *equal* is ``server_stream(...) == expected``; *modified* says the
+        stream is as long as *expected* but differs from it.
+        """
+        received = 0
+        same = True
+        for piece in self._server_pieces(server, server_port, client_port):
+            if same:
+                same = expected.startswith(piece, received)
+            received += len(piece)
+        if received != len(expected):
+            return False, False
+        return same, not same
 
     def max_server_ack(self, server: str, server_port: int, client_port: int) -> int | None:
         """The highest cumulative ACK the server has sent us, or None."""
@@ -541,6 +563,11 @@ class RawTCPClient:
     def server_stream(self) -> bytes:
         """Bytes the server has sent back on this connection."""
         return self.collector.server_stream(self.dst, self.dport, self.sport)
+
+    def check_server_stream(self, expected: bytes) -> tuple[bool, bool]:
+        """``(equal, modified)`` for this connection's server stream against
+        *expected* (see :meth:`ClientCollector.check_server_stream`)."""
+        return self.collector.check_server_stream(self.dst, self.dport, self.sport, expected)
 
     def received_rst(self) -> bool:
         """True when any RST for this connection arrived."""

@@ -765,6 +765,15 @@ class DPIMiddlebox(NetworkElement):
         else:
             index = state.server_packets
             state.server_packets += 1
+            view = state.server_view
+            coverage = obs.COVERAGE
+            if view is None or (coverage is not None and self._coverage_registered is not coverage):
+                view = state.server_view = self._view(state.protocol, state.server_port, "server")
+            if not view.rules:
+                # No rule reads server bytes: hold and scan none of them.
+                if self._window_exhausted(state) and self._match_and_forget:
+                    self._finalize_unclassified(state, "window-exhausted", now)
+                return
 
         if self._per_packet:
             buffer: bytes | bytearray = payload
@@ -795,14 +804,11 @@ class DPIMiddlebox(NetworkElement):
                     self._finalize_unclassified(state, "window-exhausted", now)
                 return
 
-        view = state.client_view if direction == "client" else state.server_view
-        coverage = obs.COVERAGE
-        if view is None or (coverage is not None and self._coverage_registered is not coverage):
-            view = self._view(state.protocol, state.server_port, direction)
-            if direction == "client":
-                state.client_view = view
-            else:
-                state.server_view = view
+        if direction == "client":  # the server's view is resolved above
+            view = state.client_view
+            coverage = obs.COVERAGE
+            if view is None or (coverage is not None and self._coverage_registered is not coverage):
+                view = state.client_view = self._view(state.protocol, state.server_port, "client")
         scan: StreamScan | None = None
         if not self._per_packet:
             scan = state.client_scan if direction == "client" else state.server_scan

@@ -42,7 +42,9 @@ class FlowState:
         match_time: when the verdict was reached.
         client_packets / server_packets: payload-carrying packets counted in
             each direction (inspection-window accounting).
-        client_buffer / server_buffer: the bytes fed to the matcher so far.
+        client_buffer / server_buffer: the bytes fed to the matcher so far
+            (stream modes; the server buffer stays empty while no rule reads
+            the server direction).
         expected_seq: stream-tracking position for in-order / full modes.
         ooo_segments: out-of-order segments buffered in FULL mode.
         anchor_ok: None before the anchor check, then its boolean result.
@@ -50,10 +52,12 @@ class FlowState:
         timeout_override: when set, replaces both flush timeouts (the
             testbed shortens its timeout to 10 s after seeing a RST).
         client_scan / server_scan: incremental multi-pattern scan state over
-            the corresponding buffer (stream reassembly modes only).
+            the corresponding buffer (stream reassembly modes only; the
+            server scan stays None while no rule reads the server direction).
         client_view / server_view: the compiled rule view for each
-            direction, resolved on the direction's first scan (None until
-            then, and again after the engine's rules change).
+            direction, resolved on the client's first scan and the server's
+            first payload (None until then, and again after the engine's
+            rules change).
     """
 
     client_tuple: FiveTuple

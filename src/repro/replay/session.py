@@ -106,6 +106,7 @@ class ReplaySession:
             self.env.usage_counter.read() if self.env.usage_counter is not None else None
         )
         t0 = self.env.clock.now
+        expected_server = self.trace.server_bytes()
         runner = self._make_runner(context)
         runner.technique_name = getattr(technique, "name", None)
         if obs.TRACER is not None:
@@ -138,9 +139,7 @@ class ReplaySession:
                     self._traced_arq("flush-unacked", self.client.flush_unacked)
                     self._traced_arq(
                         "repair-server-stream",
-                        lambda: self.client.repair_server_stream(
-                            len(self.trace.server_bytes())
-                        ),
+                        lambda: self.client.repair_server_stream(len(expected_server)),
                     )
                 self.client.close()
             elif self.reliable:
@@ -150,7 +149,7 @@ class ReplaySession:
                 # are long exhausted by this point).
                 self._repair_udp()
 
-        return self._observe(runner, t0, usage_before, connect_refused)
+        return self._observe(runner, t0, usage_before, connect_refused, expected_server)
 
     def _traced_arq(self, stage: str, repair: Any) -> None:
         """Run one ARQ/repair step, bracketing it with trace events.
@@ -274,10 +273,11 @@ class ReplaySession:
         t0: float,
         usage_before: int | None,
         connect_refused: bool,
+        expected_server: bytes,
     ) -> ReplayOutcome:
         elapsed = self.env.clock.now - t0
         expected_client = self.trace.client_bytes()
-        expected_server = self.trace.server_bytes()
+        total_bytes = self.trace.total_bytes()
 
         delivered_ok, server_response_ok = False, False
         content_modified = False
@@ -294,14 +294,10 @@ class ReplaySession:
                 delivered_ok = delivered.endswith(expected_client)
             else:
                 delivered_ok = delivered == expected_client
-            received_server = self.client.server_stream()
-            server_response_ok = received_server == expected_server
             # In-flight rewriting (one of [32]'s differentiation types): the
             # full response arrived, but the bytes differ from the recording.
-            content_modified = (
-                bool(expected_server)
-                and len(received_server) == len(expected_server)
-                and received_server != expected_server
+            server_response_ok, content_modified = self.client.check_server_stream(
+                expected_server
             )
             rst_count = sum(
                 1
@@ -329,7 +325,7 @@ class ReplaySession:
                 )
 
         throughput, peak = self._throughput(expected_server)
-        zero_rated = self._zero_rated(usage_before)
+        zero_rated = self._zero_rated(usage_before, total_bytes)
         classification = self._classification()
         differentiated = self._differentiated(
             connect_refused, rst_count, block_page, throughput, zero_rated, classification
@@ -383,7 +379,7 @@ class ReplaySession:
             classification=classification,
             throughput_bps=throughput,
             peak_throughput_bps=peak,
-            bytes_used=self.trace.total_bytes(),
+            bytes_used=total_bytes,
             elapsed=elapsed,
             inert_reached_server=inert_reached,
             payload_reached_server=payload_reached,
@@ -410,11 +406,11 @@ class ReplaySession:
         peak = max(bins.values()) * 8 / 0.1
         return average, peak
 
-    def _zero_rated(self, usage_before: int | None) -> bool | None:
+    def _zero_rated(self, usage_before: int | None, total_bytes: int) -> bool | None:
         if usage_before is None or self.env.usage_counter is None:
             return None
         delta = self.env.usage_counter.read() - usage_before
-        return delta < self.trace.total_bytes() * 0.5
+        return delta < total_bytes * 0.5
 
     def _classification(self) -> str | None:
         dpi = self.env.dpi()

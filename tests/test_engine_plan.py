@@ -22,6 +22,9 @@ ACK and invalid flag combinations, out-of-order and duplicate segments,
 stray mid-flow packets, ICMP, reused client ports and idle gaps that
 expire flows.
 
+Beside the fixture, every profile is checked to hold and scan no bytes of
+a server direction that no rule reads.
+
 The fixture changes only with an intended behaviour change; re-record it
 then with ``PYTHONPATH=src python tests/test_engine_plan.py --record``.
 """
@@ -38,8 +41,11 @@ from typing import Callable
 import pytest
 
 from repro import obs
+from repro.core.evasion import ALL_TECHNIQUES
 from repro.envs import make_gfc, make_iran, make_testbed, make_tmobile
 from repro.experiments.scale import ScaleConfig, build_engine
+from repro.experiments.table3 import _measure_cell
+from repro.experiments.workloads import prepare
 from repro.middlebox import engine as engine_module
 from repro.middlebox.engine import DPIMiddlebox, ReassemblyMode
 from repro.middlebox.overload import OverloadPolicy
@@ -397,8 +403,13 @@ ENGINES: dict[str, Callable[[], DPIMiddlebox]] = {
 # ----------------------------------------------------------------------
 # recording
 # ----------------------------------------------------------------------
-def _drive(engine: DPIMiddlebox, coverage_from: int | None = None) -> list:
-    """Feed the stream through *engine*; one record per packet."""
+def _drive(
+    engine: DPIMiddlebox,
+    coverage_from: int | None = None,
+    watch: Callable[[DPIMiddlebox], None] | None = None,
+) -> list:
+    """Feed the stream through *engine*; one record per packet (*watch*, if
+    given, looks at the engine after each packet)."""
     clock = VirtualClock()
     sink: list[IPPacket] = []
     ctx = TransitContext(clock=clock, inject_back=sink.append, inject_forward=sink.append)
@@ -412,6 +423,8 @@ def _drive(engine: DPIMiddlebox, coverage_from: int | None = None) -> list:
         sink.clear()
         verdict = engine.classification_of(client[0], client[1], server[0], server[1])
         records.append([len(forwarded), injected, verdict])
+        if watch is not None:
+            watch(engine)
     return records
 
 
@@ -498,6 +511,47 @@ def test_stream_exercises_the_profiles(fixture):
     assert engines["tmobile"]["observed"]["trace_tally"].get("mbx.frag_reassembled", 0) > 0
 
 
+#: Stream-mode profiles whose server view carries the ``server-tag`` rule.
+SERVER_RULE_STREAMS = ("byte-budget", "full-frag", "in-order-frag")
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_rule_less_server_direction_holds_nothing(name):
+    """A flow whose server view has no rules never buffers server bytes or
+    starts a server scan; a server view with rules still buffers them."""
+    seen = {"rule-less": 0, "held": 0}
+
+    def watch(engine: DPIMiddlebox) -> None:
+        for state in engine._flows.values():
+            if not state.server_packets:
+                continue
+            if engine._compiled.view(state.protocol, state.server_port, "server").rules:
+                seen["held"] += bool(state.server_buffer) and state.server_scan is not None
+            else:
+                assert not state.server_buffer and state.server_scan is None
+                seen["rule-less"] += 1
+
+    engine = ENGINES[name]()
+    _drive(engine, watch=watch)
+    if engine.track_flows and name != "no-udp":  # no-udp tracks no UDP flows
+        assert seen["rule-less"] > 0
+    if name in SERVER_RULE_STREAMS:
+        assert seen["held"] > 0
+    if name in ("full-frag", "in-order-frag"):
+        assert "server-tag" in [rule for _t, rule, _key in engine.match_log]
+
+
+def test_tmobile_table3_column_holds_no_server_bytes():
+    """T-Mobile's rules read client bytes only, so after a whole Table 3
+    column its engine holds none of the bulk responses it forwarded."""
+    prep = prepare(make_tmobile(), characterize=True)
+    for technique in ALL_TECHNIQUES:
+        _measure_cell(prep, technique)
+    flows = prep.env.dpi()._flows.values()
+    assert sum(state.server_packets for state in flows) > 1_000
+    assert sum(len(state.server_buffer) for state in flows) == 0
+
+
 class TestReconfigure:
     """Knob changes on a live engine recompile the plan, never go stale."""
 
@@ -537,6 +591,17 @@ class TestReconfigure:
         engine.reconfigure(rules=[fresh])
         self.send(engine, payload=b"Host: quiet.example\r\n", seq=1_040)
         assert self.verdict(engine) == "quiet"
+
+    def test_server_packet_closes_a_window_shrunk_by_reconfigure(self):
+        """A server packet no rule reads still closes the inspection window."""
+        engine = _variant(rules=[MatchRule(name="quiet", keywords=[b"quiet.example"])])()
+        self.send(engine, flags=TCPFlags.SYN, seq=1_000)
+        self.send(engine, payload=b"GET / HTTP/1.1\r\nHost: loud.example\r\n\r\n")
+        engine.reconfigure(inspect_packet_limit=1)
+        assert self.verdict(engine) is None
+        response = TCPSegment(80, 40_000, 1, 1_040, TCPFlags.ACK, payload=b"HTTP/1.1 200 OK\r\n")
+        engine.process(IPPacket(self.SERVER, self.CLIENT, response), S2C, self.ctx)
+        assert self.verdict(engine) == engine_module.UNCLASSIFIED_FINAL
 
     def test_changed_timeouts_rearm_live_flows(self):
         for timeout in (5.0, lambda now: 5.0):
