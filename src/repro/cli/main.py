@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 
 def _make_env(name: str, faults=None):
@@ -169,38 +170,49 @@ def _add_obs_args(parser: argparse.ArgumentParser, workload_trace: bool = False)
 #: The progress view installed by ``--live`` (torn down in :func:`_finish_obs`).
 _LIVE_VIEW = None
 
+#: The recorders one :func:`main` call installed; it restores the previous
+#: slots on exit, after :func:`_finish_obs` has read them.
+_OBS_SCOPE = ExitStack()
+
+
+def _install(**recorders: object) -> None:
+    """Put *recorders* in their ``repro.obs`` slots for the rest of the run."""
+    from repro import obs
+
+    _OBS_SCOPE.enter_context(obs.installed(**recorders))
+
 
 def _setup_obs(args: argparse.Namespace) -> None:
     """Install the requested recorders before dispatch."""
     global _LIVE_VIEW
-    from repro import obs
-
+    recorders: dict[str, object] = {}
     if getattr(args, "flow_trace", False) or getattr(args, "trace_out", None):
         from repro.obs.trace import FlowTracer
 
-        obs.TRACER = FlowTracer()
+        recorders["TRACER"] = FlowTracer()
     if getattr(args, "coverage", None):
         from repro.obs.coverage import CoverageRecorder
 
-        obs.COVERAGE = CoverageRecorder()
+        recorders["COVERAGE"] = CoverageRecorder()
     dashboard = getattr(args, "dashboard", None)
     if getattr(args, "metrics", False) or dashboard:
         # --dashboard implies --metrics: the headline tiles need a snapshot.
         from repro.obs.metrics import MetricsRegistry
 
-        obs.METRICS = MetricsRegistry()
+        recorders["METRICS"] = MetricsRegistry()
     if getattr(args, "profile", False):
         from repro.obs.profiling import Profiler
 
-        obs.PROFILER = Profiler()
+        recorders["PROFILER"] = Profiler()
     live = getattr(args, "live", False)
     if live or dashboard or getattr(args, "events_out", None):
         from repro.obs.live import LiveProgressView, TelemetryBus
 
-        bus = obs.BUS = TelemetryBus()
+        bus = recorders["BUS"] = TelemetryBus()
         if live:
             _LIVE_VIEW = LiveProgressView(stream=sys.stderr).attach(bus)
             bus.enable_streaming()
+    _install(**recorders)
 
 
 def _dashboard_model(title: str):
@@ -274,7 +286,7 @@ def _finish_obs(args: argparse.Namespace) -> None:
             print("\n--- profile ---")
             print(obs.PROFILER.render())
     finally:
-        obs.observability_off()
+        _OBS_SCOPE.close()
 
 
 def cmd_envs(_args: argparse.Namespace) -> int:
@@ -493,7 +505,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.pipeline import Liberate
     from repro.core.proxy_server import ProxyServer, drive_clients
-    from repro import obs
     from repro.obs import ops as obs_ops
     from repro.obs.flight import FlightRecorder
     from repro.traffic.trace import invert_bits
@@ -529,9 +540,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # cost one bisect per sample, and the flight recorder keeps sampled
     # evidence so a degradation mid-serve leaves a dump behind.  Both live
     # in the segregated ops namespace — experiment determinism is untouched.
-    obs.OPS = obs_ops.OpsRegistry()
+    recorders: dict[str, object] = {"OPS": obs_ops.OpsRegistry()}
     if not args.no_flight:
-        obs.FLIGHT = FlightRecorder(args.flight_dir, sample_every=args.flight_sample)
+        recorders["FLIGHT"] = FlightRecorder(args.flight_dir, sample_every=args.flight_sample)
+    _install(**recorders)
     slo = obs_ops.SLOPolicy(verdict_p99_ms=args.slo_p99_ms)
     ops_server = (
         obs_ops.OpsServer(server, host=args.bind, port=args.ops_port, slo=slo)

@@ -127,10 +127,9 @@ def speedup_from_distribution(
         partial(_distributed_task, (env_factory, trace, users)),
         partial(_reference_fields_task, (env_factory, trace)),
     ]
-    if obs.BUS is not None:
-        obs.BUS.emit(
-            "exp.start", experiment="distribution", users=users, tasks=len(thunks)
-        )
+    events = obs.EVENTS
+    if events is not None:
+        events.emit("exp.start", experiment="distribution", users=users, tasks=len(thunks))
     results = pool.run_all(thunks, retry=retry)
     for index, result in enumerate(results):
         if isinstance(result, TaskFailure):
@@ -141,13 +140,11 @@ def speedup_from_distribution(
                 result.error_type,
                 result.attempts,
             )
-            if obs.BUS is not None:
-                obs.BUS.emit(
-                    "pool.serial_fallback", task=index, error_type=result.error_type
-                )
+            if events is not None:
+                events.emit("pool.serial_fallback", task=index, error_type=result.error_type)
             results[index] = thunks[index]()
-    if obs.BUS is not None:
-        obs.BUS.emit("exp.finish", experiment="distribution", tasks=len(results))
+    if events is not None:
+        events.emit("exp.finish", experiment="distribution", tasks=len(results))
     solo_rounds, (total_rounds, user_rounds, dist_fields), reference_fields = results
     busiest = max(user_rounds)
     return {

@@ -107,17 +107,10 @@ class Liberate:
 
     def _phase(self, name: str, trace: Trace):
         """Time one pipeline phase and mark its boundaries in the trace."""
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "pipeline.phase",
-                self.env.clock.now,
-                env=self.env.name,
-                trace_name=trace.name,
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "pipeline.phase", self.env.clock.now, env=self.env.name, trace_name=trace.name,
                 phase_name=name,
-            )
-        if obs.BUS is not None:
-            obs.BUS.emit(
-                "pipeline.phase", env=self.env.name, phase_name=name
             )
         return obs_profiling.stage(f"pipeline.{name}")
 

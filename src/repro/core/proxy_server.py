@@ -199,13 +199,11 @@ class ProxyServer:
             # the server's own concurrency capacity; size it to max_active.
             backlog=max(self.max_active, 128),
         )
-        self._emit_bus(
-            "proxy.serve",
-            host=self.host,
-            port=self.bound_port,
-            technique=self.ladder.active_technique.name,
-            env=self.ladder.env.name,
-        )
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "proxy.serve", host=self.host, port=self.bound_port,
+                technique=self.ladder.active_technique.name, env=self.ladder.env.name,
+            )
         return self
 
     async def stop(self) -> None:
@@ -278,6 +276,7 @@ class ProxyServer:
     async def _verdict_for(self, flow_id: int, reader: asyncio.StreamReader) -> dict:
         ops = obs.OPS
         flight = obs.FLIGHT
+        events = obs.EVENTS
         fullness = self._active / self.max_active
         if self.shedder is not None and not self.shedder.admit(("proxy", flow_id), fullness):
             # Fail-open: drain the payload so the client's write completes,
@@ -285,8 +284,8 @@ class ProxyServer:
             await self._read_payload(reader)
             self.stats.shed += 1
             self.stats.recent.append("shed")
-            self._inc("proxy.flows.shed")
-            self._emit_bus("proxy.flow", flow=flow_id, verdict="shed")
+            if events is not None:
+                events.emit("proxy.flow", flow=flow_id, verdict="shed")
             if ops is not None:
                 ops.inc("proxy.shed")
             if flight is not None:
@@ -317,13 +316,10 @@ class ProxyServer:
         )
         setattr(self.stats, verdict_kind, getattr(self.stats, verdict_kind) + 1)
         self.stats.recent.append(verdict_kind)
-        self._inc(f"proxy.flows.{verdict_kind}")
-        self._emit_bus(
-            "proxy.flow",
-            flow=flow_id,
-            verdict=verdict_kind,
-            technique=outcome.technique or "",
-        )
+        if events is not None:
+            events.emit(
+                "proxy.flow", flow=flow_id, verdict=verdict_kind, technique=outcome.technique or ""
+            )
         if flight is not None:
             flight.note(
                 "proxy.flow",
@@ -335,16 +331,13 @@ class ProxyServer:
         if self.ladder.rung != before_rung:
             self.stats.step_downs += 1
             step = self.ladder.step_downs[-1]
-            self._inc("proxy.step_downs")
             if ops is not None:
                 ops.inc("proxy.step_downs")
-            self._emit_bus(
-                "proxy.step_down",
-                flow=flow_id,
-                from_technique=step.from_technique,
-                to_technique=step.to_technique or "",
-                exhausted=self.ladder.exhausted,
-            )
+            if events is not None:
+                events.emit(
+                    "proxy.step_down", flow=flow_id, from_technique=step.from_technique,
+                    to_technique=step.to_technique or "", exhausted=self.ladder.exhausted,
+                )
             if flight is not None:
                 # Each rung transition is its own anomaly episode: stepping
                 # 0→1 dumps once, a later 1→2 dumps again.
@@ -371,24 +364,12 @@ class ProxyServer:
         transition = self.shedder.crossed(self._active / self.max_active)
         if transition is not None:
             self.stats.overload_transitions += 1
-            self._emit_bus("proxy.overload", edge=transition, active=self._active)
+            if obs.EVENTS is not None:
+                obs.EVENTS.emit("proxy.overload", edge=transition, active=self._active)
             if transition == "exit" and obs.FLIGHT is not None:
                 # The overload episode is over: re-arm the shed trigger so
                 # the *next* storm produces its own dump.
                 obs.FLIGHT.recover("overload")
-
-    # ------------------------------------------------------------------
-    # telemetry plumbing (all no-ops when obs is off)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _emit_bus(kind: str, **fields: object) -> None:
-        if obs.BUS is not None:
-            obs.BUS.emit(kind, **fields)
-
-    @staticmethod
-    def _inc(name: str) -> None:
-        if obs.METRICS is not None:
-            obs.METRICS.inc(name)
 
     def snapshot(self) -> dict[str, object]:
         """Aggregate server + ladder state for reports and the CLI.

@@ -116,28 +116,17 @@ def install_faults(env: Environment, profile: FaultProfile | None) -> Environmen
         restart_targets.append(env.middlebox)
     env.path.insert_element(FaultElement(profile, restart_targets=tuple(restart_targets)), 0)
     env.fault_profile = profile
-    if obs.TRACER is not None:
-        obs.TRACER.emit(
-            "env.install_faults",
-            env.clock.now,
-            env=env.name,
-            seed=profile.seed,
-        )
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit("env.install_faults", env.clock.now, env=env.name, seed=profile.seed)
     _record_env(env)
     return env
 
 
 def _record_env(env: Environment) -> None:
     """Mark an environment's birth in the trace (every factory ends here)."""
-    if obs.TRACER is not None:
-        obs.TRACER.emit(
-            "env.created",
-            env.clock.now,
-            env=env.name,
-            elements=[element.name for element in env.path.elements],
-            signal=env.signal.value,
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit(
+            "env.created", env.clock.now, env=env.name,
+            elements=[element.name for element in env.path.elements], signal=env.signal.value,
             faulty=env.fault_profile is not None,
         )
-    if obs.METRICS is not None:
-        obs.METRICS.inc("env.created")
-        obs.METRICS.inc(f"env.created.{env.name}")

@@ -116,13 +116,12 @@ def run_all(pool: WorkerPool | None = None) -> list[EfficiencyResult]:
     """
     if pool is None:
         pool = WorkerPool()
-    if obs.BUS is not None:
-        obs.BUS.emit(
-            "exp.start", experiment="efficiency", cases=list(ALL_CASES)
-        )
+    events = obs.EVENTS
+    if events is not None:
+        events.emit("exp.start", experiment="efficiency", cases=list(ALL_CASES))
     results = pool.map(_run_case, list(ALL_CASES))
-    if obs.BUS is not None:
-        obs.BUS.emit("exp.finish", experiment="efficiency", cases=len(results))
+    if events is not None:
+        events.emit("exp.finish", experiment="efficiency", cases=len(results))
     return results
 
 

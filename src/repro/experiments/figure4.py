@@ -60,14 +60,8 @@ def _sample_task(
         if _probe(hour, trial, delay, faults):
             found = delay
             break
-    if obs.TRACER is not None:
-        obs.TRACER.emit(
-            "figure4.sample", hour=hour, trial=trial, min_delay=found
-        )
-    if obs.METRICS is not None:
-        obs.METRICS.inc("figure4.samples")
-    if obs.BUS is not None:
-        obs.BUS.emit("figure4.sample", hour=hour, trial=trial, min_delay=found)
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit("figure4.sample", hour=hour, trial=trial, min_delay=found)
     return FlushSample(hour=hour, trial=trial, min_successful_delay=found)
 
 
@@ -100,19 +94,16 @@ def run_figure4(
         for hour in hours
         for trial in range(trials)
     ]
-    if obs.BUS is not None:
-        obs.BUS.emit(
-            "exp.start",
-            experiment="figure4",
-            hours=list(hours),
-            trials=trials,
-            samples=len(tasks),
-            fault_seed=faults.seed if faults is not None else None,
+    events = obs.EVENTS
+    if events is not None:
+        events.emit(
+            "exp.start", experiment="figure4", hours=list(hours), trials=trials,
+            samples=len(tasks), fault_seed=faults.seed if faults is not None else None,
         )
     with obs_profiling.stage("figure4.sweep"):
         samples = pool.map(_sample_task, tasks)
-    if obs.BUS is not None:
-        obs.BUS.emit("exp.finish", experiment="figure4", samples=len(samples))
+    if events is not None:
+        events.emit("exp.finish", experiment="figure4", samples=len(samples))
     return samples
 
 

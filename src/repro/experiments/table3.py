@@ -112,15 +112,12 @@ def run_table3(
     if cell_trials is None:
         cell_trials = 5 if faults is not None and not faults.is_zero() else 1
     tasks = [(name, techniques, characterize, faults, cell_trials) for name in env_names]
-    if obs.BUS is not None:
-        obs.BUS.emit(
-            "exp.start",
-            experiment="table3",
-            envs=list(env_names),
-            techniques=[t.name for t in techniques],
-            cells=len(env_names) * len(techniques),
-            characterize=characterize,
-            fault_seed=faults.seed if faults is not None else None,
+    events = obs.EVENTS
+    if events is not None:
+        events.emit(
+            "exp.start", experiment="table3", envs=list(env_names),
+            techniques=[t.name for t in techniques], cells=len(env_names) * len(techniques),
+            characterize=characterize, fault_seed=faults.seed if faults is not None else None,
         )
     with obs_profiling.stage("table3.columns"):
         results = pool.map(_measure_env_column, tasks, retry=retry)
@@ -149,12 +146,8 @@ def run_table3(
             os_rows = run_os_matrix(techniques)
         for row in rows:
             row.os_cells = os_rows[row.technique]
-    if obs.BUS is not None:
-        obs.BUS.emit(
-            "exp.finish",
-            experiment="table3",
-            cells=sum(len(row.cells) for row in rows),
-        )
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit("exp.finish", experiment="table3", cells=sum(len(row.cells) for row in rows))
     return rows
 
 
@@ -163,8 +156,9 @@ def _measure_env_column(
 ) -> tuple[str, list[Table3Cell]]:
     """One environment's full Table 3 column (a worker-pool task)."""
     name, techniques, characterize, faults, cell_trials = task
-    if obs.BUS is not None:
-        obs.BUS.emit("cell.start", env=name, phase="prepare")
+    events = obs.EVENTS
+    if events is not None:
+        events.emit("cell.start", env=name, phase="prepare")
     prep = prepare(ENVIRONMENT_FACTORIES[name](faults=faults), characterize=characterize)
     cells = []
     for technique in techniques:
@@ -177,29 +171,14 @@ def _measure_env_column(
                 cell = _measure_cell(prep, technique, trials=cell_trials)
         else:
             cell = _measure_cell(prep, technique, trials=cell_trials)
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "table3.cell",
-                prep.env.clock.now,
-                env=name,
-                technique=technique.name,
-                cc=cell.cc,
-                rs=cell.rs,
-            )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("table3.cells")
-        if obs.BUS is not None:
-            obs.BUS.emit(
-                "table3.cell",
-                env=name,
-                technique=technique.name,
-                category=technique.category,
-                cc=cell.cc,
-                rs=cell.rs,
+        if events is not None:
+            events.emit(
+                "table3.cell", prep.env.clock.now, env=name, technique=technique.name,
+                category=technique.category, cc=cell.cc, rs=cell.rs,
             )
         cells.append(cell)
-    if obs.BUS is not None:
-        obs.BUS.emit("cell.finish", env=name, cells=len(cells))
+    if events is not None:
+        events.emit("cell.finish", env=name, cells=len(cells))
     return name, cells
 
 

@@ -367,7 +367,9 @@ def _record_build(automaton: PatternAutomaton, seconds: float) -> None:
     Builds are a per-process, memoized event — which process compiles what
     depends on worker scheduling and intern-cache state — so these metrics
     are process-local facts, excluded from the cross-process snapshot
-    identity contract (see ``tests/test_obs_live.py``).
+    identity contract (see ``tests/test_obs_live.py``).  The build time is
+    wall clock, so it lives under ``ops.``: out of every deterministic
+    snapshot, shown by ``/statusz``.
     """
     metrics = obs.METRICS
     if metrics is None:
@@ -375,5 +377,5 @@ def _record_build(automaton: PatternAutomaton, seconds: float) -> None:
     metrics.inc("mbx.automaton.builds")
     metrics.inc("mbx.automaton.states", automaton.states)
     metrics.inc("mbx.automaton.patterns", len(automaton.patterns))
-    metrics.inc("mbx.automaton.build_seconds", round(seconds, 6))
-    metrics.observe("mbx.automaton.build_us", seconds * 1e6)
+    metrics.inc("ops.mbx.automaton.build_seconds", round(seconds, 6))
+    metrics.observe("ops.mbx.automaton.build_us", seconds * 1e6)

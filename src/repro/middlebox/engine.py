@@ -33,7 +33,7 @@ import time
 from collections import OrderedDict, deque
 from itertools import islice
 from operator import attrgetter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.middlebox.flowtable import FlowTable
@@ -51,6 +51,9 @@ from repro.packets.fragment import FragmentBuffer
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
 from repro.packets.udp import UDPDatagram
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.events import EventFanOut
 
 #: Protocol prefixes an anchoring classifier accepts at stream offset zero.
 PROTOCOL_ANCHORS: tuple[bytes, ...] = (b"GET", b"POST", b"HEAD", b"PUT", b"HTTP/", b"\x16\x03")
@@ -354,19 +357,14 @@ class DPIMiddlebox(NetworkElement):
             whole, fragments = self._fragments.feed(packet, now)
             if whole is None:
                 return [packet]
-            if obs.TRACER is not None:
+            if obs.EVENTS is not None:
                 # Provenance: which on-the-wire fragments produced the packet
                 # the matcher actually saw.  Flow fields are not yet known
                 # (the reassembled transport header carries them), so the
                 # fragment key identifies the group.
-                obs.TRACER.emit(
-                    "mbx.frag_reassembled",
-                    now,
-                    element=self.name,
-                    src=packet.src,
-                    dst=packet.dst,
-                    ident=packet.identification,
-                    fragments=fragments,
+                obs.EVENTS.emit(
+                    "mbx.frag_reassembled", now, element=self.name, src=packet.src, dst=packet.dst,
+                    ident=packet.identification, fragments=fragments,
                 )
             inspect_target = whole
 
@@ -487,16 +485,11 @@ class DPIMiddlebox(NetworkElement):
         self._pre_lane[normalized] = state
         if self._flow_byte_budget is not None:
             self._appraise(state)
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "mbx.flow_created",
-                now,
-                element=self.name,
-                flow=_flow_fields(key),
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "mbx.flow_created", now, element=self.name, flow=_flow_fields(key),
                 proto_name=protocol,
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.flows_created")
         return state
 
     def bound_flow_state(self, max_flows: int, match_log_bound: int | None = None) -> None:
@@ -521,30 +514,20 @@ class DPIMiddlebox(NetworkElement):
             return True
         fullness = len(self._flows) / self._max_flows
         transition = shedder.crossed(fullness)
-        if transition is not None:
-            if obs.BUS is not None:
-                obs.BUS.emit(
-                    "mbx.overload",
-                    element=self.name,
-                    phase=transition,
-                    fullness=round(fullness, 4),
-                    shed=shedder.shed,
-                )
-            if obs.METRICS is not None:
-                obs.METRICS.inc(f"mbx.shed.overload_{transition}")
+        events = obs.EVENTS
+        if transition is not None and events is not None:
+            events.emit(
+                "mbx.overload", element=self.name, phase=transition, fullness=round(fullness, 4),
+                shed=shedder.shed,
+            )
         if shedder.admit(normalized, fullness):
             return True
         self.sheds += 1
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "mbx.flow_shed",
-                now,
-                element=self.name,
-                flow=_flow_fields(key),
+        if events is not None:
+            events.emit(
+                "mbx.flow_shed", now, element=self.name, flow=_flow_fields(key),
                 fullness=round(fullness, 4),
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.shed.flows")
         return False
 
     def _lru_flow(self) -> FlowState:
@@ -584,10 +567,9 @@ class DPIMiddlebox(NetworkElement):
         if metrics is not None:
             metrics.inc("mbx.flowtable.flows.evictions")
             metrics.set_gauge("mbx.flowtable.flows.size", len(self._flows))
+            metrics.inc("mbx.evictions")
         self._flow_dropped(normalized, state, reason)
         self.evictions += 1
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.evictions")
 
     def _in_scope(self, state: FlowState) -> bool:
         if self._ports is not None and state.server_port not in self._ports:
@@ -691,18 +673,11 @@ class DPIMiddlebox(NetworkElement):
             self._set_idle_floor()
         self.policy_state.throttled_flows.pop(normalized, None)
         self.policy_state.zero_rated_flows.discard(normalized)
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "mbx.flow_flushed",
-                self._now,
-                element=self.name,
-                reason=reason,
-                flow=_flow_fields(state.client_tuple),
-                verdict=_verdict_name(state.verdict),
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "mbx.flow_flushed", self._now, element=self.name, reason=reason,
+                flow=_flow_fields(state.client_tuple), verdict=_verdict_name(state.verdict),
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.flows_flushed")
-            obs.METRICS.inc(f"mbx.flows_flushed.{reason}")
 
     def _handle_rst(self, state: FlowState, normalized: FiveTuple) -> None:
         matched = state.matched_rule is not None
@@ -716,13 +691,10 @@ class DPIMiddlebox(NetworkElement):
             if self._rst_floor is None or reduction < self._rst_floor:
                 self._rst_floor = reduction
                 self._set_idle_floor()
-            if obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "mbx.rst_timeout_reduced",
-                    self._now,
-                    element=self.name,
-                    flow=_flow_fields(state.client_tuple),
-                    timeout=self._rst_timeout_reduction,
+            if obs.EVENTS is not None:
+                obs.EVENTS.emit(
+                    "mbx.rst_timeout_reduced", self._now, element=self.name,
+                    flow=_flow_fields(state.client_tuple), timeout=self._rst_timeout_reduction,
                 )
 
     # ==================================================================
@@ -785,12 +757,10 @@ class DPIMiddlebox(NetworkElement):
 
         if direction == "client" and self._require_protocol_anchor and state.anchor_ok is None:
             self._decide_anchor(state, payload, buffer, index)
-            if state.anchor_ok is not None and obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "mbx.anchor",
-                    now,
-                    element=self.name,
-                    flow=_flow_fields(state.client_tuple),
+            events = obs.EVENTS
+            if state.anchor_ok is not None and events is not None:
+                events.emit(
+                    "mbx.anchor", now, element=self.name, flow=_flow_fields(state.client_tuple),
                     ok=state.anchor_ok,
                 )
             if state.anchor_ok is False:
@@ -839,19 +809,16 @@ class DPIMiddlebox(NetworkElement):
             self._relane(state)
             self.match_log.append((now, matched.name, state.client_tuple))
             self.matches_logged += 1
-            if obs.TRACER is not None:
+            events = obs.EVENTS
+            if events is not None:
                 flow = state.client_tuple
-                self._emit_rule_match(flow, view, matched, buffer, index, direction, scan, now)
-                obs.TRACER.emit(
-                    "mbx.verdict",
-                    now,
-                    element=self.name,
-                    flow=_flow_fields(flow),
-                    verdict=matched.name,
-                    reason="rule-match",
+                self._emit_rule_match(
+                    events, flow, view, matched, buffer, index, direction, scan, now
                 )
-            if obs.METRICS is not None:
-                obs.METRICS.inc("mbx.rule_matches")
+                events.emit(
+                    "mbx.verdict", now, element=self.name, flow=_flow_fields(flow),
+                    verdict=matched.name, reason="rule-match",
+                )
             self._apply_policy(state, matched, packet, ctx)
             return
 
@@ -862,20 +829,15 @@ class DPIMiddlebox(NetworkElement):
         """Commit the match-and-forget "never going to match" verdict."""
         state.verdict = UNCLASSIFIED_FINAL
         self._relane(state)
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "mbx.verdict",
-                now,
-                element=self.name,
-                flow=_flow_fields(state.client_tuple),
-                verdict=UNCLASSIFIED_FINAL,
-                reason=reason,
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "mbx.verdict", now, element=self.name, flow=_flow_fields(state.client_tuple),
+                verdict=UNCLASSIFIED_FINAL, reason=reason,
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.verdicts.unclassified_final")
 
     def _emit_rule_match(
         self,
+        events: EventFanOut,
         flow: FiveTuple,
         view: CompiledView,
         rule: MatchRule,
@@ -899,24 +861,13 @@ class DPIMiddlebox(NetworkElement):
             offset = data.find(keyword)
             if offset >= 0 and (match_start is None or offset < match_start):
                 match_start, match_end = offset, offset + len(keyword)
-        tracer = obs.TRACER
-        assert tracer is not None
-        tracer.emit(
-            "mbx.rule_match",
-            now,
-            element=self.name,
-            rule=rule.name,
-            action=rule.policy.action.value,
-            flow=_flow_fields(flow),
-            dir=direction,
-            packet_index=index,
-            match_start=match_start,
-            match_end=match_end,
-            watermark=scan.watermark if scan is not None else None,
-            buffer_len=len(buffer),
+        events.emit(
+            "mbx.rule_match", now, element=self.name, rule=rule.name,
+            action=rule.policy.action.value, flow=_flow_fields(flow), dir=direction,
+            packet_index=index, match_start=match_start, match_end=match_end,
+            watermark=scan.watermark if scan is not None else None, buffer_len=len(buffer),
             automaton=view.automaton.digest if view.automaton.patterns else None,
-            scan_node=scan.node if scan is not None else None,
-            rule_scope=view.scope,
+            scan_node=scan.node if scan is not None else None, rule_scope=view.scope,
         )
 
     def _decide_anchor(
@@ -1025,10 +976,9 @@ class DPIMiddlebox(NetworkElement):
         if rule is not None:
             self.match_log.append((now, rule.name, key))
             self.matches_logged += 1
-            if obs.TRACER is not None:
-                self._emit_rule_match(key, view, rule, payload, None, direction, None, now)
-            if obs.METRICS is not None:
-                obs.METRICS.inc("mbx.rule_matches")
+            events = obs.EVENTS
+            if events is not None:
+                self._emit_rule_match(events, key, view, rule, payload, None, direction, None, now)
             self._apply_stateless_policy(rule, packet, key, ctx)
 
     # ==================================================================
@@ -1076,16 +1026,11 @@ class DPIMiddlebox(NetworkElement):
             until = ctx.clock.now + self._endpoint_block_duration
             self.policy_state.blocked_endpoints.add(endpoint)
             self._endpoint_block_until.insert(endpoint, until)
-            if obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "mbx.endpoint_block",
-                    ctx.clock.now,
-                    element=self.name,
-                    endpoint=f"{endpoint[0]}:{endpoint[1]}",
-                    until=round(until, 6),
+            if obs.EVENTS is not None:
+                obs.EVENTS.emit(
+                    "mbx.endpoint_block", ctx.clock.now, element=self.name,
+                    endpoint=f"{endpoint[0]}:{endpoint[1]}", until=round(until, 6),
                 )
-            if obs.METRICS is not None:
-                obs.METRICS.inc("mbx.endpoint_blocks")
 
     def _endpoint_blocked(
         self, packet: IPPacket, key: FiveTuple, now: float, ctx: TransitContext
@@ -1093,16 +1038,11 @@ class DPIMiddlebox(NetworkElement):
         endpoint = (key.dst, key.dport)
         if endpoint not in self.policy_state.blocked_endpoints:
             return False
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "mbx.endpoint_block_hit",
-                now,
-                element=self.name,
-                endpoint=f"{endpoint[0]}:{endpoint[1]}",
-                flow=_flow_fields(key),
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "mbx.endpoint_block_hit", now, element=self.name,
+                endpoint=f"{endpoint[0]}:{endpoint[1]}", flow=_flow_fields(key),
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("mbx.endpoint_block_hits")
         # Disrupt the connection attempt outright.
         rst = TCPSegment(sport=key.dport, dport=key.sport, seq=0, ack=0, flags=TCPFlags.RST)
         if packet.effective_protocol == 6:

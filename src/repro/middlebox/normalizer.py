@@ -88,15 +88,11 @@ class TrafficNormalizer(NetworkElement):
         reason = self._malformed_reason(packet)
         if reason is not None:
             self.dropped.append(packet)
-            if obs.TRACER is not None:
+            if obs.EVENTS is not None:
                 # Provenance: a normalizer drop is a verdict-shaping decision
                 # — the classifier never sees this packet at all.
-                obs.TRACER.emit(
-                    "norm.drop",
-                    now,
-                    element=self.name,
-                    reason=reason,
-                    src=packet.src,
+                obs.EVENTS.emit(
+                    "norm.drop", now, element=self.name, reason=reason, src=packet.src,
                     dst=packet.dst,
                 )
             return []
@@ -161,18 +157,13 @@ class TrafficNormalizer(NetworkElement):
             changes["options"] = b""
             changes["ihl"] = None
         if changes:
-            if obs.TRACER is not None:
+            if obs.EVENTS is not None:
                 # Provenance: a scrub silently rewrites what the classifier
                 # (and the server!) will see — e.g. a raised TTL un-inerts a
                 # TTL-limited insertion, the paper's predicted cost.
-                obs.TRACER.emit(
-                    "norm.scrub",
-                    now,
-                    element=self.name,
-                    src=packet.src,
-                    dst=packet.dst,
-                    ttl_raised="ttl" in changes,
-                    options_stripped="options" in changes,
+                obs.EVENTS.emit(
+                    "norm.scrub", now, element=self.name, src=packet.src, dst=packet.dst,
+                    ttl_raised="ttl" in changes, options_stripped="options" in changes,
                 )
             changes["checksum"] = None
             packet = packet.copy(**changes)
@@ -199,21 +190,13 @@ class TrafficNormalizer(NetworkElement):
         if not fresh:
             return []  # out-of-order or duplicate: held until in order
         packets = self._emit(packet, tcp, flow, fresh)
-        if obs.TRACER is not None and (
-            len(packets) != 1 or packets[0].tcp.payload != tcp.payload
-        ):
+        events = obs.EVENTS
+        if events is not None and (len(packets) != 1 or packets[0].tcp.payload != tcp.payload):
             # Provenance: the classifier sees these re-segmented bytes, not
             # the wire packet — splitting/reordering evasion is undone here.
-            obs.TRACER.emit(
-                "norm.coalesce",
-                now,
-                element=self.name,
-                src=packet.src,
-                dst=packet.dst,
-                sport=tcp.sport,
-                dport=tcp.dport,
-                in_bytes=len(tcp.payload),
-                out_bytes=len(fresh),
+            events.emit(
+                "norm.coalesce", now, element=self.name, src=packet.src, dst=packet.dst,
+                sport=tcp.sport, dport=tcp.dport, in_bytes=len(tcp.payload), out_bytes=len(fresh),
                 out_segments=len(packets),
             )
         return packets

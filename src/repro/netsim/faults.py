@@ -197,16 +197,28 @@ class FaultElement(NetworkElement):
         profile = self.profile
         self.stats.processed += 1
         self._maybe_restart(ctx)
+        # Each fault decision is recorded as it happens; ``fault.drop``
+        # events are the injector's ledger: the property tests assert their
+        # count equals ``stats.lost + burst_lost + flap_dropped``.
+        events = obs.EVENTS
 
         if self._link_down(ctx):
             self.stats.flap_dropped += 1
-            self._record_fault("drop", "flap", packet, ctx)
+            if events is not None:
+                events.emit(
+                    "fault.drop", ctx.clock.now, element=self.name, reason="flap",
+                    **obs_trace.packet_fields(packet),
+                )
             return []
 
         rng = self._rng_for(packet)
         loss_cause = self._lose(packet, rng)
         if loss_cause is not None:
-            self._record_fault("drop", loss_cause, packet, ctx)
+            if events is not None:
+                events.emit(
+                    "fault.drop", ctx.clock.now, element=self.name, reason=loss_cause,
+                    **obs_trace.packet_fields(packet),
+                )
             return self._release_held()
 
         if profile.corrupt_rate and rng.random() < profile.corrupt_rate:
@@ -214,17 +226,29 @@ class FaultElement(NetworkElement):
             if corrupted is not None:
                 packet = corrupted
                 self.stats.corrupted += 1
-                self._record_fault("corrupt", "payload-bit", packet, ctx)
+                if events is not None:
+                    events.emit(
+                        "fault.corrupt", ctx.clock.now, element=self.name, reason="payload-bit",
+                        **obs_trace.packet_fields(packet),
+                    )
         if profile.header_corrupt_rate and rng.random() < profile.header_corrupt_rate:
             packet = _corrupt_header(packet, rng)
             self.stats.header_corrupted += 1
-            self._record_fault("corrupt", "ip-header", packet, ctx)
+            if events is not None:
+                events.emit(
+                    "fault.corrupt", ctx.clock.now, element=self.name, reason="ip-header",
+                    **obs_trace.packet_fields(packet),
+                )
 
         outputs = [packet]
         if profile.duplicate_rate and rng.random() < profile.duplicate_rate:
             outputs.append(packet.copy())
             self.stats.duplicated += 1
-            self._record_fault("duplicate", "duplicate", packet, ctx)
+            if events is not None:
+                events.emit(
+                    "fault.duplicate", ctx.clock.now, element=self.name, reason="duplicate",
+                    **obs_trace.packet_fields(packet),
+                )
 
         if (
             profile.reorder_rate
@@ -235,37 +259,13 @@ class FaultElement(NetworkElement):
             # Hold this packet back; it is emitted after the next packet.
             self._held = (packet, direction)
             self.stats.reordered += 1
-            self._record_fault("reorder", "held-back", packet, ctx)
+            if events is not None:
+                events.emit(
+                    "fault.reorder", ctx.clock.now, element=self.name, reason="held-back",
+                    **obs_trace.packet_fields(packet),
+                )
             return []
         return self._release_held(direction) + outputs
-
-    def _record_fault(
-        self, fault: str, cause: str, packet: IPPacket, ctx: TransitContext
-    ) -> None:
-        """One fault decision, to the tracer and the metrics registry.
-
-        ``fault.drop`` events are the injector's ledger: the property tests
-        assert their count equals ``stats.lost + burst_lost + flap_dropped``.
-        """
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                f"fault.{fault}",
-                ctx.clock.now,
-                element=self.name,
-                reason=cause,
-                **obs_trace.packet_fields(packet),
-            )
-        if obs.METRICS is not None:
-            obs.METRICS.inc(f"faults.{fault}")
-            if fault == "drop":
-                obs.METRICS.inc("netsim.packets.dropped")
-                obs.METRICS.inc(f"netsim.packets.dropped.fault-{cause}")
-            elif fault == "corrupt":
-                obs.METRICS.inc("netsim.packets.corrupted")
-        if obs.BUS is not None:
-            obs.BUS.emit(
-                f"fault.{fault}", element=self.name, reason=cause
-            )
 
     def reset(self) -> None:
         """Drop transient flow state (RNG streams, burst state, held packet).
@@ -325,15 +325,11 @@ class FaultElement(NetworkElement):
             for target in self.restart_targets:
                 target.reset()
             self.stats.restarts += 1
-            if obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "fault.restart",
-                    ctx.clock.now,
-                    element=self.name,
+            if obs.EVENTS is not None:
+                obs.EVENTS.emit(
+                    "fault.restart", ctx.clock.now, element=self.name,
                     targets=[t.name for t in self.restart_targets],
                 )
-            if obs.METRICS is not None:
-                obs.METRICS.inc("faults.restarts")
 
     def _release_held(self, direction: Direction | None = None) -> list[IPPacket]:
         """Flush a held (reordered) packet.

@@ -67,11 +67,9 @@ class RouterHop(NetworkElement):
                     transport=icmp_time_exceeded(original),
                     ttl=64,
                 )
-                if obs.TRACER is not None:
-                    obs.TRACER.emit(
-                        "hop.icmp_time_exceeded",
-                        ctx.clock.now,
-                        element=self.name,
+                if obs.EVENTS is not None:
+                    obs.EVENTS.emit(
+                        "hop.icmp_time_exceeded", ctx.clock.now, element=self.name,
                         **obs_trace.packet_fields(packet),
                     )
                 ctx.inject_back(reply)
@@ -81,17 +79,11 @@ class RouterHop(NetworkElement):
     def _drop(self, packet: IPPacket, reason: str, ctx: TransitContext) -> None:
         self.dropped.append(packet)
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "hop.drop",
-                ctx.clock.now,
-                element=self.name,
-                reason=reason,
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "hop.drop", ctx.clock.now, element=self.name, reason=reason,
                 **obs_trace.packet_fields(packet),
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("netsim.packets.dropped")
-            obs.METRICS.inc(f"netsim.packets.dropped.{reason}")
 
     def _header_acceptable(self, packet: IPPacket) -> bool:
         return (

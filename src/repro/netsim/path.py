@@ -224,7 +224,11 @@ class Path:
             up, down = self._compile()
         count = len(elements)
         clock = self.clock
-        tracer = obs.TRACER
+        events = obs.EVENTS
+        if events is not None and not (
+            events.reaches("hop.traverse") or events.reaches("endpoint.deliver")
+        ):
+            events = None  # e.g. metrics alone: no per-hop fields to build
         metrics = obs.METRICS
         max_depth = self.max_depth
         to_server = Direction.CLIENT_TO_SERVER
@@ -264,20 +268,16 @@ class Path:
                     # the TTL cannot expire mid-run, so one clone is
                     # byte-identical to hop-by-hop.  Otherwise the run's
                     # first router processes the packet like any element.
-                    if tracer is not None:
+                    if events is not None:
                         # The run's per-hop events: each router saw the
                         # packet one TTL lower than the one before it.
                         fields = obs_trace.packet_fields(current)
                         now = clock.now
                         for hop in range(run):
                             fields["ttl"] = current.ttl - hop
-                            tracer.emit(
-                                "hop.traverse",
-                                now,
-                                element=plan[i + hop * step][1].name,
-                                dir=direction.value,
-                                out=1,
-                                **fields,
+                            events.emit(
+                                "hop.traverse", now, element=plan[i + hop * step][1].name,
+                                dir=direction.value, out=1, **fields,
                             )
                     if metrics is not None:
                         metrics.inc("netsim.hop.forwarded", run)
@@ -286,14 +286,10 @@ class Path:
                     continue
                 ctx.index = i
                 outputs = process(current, direction, ctx)
-                if tracer is not None:
-                    tracer.emit(
-                        "hop.traverse",
-                        clock.now,
-                        element=element.name,
-                        dir=direction.value,
-                        out=len(outputs),
-                        **obs_trace.packet_fields(current),
+                if events is not None:
+                    events.emit(
+                        "hop.traverse", clock.now, element=element.name, dir=direction.value,
+                        out=len(outputs), **obs_trace.packet_fields(current),
                     )
                 if not outputs:
                     if metrics is not None:
@@ -317,12 +313,10 @@ class Path:
                 # Past the last element: hand the packet to its endpoint and
                 # stack the responses in reverse, so they pop in order, each
                 # running to completion before any earlier-stacked work.
-                if tracer is not None:
-                    tracer.emit(
-                        "endpoint.deliver",
-                        clock.now,
-                        endpoint="server" if step == 1 else "client",
-                        dir=direction.value,
+                if events is not None:
+                    events.emit(
+                        "endpoint.deliver", clock.now,
+                        endpoint="server" if step == 1 else "client", dir=direction.value,
                         **obs_trace.packet_fields(current),
                     )
                 if metrics is not None:

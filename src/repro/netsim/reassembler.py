@@ -43,44 +43,29 @@ class FragmentReassembler(NetworkElement):
             return [packet]
         now = ctx.clock.now
         whole, fragments = self._buffer.feed(packet, now)
+        events = obs.EVENTS
         if whole is None:
-            if obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "frag.hold",
-                    now,
-                    element=self.name,
-                    pending=fragments,
+            if events is not None:
+                events.emit(
+                    "frag.hold", now, element=self.name, pending=fragments,
                     **obs_trace.packet_fields(packet),
                 )
             return []
         self.reassembled_count += 1
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "frag.reassembled",
-                now,
-                element=self.name,
-                fragments=fragments,
+        if events is not None:
+            events.emit(
+                "frag.reassembled", now, element=self.name, fragments=fragments,
                 **obs_trace.packet_fields(whole),
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("netsim.frags.reassembled")
         return [whole]
 
     def _expired(self, key: FragmentKey, count: int, now: float) -> None:
         self.expired_count += 1
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "frag.expired",
-                now,
-                element=self.name,
-                reason="timeout",
-                fragments=count,
-                src=key[0],
-                dst=key[1],
-                ident=key[2],
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "frag.expired", now, element=self.name, reason="timeout", fragments=count,
+                src=key[0], dst=key[1], ident=key[2],
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("netsim.frags.expired")
 
     def reset(self) -> None:
         """Drop buffered fragments."""

@@ -23,12 +23,16 @@ Each slot below is ``None`` (off, the default) or one recorder object:
 * :data:`FLIGHT` — :class:`repro.obs.flight.FlightRecorder`: sampled
   serving evidence dumped once per anomaly episode.
 
-An instrumented site reads a slot after ``from repro import obs``: one
-module-attribute load and one ``is not None`` check, so a run with every
-slot empty pays nearly nothing.  :func:`installed` puts already-built
-recorders in their slots for a block and restores the previous ones on
-exit; :func:`observability_off` empties every slot.  The worker pool ships
-a task's recorders home and merges them by slot name
+:data:`EVENTS` is derived from the first three: ``None`` while they are all
+empty, else a :class:`repro.obs.events.EventFanOut` whose ``emit(kind,
+now, **fields)`` gives each of them its share of one event.  An
+instrumented site reads ``obs.EVENTS`` (or another slot) after ``from repro
+import obs``: one module-attribute load and one ``is not None`` check, so a
+run with every slot empty pays nearly nothing.  :func:`installed` puts
+already-built recorders in their slots for a block and restores the
+previous ones on exit; :func:`observability_off` empties every slot.  Both
+keep :data:`EVENTS` in step, and nothing else assigns a slot.  The worker
+pool ships a task's recorders home and merges them by slot name
 (:mod:`repro.runtime.pool`).
 
 The analysis tools sit in their own submodules and load only when used:
@@ -49,6 +53,7 @@ from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.coverage import CoverageRecorder
+    from repro.obs.events import EventFanOut
     from repro.obs.flight import FlightRecorder
     from repro.obs.live import TelemetryBus
     from repro.obs.metrics import MetricsRegistry
@@ -67,6 +72,20 @@ COVERAGE: CoverageRecorder | None = None
 OPS: OpsRegistry | None = None
 FLIGHT: FlightRecorder | None = None
 
+#: The fan-out over ``TRACER``, ``METRICS`` and ``BUS`` (derived; only
+#: :func:`installed` and :func:`observability_off` set it).
+EVENTS: EventFanOut | None = None
+
+
+def _refresh_events() -> None:
+    global EVENTS
+    if TRACER is None and METRICS is None and BUS is None:
+        EVENTS = None
+    else:
+        from repro.obs.events import EventFanOut
+
+        EVENTS = EventFanOut(TRACER, METRICS, BUS)
+
 
 @contextmanager
 def installed(**recorders: object) -> Iterator[None]:
@@ -74,7 +93,8 @@ def installed(**recorders: object) -> Iterator[None]:
 
     ``with obs.installed(TRACER=FlowTracer(), METRICS=MetricsRegistry()):``
     On exit, normal or not, every named slot gets its previous recorder
-    back, and an installed bus's stream is closed.
+    back, and an installed bus's stream is closed.  :data:`EVENTS` follows
+    the slots on entry and on exit.
     """
     unknown = sorted(set(recorders).difference(SLOTS))
     if unknown:
@@ -82,10 +102,12 @@ def installed(**recorders: object) -> Iterator[None]:
     slots = globals()
     previous = {name: slots[name] for name in recorders}
     slots.update(recorders)
+    _refresh_events()
     try:
         yield
     finally:
         slots.update(previous)
+        _refresh_events()
         bus = recorders.get("BUS")
         if bus is not None:
             bus.close()
@@ -97,5 +119,6 @@ def observability_off() -> None:
     bus = slots["BUS"]
     for name in SLOTS:
         slots[name] = None
+    slots["EVENTS"] = None
     if bus is not None:
         bus.close()

@@ -17,8 +17,9 @@ dispatch/retry/circuit activity, fault injections, replay verdicts) that are
 
 Both renderings come from one recorder.  Like the tracer and the metrics
 registry, the bus is **off by default**: the :data:`repro.obs.BUS` slot is
-``None`` and every instrumented site guards with a single ``is not None``
-check, so the PR 1 fast paths are untouched when telemetry is disabled.
+``None`` and every instrumented site guards :data:`repro.obs.EVENTS` with a
+single ``is not None`` check, so the PR 1 fast paths are untouched when
+telemetry is disabled.
 
 Process safety follows the flow tracer's (:mod:`repro.obs.trace`): a
 worker-pool task records into a task-local bus (routed per thread on the
@@ -99,7 +100,7 @@ class TelemetryBus(EventLog):
         self._manager = None
 
     # ------------------------------------------------------------------
-    # recording (called only behind an ``is not None`` guard)
+    # recording (sites reach it through ``repro.obs.EVENTS``)
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: object) -> None:
         """Record one event: routed to the task bus inside a pool task."""

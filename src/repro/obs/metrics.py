@@ -9,7 +9,8 @@ fast paths honest.
 
 Like tracing, metrics are **disabled by default**: the
 :data:`repro.obs.METRICS` slot is ``None`` and instrumented sites guard with a single
-``is not None`` check.  Enabled, every operation is one dict update — cheap
+``is not None`` check (on :data:`repro.obs.EVENTS` for a counter that goes with an
+event, on ``METRICS`` for a count alone).  Enabled, every operation is one dict update — cheap
 enough to leave on for a whole experiment run.
 
 The registry is deliberately flat (dotted metric names, scalar values) so a

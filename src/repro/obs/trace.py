@@ -11,9 +11,9 @@ Design constraints, in priority order:
 
 * **Disabled by default, near-zero overhead.**  The
   :data:`repro.obs.TRACER` slot is ``None`` unless a tracer is installed;
-  instrumented hot paths guard every emission with a single attribute load
-  and ``is not None`` check, so the fault-free fast paths are untouched
-  when tracing is off.
+  instrumented hot paths guard every event with a single attribute load
+  and ``is not None`` check on :data:`repro.obs.EVENTS`, so the fault-free
+  fast paths are untouched when tracing is off.
 * **Deterministic output.**  Events carry virtual-clock time and a
   monotonically increasing sequence number — never wall-clock, object ids,
   or hash-randomized values — so a trace is byte-identical across two runs
@@ -103,7 +103,7 @@ class FlowTracer(EventLog):
     # recording
     # ------------------------------------------------------------------
     def emit(self, kind: str, time: float = -1.0, **fields: object) -> None:
-        """Record one event (called only behind an ``is not None`` guard)."""
+        """Record one event (sites reach it through :data:`repro.obs.EVENTS`)."""
         # Explicit None check: an empty task tracer is falsy (__len__ == 0).
         task = self._local.task
         if task is not None:

@@ -109,19 +109,12 @@ class ReplaySession:
         expected_server = self.trace.server_bytes()
         runner = self._make_runner(context)
         runner.technique_name = getattr(technique, "name", None)
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "replay.start",
-                t0,
-                env=self.env.name,
-                trace_name=self.trace.name,
-                technique=runner.technique_name,
-                proto_name=self.trace.protocol,
-                sport=self.sport,
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "replay.start", t0, env=self.env.name, trace_name=self.trace.name,
+                technique=runner.technique_name, proto_name=self.trace.protocol, sport=self.sport,
                 dport=self.server_port,
             )
-        if obs.METRICS is not None:
-            obs.METRICS.inc("replay.runs")
 
         connect_refused = False
         if self.trace.protocol == "tcp":
@@ -158,30 +151,21 @@ class ReplaySession:
         needs is *when* repair ran and how much traffic it cost, so we
         bracket the call and report the packet delta.
         """
-        tracer = obs.TRACER
-        if tracer is None:
+        events = obs.EVENTS
+        if events is None:
             repair()
             return
         assert isinstance(self.client, (RawTCPClient, RawUDPClient))
         sent_before = len(self.client.collector.packets)
-        tracer.emit(
-            "replay.arq.start",
-            self.env.clock.now,
-            env=self.env.name,
-            stage=stage,
+        events.emit(
+            "replay.arq.start", self.env.clock.now, env=self.env.name, stage=stage,
             sport=self.sport,
         )
         repair()
-        tracer.emit(
-            "replay.arq.done",
-            self.env.clock.now,
-            env=self.env.name,
-            stage=stage,
-            sport=self.sport,
-            packets_seen=len(self.client.collector.packets) - sent_before,
+        events.emit(
+            "replay.arq.done", self.env.clock.now, env=self.env.name, stage=stage,
+            sport=self.sport, packets_seen=len(self.client.collector.packets) - sent_before,
         )
-        if obs.METRICS is not None:
-            obs.METRICS.inc(f"replay.arq.{stage}")
 
     # ------------------------------------------------------------------
     # setup
@@ -241,17 +225,12 @@ class ReplaySession:
             responses = set(self.client.responses())
             if expected_delivered <= delivered and expected_responses <= responses:
                 break
-            if obs.TRACER is not None:
-                obs.TRACER.emit(
-                    "replay.arq.udp_round",
-                    self.env.clock.now,
-                    env=self.env.name,
-                    attempt=attempt,
+            if obs.EVENTS is not None:
+                obs.EVENTS.emit(
+                    "replay.arq.udp_round", self.env.clock.now, env=self.env.name, attempt=attempt,
                     missing_payloads=len(expected_delivered - delivered),
                     missing_responses=len(expected_responses - responses),
                 )
-            if obs.METRICS is not None:
-                obs.METRICS.inc("replay.arq.udp_rounds")
             for payload in self.trace.client_payloads():
                 self.client.send_datagram(payload)
 
@@ -338,31 +317,13 @@ class ReplaySession:
             inert_reached = self._client_rst_reached()
         payload_reached = self._client_payload_reached()
 
-        if obs.TRACER is not None:
-            obs.TRACER.emit(
-                "replay.verdict",
-                self.env.clock.now,
-                env=self.env.name,
-                trace_name=self.trace.name,
-                technique=runner.technique_name,
-                verdict=classification,
-                differentiated=differentiated,
-                delivered_ok=delivered_ok,
+        if obs.EVENTS is not None:
+            obs.EVENTS.emit(
+                "replay.verdict", self.env.clock.now, env=self.env.name,
+                trace_name=self.trace.name, technique=runner.technique_name,
+                verdict=classification, differentiated=differentiated, delivered_ok=delivered_ok,
                 server_response_ok=server_response_ok,
-                blocked=connect_refused or rst_count > 0 or block_page,
-                rst_count=rst_count,
-            )
-        if obs.METRICS is not None:
-            obs.METRICS.inc(
-                "replay.differentiated" if differentiated else "replay.undifferentiated"
-            )
-        if obs.BUS is not None:
-            obs.BUS.emit(
-                "replay.verdict",
-                env=self.env.name,
-                technique=runner.technique_name,
-                verdict=classification,
-                differentiated=differentiated,
+                blocked=connect_refused or rst_count > 0 or block_page, rst_count=rst_count,
             )
         return ReplayOutcome(
             env_name=self.env.name,

@@ -200,21 +200,19 @@ class _CapturedCall:
         self.stream = stream
 
     def __call__(self, item: T) -> tuple[R, list]:
-        recorders = []
-        for name in self.shipped:
-            recorder = _RECORDERS[name](self)
-            if self.threaded:
-                getattr(obs, name).route(recorder)
-            else:
-                setattr(obs, name, recorder)
-            recorders.append(recorder)
+        recorders = {name: _RECORDERS[name](self) for name in self.shipped}
+        if not self.threaded:
+            with obs.installed(**recorders):
+                result = self.call(item)
+            return result, [recorder.dump() for recorder in recorders.values()]
+        for name, recorder in recorders.items():
+            getattr(obs, name).route(recorder)
         try:
             result = self.call(item)
         finally:
-            if self.threaded:
-                for name in self.shipped:
-                    getattr(obs, name).route(None)
-        return result, [recorder.dump() for recorder in recorders]
+            for name in recorders:
+                getattr(obs, name).route(None)
+        return result, [recorder.dump() for recorder in recorders.values()]
 
 
 class WorkerPool:
@@ -281,19 +279,16 @@ class WorkerPool:
                 _CapturedCall(call, shipped, threaded, capacity, stream)
                 for call in calls
             ]
-        if bus is not None:
+        events = obs.EVENTS
+        if events is not None:
             for index in range(len(tasks)):
-                bus.emit("pool.dispatch", task=index)
+                events.emit("pool.dispatch", task=index)
         results = self._execute(calls, tasks, retry)
         if shipped:
             results = _merge_captured(results, shipped)
-        if bus is not None:
+        if events is not None:
             for index, result in enumerate(results):
-                bus.emit(
-                    "pool.task_done",
-                    task=index,
-                    ok=not isinstance(result, TaskFailure),
-                )
+                events.emit("pool.task_done", task=index, ok=not isinstance(result, TaskFailure))
         return results
 
     def _shipped(self, count: int, retry: RetryPolicy | None) -> tuple[str, ...]:
@@ -406,32 +401,15 @@ class WorkerPool:
     def _attempt_serial(
         self, call: Callable[[T], R], task: T, index: int, retry: RetryPolicy
     ) -> R | TaskFailure:
-        last_error: BaseException | None = None
         for attempt in range(retry.max_attempts):
             if attempt:
                 time.sleep(retry.delay_for(attempt - 1))
             try:
                 return call(task)
             except Exception as exc:  # noqa: BLE001 - converted to TaskFailure
-                last_error = exc
-                logger.warning(
-                    "task %d attempt %d/%d failed: %s: %s",
-                    index,
-                    attempt + 1,
-                    retry.max_attempts,
-                    type(exc).__name__,
-                    exc,
-                )
-                _record_retry(index, attempt + 1, type(exc).__name__, self.backend)
-        assert last_error is not None
-        _record_exhaustion(index, self.backend)
-        return TaskFailure(
-            index=index,
-            attempts=retry.max_attempts,
-            error_type=type(last_error).__name__,
-            message=str(last_error),
-            backend=self.backend.value,
-        )
+                error_type, message = type(exc).__name__, str(exc)
+                _failed_attempt(index, attempt + 1, retry, error_type, message, self.backend)
+        return _exhausted(index, retry.max_attempts, error_type, message, self.backend)
 
     def _resilient_concurrent(
         self,
@@ -485,23 +463,10 @@ class WorkerPool:
                     except Exception as exc:  # noqa: BLE001 - retried below
                         error_type, message = type(exc).__name__, str(exc)
                     attempts += 1
-                    logger.warning(
-                        "task %d attempt %d/%d failed: %s: %s",
-                        index,
-                        attempts,
-                        retry.max_attempts,
-                        error_type,
-                        message,
-                    )
-                    _record_retry(index, attempts, error_type, self.backend)
+                    _failed_attempt(index, attempts, retry, error_type, message, self.backend)
                     if attempts >= retry.max_attempts:
-                        _record_exhaustion(index, self.backend)
-                        results[index] = TaskFailure(
-                            index=index,
-                            attempts=attempts,
-                            error_type=error_type,
-                            message=message,
-                            backend=self.backend.value,
+                        results[index] = _exhausted(
+                            index, attempts, error_type, message, self.backend
                         )
                         consecutive_failures += 1
                     else:
@@ -578,31 +543,35 @@ def _merge_captured(
     return merged
 
 
-def _record(kind: str, counter: str, **fields: object) -> None:
-    """Count one pool resilience event and emit it to the trace and bus."""
-    if obs.METRICS is not None:
-        obs.METRICS.inc(counter)
-    if obs.TRACER is not None:
-        obs.TRACER.emit(kind, **fields)
-    if obs.BUS is not None:
-        obs.BUS.emit(kind, **fields)
+def _failed_attempt(
+    index: int, attempt: int, retry: RetryPolicy, error_type: str, message: str, backend: Backend
+) -> None:
+    """Log and record one failed attempt (a retry, or the task's last)."""
+    logger.warning(
+        "task %d attempt %d/%d failed: %s: %s",
+        index, attempt, retry.max_attempts, error_type, message,
+    )
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit(
+            "pool.retry", task=index, attempt=attempt, error=error_type, backend=backend.value
+        )
 
 
-def _record_retry(index: int, attempt: int, error_type: str, backend: Backend) -> None:
-    """Count one failed attempt (retry or final) in the observability layer."""
-    _record(
-        "pool.retry", "pool.retries",
-        task=index, attempt=attempt, error=error_type, backend=backend.value,
+def _exhausted(
+    index: int, attempts: int, error_type: str, message: str, backend: Backend
+) -> TaskFailure:
+    """Record a task giving up for good; the :class:`TaskFailure` for its slot."""
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit("pool.task_failed", task=index, backend=backend.value)
+    return TaskFailure(
+        index=index, attempts=attempts, error_type=error_type, message=message,
+        backend=backend.value,
     )
 
 
-def _record_exhaustion(index: int, backend: Backend) -> None:
-    """Count one task giving up for good (its slot becomes a TaskFailure)."""
-    _record("pool.task_failed", "pool.task_failures", task=index, backend=backend.value)
-
-
 def _circuit_failure(index: int, backend: Backend) -> TaskFailure:
-    _record("pool.circuit_open", "pool.circuit_open", task=index, backend=backend.value)
+    if obs.EVENTS is not None:
+        obs.EVENTS.emit("pool.circuit_open", task=index, backend=backend.value)
     if obs.FLIGHT is not None:
         # A tripped breaker fails every remaining task the same way; dump
         # the evidence once per trip episode, not once per failed slot.

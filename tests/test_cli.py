@@ -4,6 +4,33 @@ import pytest
 
 from repro.cli.main import build_parser, main
 
+#: Each technique's success on a plain path and behind the normalizer
+#: (benchmarks/results/countermeasures.txt).
+COUNTERMEASURES = {
+    "ip-low-ttl": ("True", "False"),
+    "ip-invalid-version": ("False", "False"),
+    "ip-invalid-ihl": ("False", "False"),
+    "ip-length-long": ("True", "False"),
+    "ip-length-short": ("False", "False"),
+    "ip-wrong-protocol": ("True", "False"),
+    "ip-wrong-checksum": ("True", "False"),
+    "ip-invalid-options": ("False", "False"),
+    "ip-deprecated-options": ("False", "False"),
+    "tcp-wrong-seq": ("True", "False"),
+    "tcp-wrong-checksum": ("True", "False"),
+    "tcp-no-ack-flag": ("True", "False"),
+    "tcp-invalid-data-offset": ("False", "False"),
+    "tcp-invalid-flags": ("True", "False"),
+    "ip-fragmentation": ("True", "False"),
+    "tcp-segment-split": ("True", "True"),
+    "ip-fragment-reorder": ("True", "False"),
+    "tcp-segment-reorder": ("True", "False"),
+    "flush-pause-after-match": ("True", "True"),
+    "flush-pause-before-match": ("True", "True"),
+    "flush-rst-after-match": ("True", "False"),
+    "flush-rst-before-match": ("True", "False"),
+}
+
 
 class TestParser:
     def test_requires_command(self):
@@ -81,3 +108,13 @@ class TestCommands:
         assert main(["countermeasures"]) == 0
         out = capsys.readouterr().out
         assert "normalized" in out and "survivors" in out
+        rows = {
+            line.split()[0]: tuple(line.split()[2:])
+            for line in out.splitlines()
+            if line.split() and line.split()[-1] in ("True", "False")
+        }
+        assert rows == COUNTERMEASURES
+        assert (
+            "survivors: tcp-segment-split, flush-pause-after-match, flush-pause-before-match"
+            in out.splitlines()
+        )

@@ -177,13 +177,16 @@ class TestSprintExperiment:
 
 
 class TestAblations:
+    # Each test pins the exact ``(with, without)`` pair of its ablation.
     def test_pruning_saves_replays(self):
         result = ablate_evaluation_pruning()
         assert result.with_choice <= result.without_choice
+        assert (result.with_choice, result.without_choice) == (1, 2)
 
     def test_granularity_tradeoff(self):
         result = ablate_bisection_granularity()
         assert result.with_choice > result.without_choice  # byte-exact costs more
+        assert (result.with_choice, result.without_choice) == (59, 29)
 
     def test_port_rotation_required_for_gfc(self):
         result = ablate_gfc_port_rotation()
@@ -193,3 +196,4 @@ class TestAblations:
     def test_prepend_threshold_robust(self):
         result = ablate_prepend_threshold()
         assert result.with_choice == 1.0
+        assert result.without_choice == 1.0
