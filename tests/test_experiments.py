@@ -20,6 +20,7 @@ from repro.experiments.figure4 import busy_and_quiet_summary, format_figure4, ru
 from repro.experiments.sprint import format_sprint, run_sprint_detection, run_sprint_probes
 from repro.experiments.table1 import format_table1, liberate_row, run_table1
 from repro.experiments.table2 import format_table2, run_table2
+from repro.experiments.throughput import format_throughput, run_tmus_throughput
 
 
 class TestTable1:
@@ -161,6 +162,28 @@ class TestEfficiency:
         assert result.inspects_all_packets
         assert (result.rounds, result.bytes_used) == (43, 119_344)
         assert any("facebook.com" in f for f in result.matching_fields)
+
+
+class TestThroughput:
+    """§6.2: the T-Mobile video replay without and with lib·erate, pinned to
+    the printed table (deterministic simulation; about 1 s for both runs)."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return run_tmus_throughput()
+
+    def test_rates(self, results):
+        without, with_lib = results
+        assert (round(without.average_mbps, 2), round(without.peak_mbps, 2)) == (1.46, 1.99)
+        assert (round(with_lib.average_mbps, 2), round(with_lib.peak_mbps, 2)) == (11.75, 16.59)
+
+    def test_zero_rating(self, results):
+        without, with_lib = results
+        assert without.zero_rated is True
+        assert with_lib.zero_rated is False
+
+    def test_speedup_line(self, results):
+        assert format_throughput(results).splitlines()[-1] == "speedup: 8.0x (paper: 2.8x)"
 
 
 class TestSprintExperiment:

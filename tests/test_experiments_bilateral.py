@@ -12,6 +12,9 @@ class TestBilateralExperiment:
     def results(self):
         return run_bilateral_matrix()
 
+    def test_every_network_reported_in_order(self, results):
+        assert [r.env for r in results] == ["testbed", "tmobile", "gfc", "iran", "att"]
+
     def test_paper_dummy_prefix_pattern(self, results):
         """§6.5: dummy prefix evades testbed, T-Mobile, AT&T and the GFC —
         not Iran."""
