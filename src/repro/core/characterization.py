@@ -262,7 +262,7 @@ class Characterizer:
             port = 8000 + (self._port_counter % 20_000)
         outcome = ReplaySession(self.env, trace, server_port=port).run()
         self.rounds += 1
-        self.bytes_used += trace.total_bytes()
+        self.bytes_used += outcome.bytes_used
         return outcome.differentiated
 
     def _random_payload(self, size: int) -> bytes:

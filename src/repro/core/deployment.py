@@ -74,10 +74,6 @@ class LiberateProxy:
                 self.on_rule_change()
         return outcome
 
-    def overhead_estimate(self):
-        """The technique's per-flow cost (Table 2)."""
-        return self.technique.estimated_overhead(self.context)
-
 
 @dataclass
 class StepDown:

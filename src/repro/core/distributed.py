@@ -69,10 +69,6 @@ class DistributedCharacterizer(Characterizer):
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def max_user_rounds(self) -> int:
-        """The per-user measurement load (the quantity distribution reduces)."""
-        return max(user.rounds for user in self.users)
-
     def run_distributed(self) -> tuple[CharacterizationReport, list[UserLoad]]:
         """Characterize and return the report plus the per-user loads."""
         report = self.run()

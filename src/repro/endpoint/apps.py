@@ -28,10 +28,14 @@ class EchoApp:
 class ReplayStep:
     """One step of a recorded TCP dialogue.
 
+    :meth:`~repro.traffic.trace.Trace.replay_steps` emits one step per
+    distinct threshold, so a script's thresholds rise strictly.
+
     Attributes:
         client_bytes_threshold: cumulative client bytes after which the
             response fires.
-        response: the server bytes to emit at that point.
+        response: the server bytes to emit at that point — every server
+            payload recorded at that client byte count, joined.
     """
 
     client_bytes_threshold: int
@@ -64,16 +68,21 @@ class ReplayServerApp:
         self.received[conn_id] = bytearray()
 
     def on_data(self, conn_id: FiveTuple, data: bytes) -> bytes:
-        """Advance the script; return any response steps that fire."""
-        total, step_index = self._progress.get(conn_id, (0, 0))
+        """Advance the script; return the responses of the steps that fire.
+
+        A single fired step's response is returned as it is, not copied.
+        """
+        total, first = self._progress.get(conn_id, (0, 0))
         self.received.setdefault(conn_id, bytearray()).extend(data)
         total += len(data)
-        out = bytearray()
-        while step_index < len(self.steps) and total >= self.steps[step_index].client_bytes_threshold:
-            out.extend(self.steps[step_index].response)
-            step_index += 1
-        self._progress[conn_id] = (total, step_index)
-        return bytes(out)
+        steps = self.steps
+        end = first
+        while end < len(steps) and total >= steps[end].client_bytes_threshold:
+            end += 1
+        self._progress[conn_id] = (total, end)
+        if end - first == 1:
+            return steps[first].response
+        return b"".join([step.response for step in steps[first:end]])
 
     def stream(self, conn_id: FiveTuple) -> bytes:
         """All client bytes received on one connection."""
@@ -216,28 +225,3 @@ class HTTPServerApp:
         """Forget buffered request fragments."""
         self._buffers.clear()
         self.requests_served = 0
-
-
-class CompositeServerEndpoint:
-    """Dispatches arriving packets to a TCP stack and a UDP stack by protocol."""
-
-    def __init__(self, tcp_stack, udp_stack) -> None:
-        self.tcp_stack = tcp_stack
-        self.udp_stack = udp_stack
-
-    def receive(self, packet) -> list:
-        """Route by declared protocol; unknown protocols are recorded then dropped."""
-        if packet.effective_protocol == 17:
-            return self.udp_stack.receive(packet)
-        return self.tcp_stack.receive(packet)
-
-    @property
-    def raw_arrivals(self):
-        """All packets seen by either stack, interleaved in arrival order."""
-        merged = self.tcp_stack.raw_arrivals + self.udp_stack.raw_arrivals
-        return merged
-
-    def reset(self) -> None:
-        """Reset both stacks."""
-        self.tcp_stack.reset()
-        self.udp_stack.reset()

@@ -41,7 +41,6 @@ class ClientCollector:
 
     def __init__(self, clock=None) -> None:
         self.packets: list[IPPacket] = []
-        self.arrival_times: list[float] = []
         self._rsts: list[IPPacket] = []
         # TCP data index: (time, src, sport, dport, seq, payload) per
         # payload-bearing segment, so throughput sampling and stream
@@ -54,7 +53,6 @@ class ClientCollector:
         """Record the packet; a raw client never auto-responds."""
         self.packets.append(packet)
         now = self._clock.now if self._clock is not None else 0.0
-        self.arrival_times.append(now)
         # Inlined packet.tcp: this runs once per arriving packet.
         transport = packet.transport
         declared = packet.protocol
@@ -74,10 +72,6 @@ class ClientCollector:
                 if not self._block_page_seen and BLOCK_PAGE_MARKER in payload:
                     self._block_page_seen = True
         return []
-
-    def timed_packets(self) -> list[tuple[float, IPPacket]]:
-        """(arrival time, packet) pairs in arrival order."""
-        return list(zip(self.arrival_times, self.packets))
 
     def tcp_data_samples(self, src: str) -> list[tuple[float, int]]:
         """(arrival time, payload length) for TCP data packets from *src*."""
@@ -183,7 +177,6 @@ class ClientCollector:
     def reset(self) -> None:
         """Forget everything received."""
         self.packets.clear()
-        self.arrival_times.clear()
         self._rsts.clear()
         self._tcp_data.clear()
         self._block_page_seen = False

@@ -142,13 +142,6 @@ class CoverageRecorder:
                 state_hits[node] += 1
             entry["edges_walked"] = entry.get("edges_walked", 0) + edges
 
-    def automaton_visit(self, digest: str, node: int) -> None:
-        """Count a single state visit (the inline streaming path)."""
-        with self._lock:
-            entry = self.automata.get(digest)
-            if entry is not None:
-                entry["state_hits"][node] += 1
-
     # ------------------------------------------------------------------
     # cell context (thread-local: parallel env columns stay separate)
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from typing import Any
 
 from repro.endpoint.rawclient import MTU_PAYLOAD, RawTCPClient, RawUDPClient, SegmentPlan
 from repro.netsim.clock import VirtualClock
-from repro.packets.flow import Direction
 from repro.packets.fragment import fragment_packet
 from repro.packets.ip import IPPacket
 from repro.packets.tcp import TCPFlags, TCPSegment
@@ -75,11 +74,6 @@ class ReplayRunner:
     def client_messages(self) -> list[bytes]:
         """The client payloads of the trace, in order."""
         return self.trace.client_payloads()
-
-    def _client_times(self) -> list[float]:
-        return [
-            p.time for p in self.trace.packets if p.direction is Direction.CLIENT_TO_SERVER
-        ]
 
     # ------------------------------------------------------------------
     # default emission

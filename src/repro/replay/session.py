@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
-from repro.endpoint.apps import ReliableUDPReplayApp, ReplayServerApp, UDPReplayApp
+from repro.endpoint.apps import ReliableUDPReplayApp, ReplayServerApp, ReplayStep, UDPReplayApp
 from repro.endpoint.osmodel import OSProfile
 from repro.endpoint.rawclient import RawTCPClient, RawUDPClient
 from repro.endpoint.tcpstack import TCPServerStack
@@ -101,12 +101,12 @@ class ReplaySession:
         (matching fields, middlebox distance, ...).
         """
         self.sport = self.env.next_sport()
-        self._install_server()
+        script = self._install_server()
         usage_before = (
             self.env.usage_counter.read() if self.env.usage_counter is not None else None
         )
         t0 = self.env.clock.now
-        expected_server = self.trace.server_bytes()
+        expected_server = b"".join([step.response for step in script])
         runner = self._make_runner(context)
         runner.technique_name = getattr(technique, "name", None)
         if obs.EVENTS is not None:
@@ -170,11 +170,17 @@ class ReplaySession:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def _install_server(self) -> None:
+    def _install_server(self) -> list[ReplayStep]:
+        """Install the replay server and client; return the TCP server's script.
+
+        The script's responses, joined, are the server stream the client
+        should receive.  A UDP replay has no such script and returns ``[]``.
+        """
         if self.trace.protocol == "tcp":
-            app = ReplayServerApp(self.trace.replay_steps(), ignore_unmatched=True)
             if self.tolerate_prefix:
                 app = _PrefixTolerantReplayApp(self.trace)
+            else:
+                app = ReplayServerApp(self.trace.replay_steps(), ignore_unmatched=True)
             self.tcp_stack = TCPServerStack(
                 self.env.server_addr,
                 os_profile=self.server_os,
@@ -190,6 +196,7 @@ class ReplaySession:
                 dport=self.server_port,
                 reliable=self.reliable,
             )
+            return app.steps
         else:
             if self.reliable:
                 app = ReliableUDPReplayApp(
@@ -209,6 +216,7 @@ class ReplaySession:
                 dport=self.server_port,
                 reliable=self.reliable,
             )
+            return []
 
     def _repair_udp(self) -> None:
         """Re-send the whole UDP dialogue until every payload and response got through.

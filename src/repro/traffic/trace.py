@@ -31,9 +31,12 @@ def invert_bits(payload: bytes) -> bytes:
     return bytes(payload).translate(_INVERT)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class TracePacket:
     """One application payload in a recorded dialogue.
+
+    Frozen: a transformed trace shares every packet it did not change with
+    the trace it came from, so a packet is never assigned to in place.
 
     Attributes:
         direction: who sent it (client→server or server→client).
@@ -106,17 +109,24 @@ class Trace:
 
         Each server payload fires once the cumulative client byte count
         reaches what the recording saw before that payload — the same
-        content-independent trigger the paper's replay servers use.
+        content-independent trigger the paper's replay servers use.  The
+        script holds one step per distinct threshold, whose response is the
+        run of server payloads recorded at that count, so thresholds rise
+        strictly and a bulk download is a single step.
         """
         steps: list[ReplayStep] = []
+        run: list[bytes] = []
         client_total = 0
         for packet in self.packets:
-            if packet.direction is Direction.CLIENT_TO_SERVER:
+            if packet.direction is Direction.SERVER_TO_CLIENT:
+                run.append(packet.payload)
+            elif packet.payload:
+                if run:
+                    steps.append(ReplayStep(client_total, b"".join(run)))
+                    run = []
                 client_total += len(packet.payload)
-            else:
-                steps.append(
-                    ReplayStep(client_bytes_threshold=client_total, response=packet.payload)
-                )
+        if run:
+            steps.append(ReplayStep(client_total, b"".join(run)))
         return steps
 
     def udp_response_script(self) -> dict[int, list[bytes]]:
@@ -147,15 +157,11 @@ class Trace:
         Used by the characterization phase to replay blinded variants; the
         number of client payloads must match the original.
         """
-        originals = [
-            i for i, p in enumerate(self.packets) if p.direction is Direction.CLIENT_TO_SERVER
-        ]
-        if len(payloads) != len(originals):
-            raise ValueError("payload count mismatch")
-        new_packets = list(self.packets)
-        for index, payload in zip(originals, payloads):
-            new_packets[index] = replace(new_packets[index], payload=payload)
-        return replace(self, name=name or f"{self.name}:blinded", packets=new_packets)
+        return replace(
+            self,
+            name=name or f"{self.name}:blinded",
+            packets=self._with_payloads(Direction.CLIENT_TO_SERVER, payloads),
+        )
 
     def with_server_payloads(self, payloads: list[bytes], name: str | None = None) -> "Trace":
         """A copy whose server→client payloads are replaced positionally.
@@ -163,15 +169,26 @@ class Trace:
         Characterization uses this to blind server-side content — AT&T's
         classifier matches ``Content-Type: video`` in responses (§6.3).
         """
-        originals = [
-            i for i, p in enumerate(self.packets) if p.direction is Direction.SERVER_TO_CLIENT
-        ]
-        if len(payloads) != len(originals):
+        return replace(
+            self,
+            name=name or f"{self.name}:server-blinded",
+            packets=self._with_payloads(Direction.SERVER_TO_CLIENT, payloads),
+        )
+
+    def _with_payloads(self, direction: Direction, payloads: list[bytes]) -> list[TracePacket]:
+        """The packets with *direction*'s payloads replaced positionally.
+
+        A packet whose payload object is unchanged is shared, not copied:
+        blinding one byte range of a long download rebuilds one packet.
+        """
+        indices = [i for i, p in enumerate(self.packets) if p.direction is direction]
+        if len(payloads) != len(indices):
             raise ValueError("payload count mismatch")
-        new_packets = list(self.packets)
-        for index, payload in zip(originals, payloads):
-            new_packets[index] = replace(new_packets[index], payload=payload)
-        return replace(self, name=name or f"{self.name}:server-blinded", packets=new_packets)
+        packets = list(self.packets)
+        for index, payload in zip(indices, payloads):
+            if payload is not packets[index].payload:
+                packets[index] = replace(packets[index], payload=payload)
+        return packets
 
     def with_server_port(self, port: int) -> "Trace":
         """A copy aimed at a different server port (the port-change evasion)."""
