@@ -78,7 +78,7 @@ class PatternAutomaton:
         "fail",
         "out",
         "all_mask",
-        "digest",
+        "_digest",
         "_regex",
         "_closure_masks",
     )
@@ -91,10 +91,19 @@ class PatternAutomaton:
         self._build_block_regex()
         self.all_mask = (1 << len(self.patterns)) - 1
         self.states = len(self.goto)
-        #: Stable cross-process identity (``id()`` differs per process and
-        #: per intern-cache churn; coverage arrays must merge by content).
-        self.digest = obs_coverage.automaton_digest(self.patterns)
+        self._digest: str | None = None
         _record_build(self, time.perf_counter() - started)
+
+    @property
+    def digest(self) -> str:
+        """Stable cross-process identity (``id()`` differs per process and
+        per intern-cache churn; coverage arrays must merge by content),
+        hashed on first read: only coverage and the ``mbx.rule_match``
+        event read it."""
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = obs_coverage.automaton_digest(self.patterns)
+        return digest
 
     # ------------------------------------------------------------------
     # construction
@@ -332,11 +341,10 @@ class StreamScan:
 # ----------------------------------------------------------------------
 # interning
 # ----------------------------------------------------------------------
-#: Bound on each compile-path intern memo (automata here, compiled rule
-#: sets in :mod:`repro.middlebox.ruleindex`): at the bound the oldest entry
-#: is dropped.  Generous enough that the full Table 3 matrix never drops
-#: one, while hypothesis-style churn (thousands of throwaway rule sets)
-#: stays bounded.
+#: Bound on the automaton intern memo: at the bound the oldest entry is
+#: dropped.  Generous enough that the full Table 3 matrix never drops one,
+#: while hypothesis-style churn (thousands of throwaway pattern sets) stays
+#: bounded.
 INTERN_LIMIT = 4096
 
 #: Compiled automata by pattern tuple.  Dropping an entry strands nothing:

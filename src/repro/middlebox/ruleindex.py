@@ -2,11 +2,12 @@
 
 The naive matcher re-runs ``keyword in buffer`` for every keyword of every
 rule on every packet, re-scanning the whole reassembled stream each time.
-This module compiles a rule list once into per-(protocol, port, direction)
-views.  Each view interns its keywords into one shared
-:class:`~repro.middlebox.automaton.PatternAutomaton` (every rule served by
-a single sweep per byte) and lowers its rules to small bitmask programs
-over the automaton's pattern-id hits:
+This module compiles a rule list once into views, one per (protocol,
+direction) and server port that some rule names; every port no rule names
+shares one view per (protocol, direction).  Each view interns its keywords
+into one shared :class:`~repro.middlebox.automaton.PatternAutomaton`
+(every rule served by a single sweep per byte) and lowers its rules to
+small bitmask programs over the automaton's pattern-id hits:
 
 * ``require_any`` rules collapse into a per-pattern *order table* — the
   minimum rule order that fires when that pattern is seen — so resolving
@@ -25,15 +26,17 @@ firing on their packet index, STUN rules parsing the buffer.
 
 The index assumes rules are not mutated after compilation; replacing the
 engine's rule *list* is detected and recompiled.  Engines built from the
-same rule objects share one interned :class:`CompiledRuleSet` (and thus
-its views and automata) via :meth:`CompiledRuleSet.shared`.
+same rule objects share one :class:`CompiledRuleSet` (and thus its views
+and automata) via :meth:`CompiledRuleSet.shared` for as long as one of
+them holds it.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from repro import obs
 from repro.middlebox.automaton import (
-    INTERN_LIMIT,
     PatternAutomaton,
     StreamScan,
     automaton_for,
@@ -79,11 +82,13 @@ class MultiPatternScanner:
 
 
 class CompiledView:
-    """The rules applicable to one (protocol, server port, direction) context."""
+    """The rules applicable to one (protocol, direction) and one server port
+    some rule names, or every port none names."""
 
     __slots__ = (
         "rules",
-        "scope",
+        "_scope_rules",
+        "_scope",
         "automaton",
         "scanner",
         "special",
@@ -97,14 +102,12 @@ class CompiledView:
     )
 
     def __init__(
-        self, rules: list[tuple[int, MatchRule]], scope: str | None = None
+        self, rules: list[tuple[int, MatchRule]], scope_rules: tuple[MatchRule, ...]
     ) -> None:
         self.rules = rules
-        #: Coverage scope winning matches are attributed to — the owning
-        #: rule set's content digest, or a view-local one for standalone use.
-        self.scope = scope or obs_coverage.ruleset_scope(
-            rule.name for _order, rule in rules
-        )
+        #: The owning set's rules, which :attr:`scope` digests.
+        self._scope_rules = scope_rules
+        self._scope: str | None = None
         #: order → rule, the final resolution step of :meth:`match`.
         self.rule_by_order: dict[int, MatchRule] = {order: rule for order, rule in rules}
         patterns: list[bytes] = []
@@ -161,6 +164,18 @@ class CompiledView:
         for pid in any_order:
             self.any_mask |= 1 << pid
         self.has_stun = any(rule.stun_attribute is not None for _, rule in self.special)
+
+    @property
+    def scope(self) -> str:
+        """Coverage scope winning matches are attributed to: the owning rule
+        set's content digest, hashed on first read (only coverage and the
+        ``mbx.rule_match`` event read it)."""
+        scope = self._scope
+        if scope is None:
+            scope = self._scope = obs_coverage.ruleset_scope(
+                rule.name for rule in self._scope_rules
+            )
+        return scope
 
     def match(
         self,
@@ -244,28 +259,48 @@ class CompiledView:
 
 
 class CompiledRuleSet:
-    """Lazy per-(protocol, port, direction) views over one rule list.
+    """Lazy views over one rule list, one per (protocol, direction) and
+    server port some rule names, plus one per (protocol, direction) that
+    every other port shares.
 
-    Views live and die with their rule set and each holds its automaton,
-    so dropping a set from the :meth:`shared` memo (or an automaton from
-    its intern memo) never strands a dependent; the per-instance ``_views``
-    memo keeps the per-packet path a single dict lookup.
+    Sharing is exact: :meth:`MatchRule.applies_to` reads the port only
+    through ``rule.ports``, so every port outside all of them selects the
+    same rules.  Views live and die with their set and each holds its
+    automaton, so dropping an automaton from its intern memo never strands
+    a dependent; the per-instance ``_views`` memo keeps the per-packet path
+    a single dict lookup.
     """
 
-    __slots__ = ("rules", "scope", "_views")
+    __slots__ = ("rules", "_named_ports", "_scope", "_views", "__weakref__")
 
-    #: Interned rule sets keyed by the identity of their rule objects.  The
-    #: cached set holds strong references to those rules, so a key's ids can
-    #: never be reused by new objects while the entry lives.  Bounded at
-    #: :data:`~repro.middlebox.automaton.INTERN_LIMIT`, oldest dropped first.
-    _shared: dict[tuple[int, ...], "CompiledRuleSet"] = {}
+    #: Live rule sets keyed by the identity of their rule objects.  A set
+    #: holds strong references to those rules, so a key's ids can never be
+    #: reused by new objects while its entry lives, and the entry goes when
+    #: the last engine holding the set drops it.
+    _shared: "weakref.WeakValueDictionary[tuple[int, ...], CompiledRuleSet]" = (
+        weakref.WeakValueDictionary()
+    )
 
     def __init__(self, rules: list[MatchRule]) -> None:
         self.rules = tuple(rules)
-        #: Coverage scope shared by every view of this set, so per-context
-        #: view hits sum into one per-catalog universe.
-        self.scope = obs_coverage.ruleset_scope(rule.name for rule in self.rules)
-        self._views: dict[tuple[str, int, str], CompiledView] = {}
+        #: Every server port some rule's ``ports`` names; the views of all
+        #: other ports are one shared entry per (protocol, direction).
+        self._named_ports = frozenset(
+            port for rule in self.rules if rule.ports is not None for port in rule.ports
+        )
+        self._scope: str | None = None
+        self._views: dict[tuple[str, int | None, str], CompiledView] = {}
+
+    @property
+    def scope(self) -> str:
+        """Coverage scope shared by every view of this set, so per-context
+        view hits sum into one per-catalog universe; hashed on first read."""
+        scope = self._scope
+        if scope is None:
+            scope = self._scope = obs_coverage.ruleset_scope(
+                rule.name for rule in self.rules
+            )
+        return scope
 
     def register_coverage(self, recorder: "obs_coverage.CoverageRecorder") -> None:
         """Declare the full rule universe to *recorder*.
@@ -279,23 +314,25 @@ class CompiledRuleSet:
 
     @classmethod
     def shared(cls, rules: list[MatchRule]) -> "CompiledRuleSet":
-        """The interned compiled set for these exact rule objects.
+        """The compiled set for these exact rule objects.
 
         Engines built from the same rule list (the common testbed shape:
         one rule catalog, several middlebox configurations) share one
         compiled set — and therefore its views and automata — instead of
-        recompiling per engine.
+        recompiling per engine, for as long as one of them holds it.
         """
         key = tuple(map(id, rules))
         compiled = cls._shared.get(key)
         if compiled is None:
-            if len(cls._shared) >= INTERN_LIMIT:
-                cls._shared.pop(next(iter(cls._shared)), None)  # racing threads may both evict
             compiled = cls._shared[key] = cls(rules)
         return compiled
 
     def view(self, protocol: str, server_port: int, direction: str) -> CompiledView:
-        key = (protocol, server_port, direction)
+        key = (
+            protocol,
+            server_port if server_port in self._named_ports else None,
+            direction,
+        )
         view = self._views.get(key)
         if view is None:
             applicable = [
@@ -303,5 +340,5 @@ class CompiledRuleSet:
                 for order, rule in enumerate(self.rules)
                 if rule.applies_to(protocol, server_port, direction)
             ]
-            view = self._views[key] = CompiledView(applicable, scope=self.scope)
+            view = self._views[key] = CompiledView(applicable, self.rules)
         return view

@@ -36,7 +36,6 @@ cross-attribute); process workers record into a fresh recorder and ship a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from contextlib import contextmanager
@@ -54,6 +53,8 @@ def ruleset_scope(rule_names: Iterable[str]) -> str:
     built from the same catalog in different processes must land their hits
     in the same scope for :meth:`CoverageRecorder.merge_dump` to sum them.
     """
+    import hashlib  # only coverage and tracing hash: untraced runs skip OpenSSL
+
     h = hashlib.sha256()
     for name in rule_names:
         encoded = name.encode("utf-8")
@@ -68,6 +69,8 @@ def automaton_digest(patterns: Iterable[bytes]) -> str:
     sha256 over the sorted patterns (the interning key), truncated: stable
     across processes and platforms, unlike ``id()`` or ``hash()``.
     """
+    import hashlib  # only coverage and tracing hash: untraced runs skip OpenSSL
+
     h = hashlib.sha256()
     for pattern in sorted(patterns):
         h.update(len(pattern).to_bytes(4, "big"))

@@ -37,7 +37,6 @@ backend ran the map.
 from __future__ import annotations
 
 import enum
-import hashlib
 import logging
 import os
 import random
@@ -95,6 +94,8 @@ def derive_seed(base: int, *parts: object) -> int:
     ``derive_seed(base, "figure4", hour, trial)`` behaves the same on every
     backend and every worker.
     """
+    import hashlib  # loaded by the runs that seed, not by every import
+
     digest = hashlib.sha256(repr((base, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 

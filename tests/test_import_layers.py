@@ -1,10 +1,12 @@
 """Import layering: a process loads only the layers it runs.
 
 Each check runs in a fresh interpreter (``sys.modules`` in this process is
-shared with every other test), imports a workload's entry modules and
-reports what got loaded.  The hot layers -- packets, netsim, middlebox,
+shared with every other test), imports or runs a workload's entry points
+and reports what got loaded.  The hot layers -- packets, netsim, middlebox,
 the replay and experiment drivers -- must not pull in the CLI, the obs
-analysis tools, the asyncio ops server or the process-pool machinery.
+analysis tools, the asyncio ops server or the process-pool machinery, and
+a run with no coverage recorder and no tracer must not load OpenSSL's
+hashlib: only those read the rule-set and automaton digests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Standard-library modules only a server, a concurrent pool or the CLI needs.
 SERVER_AND_POOL_STDLIB = ("asyncio", "multiprocessing", "concurrent.futures.process")
+
+#: hashlib and the OpenSSL binding it loads (about 3.6 MB resident); only the
+#: coverage and trace labels and ``derive_seed`` hash.
+HASHING = ("hashlib", "_hashlib")
+
+#: A Table 3 column and a small churn run, untraced.
+RUN_TABLE3_COLUMN_AND_CHURN = (
+    "from repro.experiments.table3 import run_table3\n"
+    "from repro.experiments.scale import ScaleConfig, run_scale\n"
+    "run_table3(env_names=('gfc',), include_os_matrix=False)\n"
+    "run_scale(ScaleConfig(flows=2_000, max_flows=256))\n"
+)
 
 #: Obs modules that analyse exported traces; no instrumented layer needs them.
 OBS_TOOLS = tuple(
@@ -55,6 +69,7 @@ def test_churn_entry_loads_only_the_flow_table_layers():
         + ("repro.cli", "repro.core", "repro.envs", "repro.replay", "repro.runtime")
         + ("repro.endpoint.rawclient", "repro.endpoint.tcpstack", "repro.endpoint.udpstack")
         + OBS_TOOLS
+        + HASHING
     )
     assert loaded_under(modules, forbidden) == []
 
@@ -66,8 +81,40 @@ def test_table3_entry_loads_no_server_pool_cli_or_tool_code():
         "WorkerPool(backend='serial').map(abs, [-1, 2])"
     )
     assert "repro.experiments.table3" in modules
-    forbidden = SERVER_AND_POOL_STDLIB + ("repro.cli",) + OBS_TOOLS
+    forbidden = SERVER_AND_POOL_STDLIB + ("repro.cli",) + OBS_TOOLS + HASHING
     assert loaded_under(modules, forbidden) == []
+
+
+def test_untraced_table3_column_and_churn_runs_never_load_hashlib():
+    modules = loaded_after(RUN_TABLE3_COLUMN_AND_CHURN)
+    assert {"repro.experiments.table3", "repro.experiments.scale"} <= modules
+    assert loaded_under(modules, HASHING) == []
+
+
+def test_coverage_and_tracing_read_the_content_digests():
+    """The same runs with a coverage recorder and a tracer installed do hash,
+    and every label they record is the sha256 label of its content."""
+    script = (
+        "from repro import obs\n"
+        "from repro.middlebox import automaton as mbx_automaton\n"
+        "from repro.obs.coverage import CoverageRecorder, automaton_digest, ruleset_scope\n"
+        "from repro.obs.trace import FlowTracer\n"
+        "recorder, tracer = CoverageRecorder(), FlowTracer()\n"
+        "with obs.installed(COVERAGE=recorder, TRACER=tracer):\n"
+        + "".join("    " + line + "\n" for line in RUN_TABLE3_COLUMN_AND_CHURN.splitlines())
+        + "assert recorder.universe and recorder.automata\n"
+        "for scope, names in recorder.universe.items():\n"
+        "    assert scope == ruleset_scope(names), scope\n"
+        "digests = {automaton_digest(key) for key in mbx_automaton._INTERNED}\n"
+        "assert set(recorder.automata) <= digests\n"
+        "matches = tracer.events('mbx.rule_match')\n"
+        "assert matches\n"
+        "for event in matches:\n"
+        "    assert event.fields['rule_scope'] in recorder.universe\n"
+        "    assert event.fields['automaton'] in digests\n"
+    )
+    modules = loaded_after(script)
+    assert loaded_under(modules, HASHING) == sorted(HASHING)
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.traffic"])

@@ -9,14 +9,18 @@ payloads drawn from a tiny alphabet so keyword collisions, overlaps and
 nested patterns actually occur.
 """
 
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.middlebox import automaton as mbx_automaton
 from repro.middlebox.automaton import INTERN_LIMIT, automaton_for
+from repro.middlebox.engine import DPIMiddlebox
 from repro.middlebox.ruleindex import CompiledRuleSet, MultiPatternScanner, StreamScan
 from repro.middlebox.rules import MatchRule, skype_stun_rule
 from repro.middlebox.policy import RulePolicy
+from repro.netsim.shaper import PolicyState
 from repro.traffic.stun import ATTR_SOFTWARE, stun_binding_request
 
 # A tiny alphabet makes overlapping / prefix-nested keywords common.
@@ -191,7 +195,8 @@ class TestCompiledViewDifferential:
 
 
 class TestInterning:
-    """The compile-path intern memos share work and stay bounded."""
+    """The compile-path memos share work and stay bounded: rule sets live
+    as long as an engine holds them, automata up to the intern limit."""
 
     def test_view_memo_hits_do_not_rebuild(self):
         rules = [
@@ -204,19 +209,39 @@ class TestInterning:
         assert compiled.view("tcp", 80, "client_to_server") is view
         assert automaton_for(view.automaton.patterns) is view.automaton
 
-    def test_churned_rulesets_stay_bounded(self):
-        """Thousands of throwaway rule sets cannot grow the memo without
-        bound: past the limit the oldest set is dropped first."""
+    def test_churned_rulesets_die_with_their_holders(self):
+        """The rule-set memo is weak: thousands of churned sets that nobody
+        holds leave nothing behind, and none ever piles up meanwhile."""
+        gc.collect()
+        before = set(CompiledRuleSet._shared.keys())
         churned = [
             [MatchRule(name=f"r{index}", keywords=[b"x%d" % index])]
             for index in range(INTERN_LIMIT + 8)
         ]
         for rules in churned:
             CompiledRuleSet.shared(rules)
-        shared = CompiledRuleSet._shared
-        assert len(shared) == INTERN_LIMIT
-        assert tuple(map(id, churned[0])) not in shared
-        assert tuple(map(id, churned[-1])) in shared
+            assert len(CompiledRuleSet._shared) <= len(before) + 1
+        gc.collect()
+        assert set(CompiledRuleSet._shared.keys()) == before
+        assert not any(tuple(map(id, rules)) in CompiledRuleSet._shared for rules in churned)
+
+    def test_engines_on_one_rule_list_share_a_set_while_either_lives(self):
+        rules = [MatchRule(name="video", keywords=[b"video.example.com"])]
+        first = DPIMiddlebox(name="a", rules=rules, policy_state=PolicyState())
+        second = DPIMiddlebox(name="b", rules=rules, policy_state=PolicyState())
+        compiled = first._compiled
+        assert second._compiled is compiled
+        key = tuple(map(id, rules))
+        assert CompiledRuleSet._shared[key] is compiled
+        del first, compiled
+        gc.collect()
+        assert CompiledRuleSet._shared[key] is second._compiled
+        assert DPIMiddlebox(name="c", rules=rules, policy_state=PolicyState())._compiled is (
+            second._compiled
+        )
+        del second
+        gc.collect()
+        assert key not in CompiledRuleSet._shared
 
     def test_interned_automata_stay_bounded(self):
         for index in range(INTERN_LIMIT + 8):
